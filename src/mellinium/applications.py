@@ -1,15 +1,18 @@
 """Named evaluations built on the transform engine.
 
-Includes the free Green's function from the heat kernel, Riemann zeta
-and eta values by real-line and contour routes, the reflection identity
-through the star convolution, the subtracted exponential transform, and
-the weighted extension of the Gamma-normalized exponential transform.
+Includes the corpus of named functions (CORPUS) with their closed
+transforms and pole maps, the free Green's function from the heat
+kernel, Riemann zeta and eta values by real-line and contour routes,
+the reflection identity through the star convolution, the subtracted
+exponential transform, and the weighted extension of the
+Gamma-normalized exponential transform.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -22,18 +25,21 @@ from .errors import (
 )
 from .mellin_core import (
     DEFAULT_CONFIG,
-    FundamentalStrip,
     HankelContourSpec,
     MellinFunction,
     Normalization,
     QuadratureConfig,
+    TransformValue,
     _widened_config,
+    _wrap_eval,
     forward_mellin,
     hankel_mellin,
 )
 from .strip_algebra import star_convolve
 
 __all__ = [
+    "CORPUS",
+    "CorpusEntry",
     "HeatKernelProblem",
     "bose_function",
     "fermi_function",
@@ -49,40 +55,145 @@ __all__ = [
 def bose_function() -> MellinFunction:
     """1 / (e^x - 1) on the strip <1, inf); complex-safe off the axis."""
 
-    def ev(x):
-        arr = np.atleast_1d(np.asarray(x))
-        if np.iscomplexobj(arr):
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                out = 1.0 / (np.exp(arr) - 1.0)
-        else:
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                out = 1.0 / np.expm1(arr)
-            out = np.where(np.isfinite(out), out, 0.0)
-        return out if np.ndim(x) else out[0]
+    def core(arr):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            if np.iscomplexobj(arr):
+                return 1.0 / (np.exp(arr) - 1.0)
+            out = 1.0 / np.expm1(arr)
+        return np.where(np.isfinite(out), out, 0.0)
 
-    return MellinFunction(ev, 1.0, math.inf, label="bose")
+    return MellinFunction(_wrap_eval(core), 1.0, math.inf, label="bose")
 
 
 def fermi_function() -> MellinFunction:
     """1 / (e^x + 1) on the strip <0, inf)."""
 
-    def ev(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
+    def core(arr):
         with np.errstate(over="ignore", under="ignore"):
-            out = 1.0 / (np.exp(arr) + 1.0)
-        return out if np.ndim(x) else out[0]
+            return 1.0 / (np.exp(arr) + 1.0)
 
-    return MellinFunction(ev, 0.0, math.inf, label="fermi")
+    return MellinFunction(_wrap_eval(core, float), 0.0, math.inf, label="fermi")
 
 
-def _exp_function(beta: float = 1.0) -> MellinFunction:
-    def ev(x):
-        arr = np.atleast_1d(np.asarray(x))
+def _exp_function(beta: float) -> MellinFunction:
+    """e^(-beta x) on the strip <0, inf)."""
+    if beta <= 0:
+        raise ValueError("exp_decay needs beta > 0")
+
+    def core(arr):
         with np.errstate(over="ignore", under="ignore"):
-            out = np.exp(-beta * arr)
-        return out if np.ndim(x) else out[0]
+            return np.exp(-beta * arr)
 
-    return MellinFunction(ev, 0.0, math.inf, label=f"exp-decay({beta:g})")
+    return MellinFunction(_wrap_eval(core), 0.0, math.inf, label=f"exp-decay({beta:g})")
+
+
+def _power_log_function(eps: float, k: int) -> MellinFunction:
+    """x^eps (-log x)^k on (0, 1], zero beyond; strip <-eps, inf)."""
+    if k < 0:
+        raise ValueError("power_log needs k >= 0")
+
+    def core(arr):
+        out = np.zeros_like(arr)
+        mask = (arr > 0.0) & (arr <= 1.0)
+        xm = arr[mask]
+        with np.errstate(under="ignore", divide="ignore"):
+            out[mask] = xm**eps * (-np.log(xm)) ** k
+        return out
+
+    return MellinFunction(_wrap_eval(core, float), -eps, math.inf, label=f"power-log({eps:g},{k})")
+
+
+def _heat_kernel_function(n: int, distance: float) -> MellinFunction:
+    """Heat kernel e^(-pi distance^2 / g) g^(-n/2) in g; strip <-inf, n/2)."""
+    if n < 1 or distance <= 0:
+        raise ValueError("heat_kernel needs n >= 1 and distance > 0")
+    a = math.pi * distance * distance
+
+    def core(arr):
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            out = np.exp(-a / arr) * arr ** (-0.5 * n)
+        return np.where(np.isfinite(out), out, 0.0)
+
+    return MellinFunction(
+        _wrap_eval(core, float), -math.inf, 0.5 * n, label=f"heat-kernel({n},{distance:g})"
+    )
+
+
+def _exp_transform(beta: float) -> Callable:
+    def T(a):
+        return _gamma(a) * np.power(complex(beta), -np.asarray(a, dtype=complex))
+
+    return T
+
+
+def _power_log_transform(eps: float, k: int) -> Callable:
+    fact = float(math.factorial(k))
+
+    def T(a):
+        return fact / (np.asarray(a, dtype=complex) + eps) ** (k + 1)
+
+    return T
+
+
+# Zero-side pole maps as SingularExpansion terms (pole, log order,
+# coefficient), at most `terms` of them. Bose: residues of
+# Gamma(a) zeta(a) at a = 1, 0, -1, -3, -5 (Bernoulli numbers). Fermi:
+# residues of Gamma(a) eta(a) at a = -m, from eta(-m) for m = 0..5.
+_BOSE_POLES = (
+    (1.0, 0, 1.0),
+    (0.0, 0, -0.5),
+    (-1.0, 0, 1.0 / 12.0),
+    (-3.0, 0, -1.0 / 720.0),
+    (-5.0, 0, 1.0 / 30240.0),
+)
+_ETA_AT_NEG = (0.5, 0.25, 0.0, -0.125, 0.0, 0.25)
+
+
+def _exp_poles(terms: int, beta: float) -> tuple:
+    return tuple(
+        (-float(m), 0, (-1.0) ** m * beta**m / float(math.factorial(m)))
+        for m in range(terms)
+    )
+
+
+def _fermi_poles(terms: int) -> tuple:
+    return tuple(
+        (-float(m), 0, _ETA_AT_NEG[m] * (-1.0) ** m / float(math.factorial(m)))
+        for m in range(min(terms, len(_ETA_AT_NEG)))
+    )
+
+
+def _power_log_poles(terms: int, eps: float, k: int) -> tuple:
+    return ((-eps, k, float(math.factorial(k))),)
+
+
+@dataclass(frozen=True)
+class CorpusEntry:
+    """A named corpus function and what is known about it in closed form.
+
+    ``build(**params)`` makes the MellinFunction (ValueError on invalid
+    parameters); ``defaults`` names each parameter with its default,
+    whose type is the parameter's type. ``transform(**params)`` gives
+    the closed Haar transform as a callable, and
+    ``poles(terms, **params)`` the zero-side pole map as
+    SingularExpansion terms; either is None where none is known.
+    """
+
+    build: Callable[..., MellinFunction]
+    defaults: dict
+    transform: Callable[..., Callable] | None = None
+    poles: Callable[..., tuple] | None = None
+
+
+CORPUS = {
+    "exp_decay": CorpusEntry(_exp_function, {"beta": 1.0}, _exp_transform, _exp_poles),
+    "bose": CorpusEntry(bose_function, {}, poles=lambda terms: _BOSE_POLES[:terms]),
+    "fermi": CorpusEntry(fermi_function, {}, poles=_fermi_poles),
+    "power_log": CorpusEntry(
+        _power_log_function, {"eps": 0.5, "k": 1}, _power_log_transform, _power_log_poles
+    ),
+    "heat_kernel": CorpusEntry(_heat_kernel_function, {"n": 3, "distance": 1.0}),
+}
 
 
 @dataclass(frozen=True)
@@ -119,32 +230,28 @@ def greens_function(
     measure at alpha = 1, which lies inside the strip <-inf, n/2> only
     for n >= 3 (DivergentRoute below that).
     """
-    cfg = cfg or DEFAULT_CONFIG
+    return _greens(problem, route, cfg)[0]
+
+
+def _greens(
+    problem: HeatKernelProblem, route: str, cfg: QuadratureConfig | None
+) -> tuple[float, float]:
+    """greens_function's value with its absolute error estimate."""
     r = problem.separation()
     n = problem.n
     key = route.replace("-", "_").lower()
     if key in ("closed", "closed_form"):
         if n == 2:
-            return -2.0 * math.log(r)
-        return float(math.pi ** (1.0 - 0.5 * n) * _gamma(0.5 * n - 1.0) * r ** (2.0 - n))
+            return -2.0 * math.log(r), 0.0
+        return float(math.pi ** (1.0 - 0.5 * n) * _gamma(0.5 * n - 1.0) * r ** (2.0 - n)), 0.0
     if key != "quadrature":
         raise ValueError(f"unknown route {route!r}")
     if n <= 2:
         raise DivergentRoute(
             f"quadrature route diverges for n = {n}: alpha = 1 is outside <-inf, n/2>"
         )
-    a = math.pi * r * r
-
-    def ev(g):
-        arr = np.atleast_1d(np.asarray(g, dtype=float))
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            out = np.exp(-a / arr) * arr ** (-0.5 * n)
-        out = np.where(np.isfinite(out), out, 0.0)
-        return out if np.ndim(g) else out[0]
-
-    hk = MellinFunction(ev, -math.inf, 0.5 * n, label=f"heat-kernel(n={n})")
-    wcfg = _widened_config(cfg, -math.inf, 0.5 * n, 1.0)
-    return float(forward_mellin(hk, 1.0, cfg=wcfg).value.real)
+    tv = forward_mellin(_heat_kernel_function(n, r), 1.0, cfg=cfg)
+    return float(tv.value.real), tv.abs_error_estimate
 
 
 def zeta_value(
@@ -160,31 +267,39 @@ def zeta_value(
     Re(alpha) > 0 except the pole at 1. PoleAtOne wins over strip
     checks.
     """
-    cfg = cfg or DEFAULT_CONFIG
+    return _zeta(alpha, route, cfg, contour).value
+
+
+def _zeta(
+    alpha: complex,
+    route: str,
+    cfg: QuadratureConfig | None,
+    contour: HankelContourSpec | None,
+) -> TransformValue:
+    """zeta_value as the TransformValue its route computed."""
     alpha = complex(alpha)
     key = route.replace("-", "_").lower()
-    bose = bose_function()
     if key == "realline":
         if abs(alpha - 1.0) < 1e-10:
             raise PoleAtOne("zeta has its pole at alpha = 1")
-        wcfg = _widened_config(cfg, 1.0, math.inf, alpha)
-        return forward_mellin(bose, alpha, Normalization.gamma(), cfg=wcfg).value
+        return forward_mellin(bose_function(), alpha, Normalization.gamma(), cfg=cfg)
     if key == "hankel":
         if abs(alpha - 1.0) < 0.02:
             raise PoleAtOne("zeta has its pole at alpha = 1")
         if alpha.real <= 0:
             raise StripViolation("hankel route requires Re(alpha) > 0")
-        return hankel_mellin(bose, alpha, contour=contour, cfg=cfg).value
+        return hankel_mellin(bose_function(), alpha, contour=contour, cfg=cfg)
     raise ValueError(f"unknown route {route!r}")
 
 
 def eta_value(alpha: complex, cfg: QuadratureConfig | None = None) -> complex:
     """Dirichlet eta as the Gamma-normalized Fermi transform on <0, inf)."""
-    cfg = cfg or DEFAULT_CONFIG
-    alpha = complex(alpha)
-    fermi = fermi_function()
-    wcfg = _widened_config(cfg, 0.0, math.inf, alpha)
-    return forward_mellin(fermi, alpha, Normalization.gamma(), cfg=wcfg).value
+    return _eta(alpha, cfg).value
+
+
+def _eta(alpha: complex, cfg: QuadratureConfig | None) -> TransformValue:
+    """eta_value as the TransformValue of the Fermi transform."""
+    return forward_mellin(fermi_function(), alpha, Normalization.gamma(), cfg=cfg)
 
 
 def gamma_reflection(
@@ -199,7 +314,7 @@ def gamma_reflection(
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 1.0:
         raise StripViolation("reflection identity lives on 0 < Re(alpha) < 1")
-    f = _exp_function()
+    f = _exp_function(1.0)
     # The convolution grid must cover the same window as the outer
     # transform: near the strip edges the integrand decays slowly and
     # draws on x far outside the default grid span.
@@ -219,24 +334,19 @@ def subtracted_exponential_transform(
     Gamma pole; at alpha = 0 the value is -log(beta) (removable point,
     handled by plain quadrature since the integrand stays integrable).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if beta <= 0:
         raise ValueError("beta must be positive")
-    alpha = complex(alpha)
 
-    def ev(g):
-        arr = np.atleast_1d(np.asarray(g, dtype=float))
+    def core(arr):
         # e^(-beta g) - e^(-g) = e^(-g) expm1((1 - beta) g) avoids the
         # catastrophic cancellation near 0 that the plain difference
         # suffers once g drops below machine epsilon
         with np.errstate(over="ignore", under="ignore"):
             out = np.exp(-arr) * np.expm1((1.0 - beta) * arr)
-            out = np.where(np.isfinite(out), out, 0.0)
-        return out if np.ndim(g) else out[0]
+            return np.where(np.isfinite(out), out, 0.0)
 
-    f = MellinFunction(ev, -1.0, math.inf, label=f"subtracted-exp({beta:g})")
-    wcfg = _widened_config(cfg, -1.0, math.inf, alpha)
-    return forward_mellin(f, alpha, cfg=wcfg).value
+    f = MellinFunction(_wrap_eval(core, float), -1.0, math.inf, label=f"subtracted-exp({beta:g})")
+    return forward_mellin(f, alpha, cfg=cfg).value
 
 
 def gamma_p_extension(
@@ -248,20 +358,15 @@ def gamma_p_extension(
     1/Gamma(alpha + p) multiplier; equals beta^(-alpha) on the extended
     strip, matching the plain Gamma-normalized value on <0, inf).
     """
-    cfg = cfg or DEFAULT_CONFIG
     if beta <= 0:
         raise ValueError("beta must be positive")
     if p < 0:
         raise ValueError("weight exponent p must be >= 0")
-    alpha = complex(alpha)
 
-    def ev(g):
-        arr = np.atleast_1d(np.asarray(g, dtype=float))
+    def core(arr):
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             out = (beta * arr) ** p * np.exp(-beta * arr)
-        out = np.where(np.isfinite(out), out, 0.0)
-        return out if np.ndim(g) else out[0]
+        return np.where(np.isfinite(out), out, 0.0)
 
-    f = MellinFunction(ev, -p, math.inf, label=f"gamma-p({p:g}) weight")
-    wcfg = _widened_config(cfg, -p, math.inf, alpha)
-    return forward_mellin(f, alpha, Normalization.gamma_p(p), cfg=wcfg).value
+    f = MellinFunction(_wrap_eval(core, float), -p, math.inf, label=f"gamma-p({p:g}) weight")
+    return forward_mellin(f, alpha, Normalization.gamma_p(p), cfg=cfg).value

@@ -19,181 +19,81 @@ failure (any engine error).
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
-from scipy.special import factorial as _factorial
-from scipy.special import gamma as _sc_gamma
 
-from .applications import (
-    HeatKernelProblem,
-    bose_function,
-    eta_value,
-    fermi_function,
-    gamma_reflection,
-    greens_function,
-    zeta_value,
-)
-from .asymptotics import (
-    SingularExpansion,
-    asymptotic_from_singular,
-    residue_asymptotics,
-)
+from .applications import CORPUS, HeatKernelProblem, _eta, _greens, _zeta, gamma_reflection
+from .asymptotics import SingularExpansion, asymptotic_from_singular, residue_asymptotics
 from .errors import MelliniumError
-from .mellin_core import (
-    DEFAULT_CONFIG,
-    HankelContourSpec,
-    MellinFunction,
-    Normalization,
-    _widened_config,
-    forward_mellin,
-    infer_strip,
-    inverse_mellin,
-)
-from .operator_calculus import (
-    OperatorSpec,
-    PhaseConvention,
-    Regulator,
-    _branch_power,
-    functional_determinant,
-    key_identity_check,
-    resolvent,
-)
-from .strip_algebra import mult_convolve, star_convolve
+from .mellin_core import DEFAULT_CONFIG, HankelContourSpec, Normalization, _widened_config
+from .mellin_core import forward_mellin, infer_strip, inverse_mellin
+from .operator_calculus import OperatorSpec, PhaseConvention, Regulator, complex_power
+from .operator_calculus import functional_determinant, functional_log, key_identity_check, resolvent
+from .strip_algebra import _induced_strip, mult_convolve, star_convolve
 
 __all__ = ["run", "main"]
 
-_CORPUS = ("exp_decay", "bose", "fermi", "power_log", "heat_kernel")
-_SWEEPABLE = (
-    "transform",
-    "convolve",
-    "zeta",
-    "eta",
-    "det",
-    "power",
-    "resolvent",
-    "reflection",
-    "key-check",
-)
-
-# Zero-side pole maps that are not products of the Gamma family alone:
-# residues of Gamma(a) zeta(a) at a = 1, 0, -1, -3, -5 (Bernoulli
-# numbers) and eta(-m) for m = 0..5.
-_BOSE_SINGULAR = (
-    (1.0, 0, 1.0),
-    (0.0, 0, -0.5),
-    (-1.0, 0, 1.0 / 12.0),
-    (-3.0, 0, -1.0 / 720.0),
-    (-5.0, 0, 1.0 / 30240.0),
-)
-_ETA_AT_NEG = (0.5, 0.25, 0.0, -0.125, 0.0, 0.25)
-
 
 # ---------------------------------------------------------------------------
-# corpus descriptors
+# corpus functions and declared strips
 # ---------------------------------------------------------------------------
 
 
-def _exp_decay(beta: float) -> MellinFunction:
-    def ev(x):
-        arr = np.atleast_1d(np.asarray(x))
-        with np.errstate(over="ignore", under="ignore"):
-            out = np.exp(-beta * arr)
-        return out if np.ndim(x) else out[0]
-
-    return MellinFunction(ev, 0.0, math.inf, label=f"exp_decay({beta:g})")
-
-
-def _power_log(eps: float, k: int) -> MellinFunction:
-    def ev(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(arr)
-        mask = (arr > 0.0) & (arr <= 1.0)
-        xm = arr[mask]
-        with np.errstate(under="ignore", divide="ignore"):
-            out[mask] = xm**eps * (-np.log(xm)) ** k
-        return out if np.ndim(x) else out[0]
-
-    return MellinFunction(ev, -eps, math.inf, label=f"power_log({eps:g},{k})")
+def _params(ns, suffix: str = ""):
+    """The --fn{suffix} corpus entry and its parameters, defaults filled in."""
+    entry = CORPUS[getattr(ns, "fn" + suffix)]
+    params = {}
+    for key, default in entry.defaults.items():
+        given = getattr(ns, key + suffix, None)
+        params[key] = default if given is None else type(default)(given)
+    return entry, params
 
 
-def _heat_kernel(n: int, distance: float) -> MellinFunction:
-    a = math.pi * distance * distance
-
-    def ev(g):
-        arr = np.atleast_1d(np.asarray(g, dtype=float))
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            out = np.exp(-a / arr) * arr ** (-0.5 * n)
-        out = np.where(np.isfinite(out), out, 0.0)
-        return out if np.ndim(g) else out[0]
-
-    return MellinFunction(ev, -math.inf, 0.5 * n, label=f"heat_kernel({n},{distance:g})")
+def _function(ns, suffix: str = ""):
+    """The --fn{suffix} corpus function and its record inputs."""
+    entry, params = _params(ns, suffix)
+    inputs = {"fn" + suffix: getattr(ns, "fn" + suffix)}
+    for key, v in params.items():
+        inputs[key + suffix] = str(v) if isinstance(v, int) else _g(v)
+    return entry.build(**params), inputs
 
 
-def _descriptor(name: str, ns, suffix: str = "") -> tuple[MellinFunction, dict]:
-    """Build a corpus function plus its serialized parameter map."""
-
-    def param(attr, default):
-        return getattr(ns, attr + suffix, None) if getattr(ns, attr + suffix, None) is not None else default
-
-    if name == "exp_decay":
-        beta = param("beta", 1.0)
-        if beta <= 0:
-            raise ValueError("exp_decay needs beta > 0")
-        return _exp_decay(beta), {"fn" + suffix: name, "beta" + suffix: _g(beta)}
-    if name == "bose":
-        return bose_function(), {"fn" + suffix: name}
-    if name == "fermi":
-        return fermi_function(), {"fn" + suffix: name}
-    if name == "power_log":
-        eps = param("eps", 0.5)
-        k = int(param("k", 1))
-        if k < 0:
-            raise ValueError("power_log needs k >= 0")
-        return _power_log(eps, k), {
-            "fn" + suffix: name,
-            "eps" + suffix: _g(eps),
-            "k" + suffix: str(k),
-        }
-    if name == "heat_kernel":
-        n = int(param("n", 3))
-        d = param("distance", 1.0)
-        if n < 1 or d <= 0:
-            raise ValueError("heat_kernel needs n >= 1 and distance > 0")
-        return _heat_kernel(n, d), {
-            "fn" + suffix: name,
-            "n" + suffix: str(n),
-            "distance" + suffix: _g(d),
-        }
-    raise ValueError(f"unknown corpus function {name!r}")
+def _closed_transform(ns):
+    entry, params = _params(ns)
+    if entry.transform is None:
+        closed = ", ".join(name for name, e in CORPUS.items() if e.transform)
+        raise ValueError(f"{ns.fn} has no closed transform; supported: {closed}")
+    return entry.transform(**params)
 
 
-def _closed_transform(name: str, ns):
-    """Closed-form transform callable for the invertible corpus entries."""
-    if name == "exp_decay":
-        beta = ns.beta if ns.beta is not None else 1.0
+_WHOLE = (-math.inf, math.inf)
 
-        def T(a):
-            return _sc_gamma(a) * np.power(complex(beta), -np.asarray(a, dtype=complex))
 
-        return T
-    if name == "power_log":
-        eps = ns.eps if ns.eps is not None else 0.5
-        k = int(ns.k if ns.k is not None else 1)
-        fact = float(_factorial(k, exact=True))
+def _declared(ns) -> tuple[tuple[float, float], str]:
+    """Strip and normalization tag that every record of the command carries.
 
-        def T(a):
-            return fact / (np.asarray(a, dtype=complex) + eps) ** (k + 1)
-
-        return T
-    raise ValueError(f"{name} has no closed transform; supported: exp_decay, power_log")
+    Worked out from the arguments alone, so a sweep point that fails
+    carries what its record would have carried on success. Commands
+    whose pair is fixed declare it with their flags (_add_common).
+    """
+    if ns.declared is not None:
+        return ns.declared
+    if ns.command == "zeta":
+        return ((1.0, math.inf), "gamma") if ns.route == "realline" else (_WHOLE, "gamma-contour")
+    if ns.command == "greens":
+        return (-math.inf, 0.5 * ns.n), "haar"
+    f = _function(ns)[0]
+    strip = f.strip
+    if ns.command == "convolve":
+        strip = _induced_strip(f, _function(ns, "2")[0], star=ns.kind == "star")
+    norm = ns.norm.name() if hasattr(ns, "norm") else "haar"
+    return ((strip.a, strip.b) if strip else _WHOLE), norm
 
 
 # ---------------------------------------------------------------------------
@@ -211,26 +111,23 @@ def _strip_entry(v: float):
     return float(v)
 
 
-def _record(
-    operation: str,
-    inputs: dict,
-    alpha,
-    value,
-    err: float,
-    strip: tuple[float, float],
-    normalization: str,
-    skipped: bool = False,
-) -> dict:
-    return {
-        "operation": operation,
-        "inputs": inputs,
-        "alpha": None if alpha is None else [float(alpha.real), float(alpha.imag)],
-        "value": None if value is None else [float(value.real), float(value.imag)],
-        "error_estimate": float(err),
-        "strip": [_strip_entry(strip[0]), _strip_entry(strip[1])],
-        "normalization": normalization,
-        "skipped": bool(skipped),
-    }
+def _records(ns, rows, skipped: bool = False, strip=None) -> list[dict]:
+    """Records of (inputs, alpha, value, error estimate) rows of a command."""
+    declared, normalization = _declared(ns)
+    strip = strip or declared
+    return [
+        {
+            "operation": ns.command,
+            "inputs": inputs,
+            "alpha": None if alpha is None else [float(alpha.real), float(alpha.imag)],
+            "value": None if value is None else [float(value.real), float(value.imag)],
+            "error_estimate": float(err),
+            "strip": [_strip_entry(strip[0]), _strip_entry(strip[1])],
+            "normalization": normalization,
+            "skipped": skipped,
+        }
+        for inputs, alpha, value, err in rows
+    ]
 
 
 def _json_scalar(v) -> str:
@@ -252,67 +149,37 @@ def _json_scalar(v) -> str:
 
 
 _CSV_COLUMNS = (
-    "operation",
-    "inputs",
-    "alpha_re",
-    "alpha_im",
-    "value_re",
-    "value_im",
-    "error_estimate",
-    "strip_a",
-    "strip_b",
-    "normalization",
-    "skipped",
+    "operation", "inputs", "alpha_re", "alpha_im", "value_re", "value_im",
+    "error_estimate", "strip_a", "strip_b", "normalization", "skipped",
 )
 
 
 def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _g(v)
-    return str(v)
+    return "" if v is None else v if isinstance(v, str) else _json_scalar(v)
 
 
 def _emit(records: list[dict], out: str, fmt: str | None) -> None:
     if fmt is None:
         fmt = "csv" if out != "-" and out.endswith(".csv") else "jsonl"
-    lines: list[str] = []
     if fmt == "jsonl":
-        for rec in records:
-            lines.append(_json_scalar(rec))
+        text = "".join(_json_scalar(rec) + "\n" for rec in records)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for rec in records:
-            alpha = rec["alpha"]
-            value = rec["value"]
+            cells = (
+                *(rec["alpha"] or (None, None)),
+                *(rec["value"] or (None, None)),
+                rec["error_estimate"],
+                *rec["strip"],
+                rec["normalization"],
+                rec["skipped"],
+            )
             writer.writerow(
-                [
-                    rec["operation"],
-                    _json_scalar(rec["inputs"]),
-                    _csv_cell(None if alpha is None else alpha[0]),
-                    _csv_cell(None if alpha is None else alpha[1]),
-                    _csv_cell(None if value is None else value[0]),
-                    _csv_cell(None if value is None else value[1]),
-                    _csv_cell(rec["error_estimate"]),
-                    _csv_cell(rec["strip"][0]),
-                    _csv_cell(rec["strip"][1]),
-                    rec["normalization"],
-                    _csv_cell(rec["skipped"]),
-                ]
+                [rec["operation"], _json_scalar(rec["inputs"]), *map(_csv_cell, cells)]
             )
         text = buf.getvalue()
-        if out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(out, "w", newline="") as fh:
-                fh.write(text)
-        return
-    text = "\n".join(lines) + ("\n" if lines else "")
     if out == "-":
         sys.stdout.write(text)
     else:
@@ -335,17 +202,12 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_norm(text: str) -> Normalization:
-    t = text.strip().lower()
-    if t == "haar":
-        return Normalization.haar()
-    if t == "gamma":
-        return Normalization.gamma()
-    if t == "gamma-contour":
-        return Normalization.gamma_contour()
-    if t == "gamma-eta":
-        return Normalization.gamma_eta()
-    if t.startswith("gamma-p:"):
-        return Normalization.gamma_p(float(t.split(":", 1)[1]))
+    """The inverse of Normalization.name()."""
+    kind, colon, p = text.strip().lower().partition(":")
+    if kind == "gamma-p" and colon:
+        return Normalization.gamma_p(float(p))
+    if kind in ("haar", "gamma", "gamma-contour", "gamma-eta") and not colon:
+        return Normalization(kind.replace("-", "_"))
     raise argparse.ArgumentTypeError(f"unknown normalization {text!r}")
 
 
@@ -374,7 +236,7 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def _add_fn_flags(sp, suffix: str = "") -> None:
-    sp.add_argument("--fn" + suffix, choices=_CORPUS, required=(suffix == ""))
+    sp.add_argument("--fn" + suffix, choices=tuple(CORPUS), required=(suffix == ""))
     sp.add_argument("--beta" + suffix, type=float, default=None)
     sp.add_argument("--eps" + suffix, type=float, default=None)
     sp.add_argument("--k" + suffix, type=int, default=None)
@@ -383,7 +245,12 @@ def _add_fn_flags(sp, suffix: str = "") -> None:
     sp.add_argument("--distance" + suffix, type=float, default=None)
 
 
-def _add_common(sp, with_alpha: bool = True, with_norm: bool = False) -> None:
+def _add_common(sp, handler, declared=None, with_alpha=True, with_norm=False) -> None:
+    """The command's handler, its fixed (strip, normalization) if any, and common flags.
+
+    A command that takes --alpha can be swept.
+    """
+    sp.set_defaults(handler=handler, declared=declared)
     if with_alpha:
         sp.add_argument("--alpha", type=_parse_complex, default=None, help="re[,im]")
     if with_norm:
@@ -406,70 +273,70 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("transform", help="forward transform of a corpus function")
     _add_fn_flags(sp)
-    _add_common(sp, with_norm=True)
+    _add_common(sp, _do_transform, with_norm=True)
 
     sp = sub.add_parser("invert", help="invert a closed-form corpus transform at x")
     _add_fn_flags(sp)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--c", type=float, default=1.0, help="contour abscissa")
-    _add_common(sp, with_alpha=False)
+    _add_common(sp, _do_invert, with_alpha=False)
 
     sp = sub.add_parser("strip", help="infer the fundamental strip empirically")
     _add_fn_flags(sp)
-    _add_common(sp, with_alpha=False)
+    _add_common(sp, _do_strip, with_alpha=False)
 
     sp = sub.add_parser("convolve", help="transform of a convolution of two corpus functions")
     sp.add_argument("--kind", choices=("mult", "star"), required=True)
     _add_fn_flags(sp)
     _add_fn_flags(sp, suffix="2")
-    _add_common(sp, with_norm=True)
+    _add_common(sp, _do_convolve, with_norm=True)
 
     sp = sub.add_parser("zeta", help="Riemann zeta by the realline or hankel route")
     sp.add_argument("--route", choices=("realline", "hankel"), default="realline")
     sp.add_argument("--radius", type=float, default=None, help="hankel arc radius")
-    _add_common(sp)
+    _add_common(sp, _do_zeta)
 
     sp = sub.add_parser("eta", help="Dirichlet eta from the Fermi distribution")
-    _add_common(sp)
+    _add_common(sp, _do_eta, ((0.0, math.inf), "gamma"))
 
     sp = sub.add_parser("det", help="functional determinant of an operator")
     _add_operator_flags(sp)
     sp.add_argument("--regulator", default=None, help="matrix file for the regulator")
-    _add_common(sp)
+    _add_common(sp, _do_det, (_WHOLE, "gamma"))
 
     sp = sub.add_parser("power", help="complex power, one record per eigenvalue")
     _add_operator_flags(sp)
-    _add_common(sp)
+    _add_common(sp, _do_power, (_WHOLE, "gamma"))
 
     sp = sub.add_parser("resolvent", help="shifted complex power, one record per eigenvalue")
     _add_operator_flags(sp)
     sp.add_argument("--z", type=_parse_complex, required=True, help="re[,im]")
-    _add_common(sp)
+    _add_common(sp, _do_resolvent, (_WHOLE, "gamma"))
 
     sp = sub.add_parser("log", help="functional logarithm, one record per eigenvalue")
     _add_operator_flags(sp)
     sp.add_argument("--h", type=float, default=1e-4)
-    _add_common(sp, with_alpha=False)
+    _add_common(sp, _do_log, (_WHOLE, "gamma"), with_alpha=False)
 
     sp = sub.add_parser("greens", help="free Green's function from the heat kernel")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--distance", type=float, required=True)
     sp.add_argument("--route", choices=("closed", "quadrature"), default="closed")
-    _add_common(sp, with_alpha=False)
+    _add_common(sp, _do_greens, with_alpha=False)
 
     sp = sub.add_parser("asymptotic", help="pole map or residue sum of a corpus transform")
     _add_fn_flags(sp)
     sp.add_argument("--x", type=float, default=None, help="evaluate the residue sum at x")
     sp.add_argument("--terms", type=int, default=6)
-    _add_common(sp, with_alpha=False)
+    _add_common(sp, _do_asymptotic, with_alpha=False)
 
     sp = sub.add_parser("reflection", help="both sides of the reflection identity")
-    _add_common(sp)
+    _add_common(sp, _do_reflection, ((0.0, 1.0), "haar"))
 
     sp = sub.add_parser("key-check", help="zeta exponential vs convolution exponential")
     _add_operator_flags(sp)
     sp.add_argument("--terms", type=int, default=12)
-    _add_common(sp)
+    _add_common(sp, _do_key_check, ((0.0, math.inf), "haar"))
 
     return parser
 
@@ -481,12 +348,6 @@ def _cfg(ns):
     if getattr(ns, "abs_tol", None) is not None:
         cfg = replace(cfg, abs_tol=ns.abs_tol)
     return cfg
-
-
-def _need_alpha(ns) -> complex:
-    if ns.alpha is None:
-        raise ValueError(f"{ns.command} requires --alpha")
-    return complex(ns.alpha)
 
 
 def _operator(ns) -> tuple[OperatorSpec, dict]:
@@ -505,377 +366,216 @@ def _operator(ns) -> tuple[OperatorSpec, dict]:
 
 
 def _do_transform(ns) -> list[dict]:
-    alpha = _need_alpha(ns)
-    f, inputs = _descriptor(ns.fn, ns)
-    cfg = _widened_config(_cfg(ns), f.order_at_zero, f.order_at_infinity, alpha)
-    tv = forward_mellin(f, alpha, ns.norm, cfg=cfg)
-    return [
-        _record(
-            "transform",
-            inputs,
-            alpha,
-            tv.value,
-            tv.abs_error_estimate,
-            (tv.strip.a, tv.strip.b),
-            ns.norm.name(),
-        )
-    ]
+    alpha = ns.alpha
+    f, inputs = _function(ns)
+    tv = forward_mellin(f, alpha, ns.norm, cfg=_cfg(ns))
+    return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
 
 
 def _do_invert(ns) -> list[dict]:
-    f, inputs = _descriptor(ns.fn, ns)
-    T = _closed_transform(ns.fn, ns)
+    f, inputs = _function(ns)
+    T = _closed_transform(ns)
     if not f.strip.contains(complex(ns.c)):
         raise ValueError(f"contour abscissa c={ns.c:g} lies outside {f.strip}")
     value, err = inverse_mellin(T, ns.c, ns.x, _cfg(ns))
-    inputs = dict(inputs)
-    inputs["x"] = _g(ns.x)
-    inputs["c"] = _g(ns.c)
-    return [_record("invert", inputs, None, value, err, (f.strip.a, f.strip.b), "haar")]
+    inputs.update(x=_g(ns.x), c=_g(ns.c))
+    return _records(ns, [(inputs, None, value, err)])
 
 
 def _do_strip(ns) -> list[dict]:
-    f, inputs = _descriptor(ns.fn, ns)
-    grid = np.geomspace(1e-6, 1e6, 61)
-    st = infer_strip(f, grid)
-    return [_record("strip", inputs, None, None, 0.0, (st.a, st.b), "haar")]
+    f, inputs = _function(ns)
+    st = infer_strip(f, np.geomspace(1e-6, 1e6, 61))
+    return _records(ns, [(inputs, None, None, 0.0)], strip=(st.a, st.b))
 
 
 def _do_convolve(ns) -> list[dict]:
-    alpha = _need_alpha(ns)
-    f, inputs1 = _descriptor(ns.fn, ns)
+    alpha = ns.alpha
+    f, inputs1 = _function(ns)
     if ns.fn2 is None:
         raise ValueError("convolve requires --fn2")
-    h, inputs2 = _descriptor(ns.fn2, ns, suffix="2")
-    cfg = _cfg(ns)
+    h, inputs2 = _function(ns, "2")
+    # the convolution grid must span the window of the outer transform
+    (a, b), _ = _declared(ns)
+    cfg = _widened_config(_cfg(ns), a, b, alpha)
     build = mult_convolve if ns.kind == "mult" else star_convolve
-    conv = build(f, h, cfg)
-    wcfg = _widened_config(cfg, conv.order_at_zero, conv.order_at_infinity, alpha)
-    if wcfg is not cfg:
-        conv = build(f, h, wcfg)
-    tv = forward_mellin(conv, alpha, ns.norm, cfg=wcfg)
-    inputs = {"kind": ns.kind}
-    inputs.update(inputs1)
-    inputs.update(inputs2)
-    return [
-        _record(
-            "convolve",
-            inputs,
-            alpha,
-            tv.value,
-            tv.abs_error_estimate,
-            (tv.strip.a, tv.strip.b),
-            ns.norm.name(),
-        )
-    ]
+    tv = forward_mellin(build(f, h, cfg), alpha, ns.norm, cfg=cfg)
+    inputs = {"kind": ns.kind, **inputs1, **inputs2}
+    return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
 
 
 def _do_zeta(ns) -> list[dict]:
-    alpha = _need_alpha(ns)
+    alpha = ns.alpha
     contour = HankelContourSpec(radius=ns.radius) if ns.radius is not None else None
-    value = zeta_value(alpha, ns.route, _cfg(ns), contour=contour)
+    tv = _zeta(alpha, ns.route, _cfg(ns), contour)
     inputs = {"route": ns.route}
     if ns.radius is not None:
         inputs["radius"] = _g(ns.radius)
-    strip = (1.0, math.inf) if ns.route == "realline" else (-math.inf, math.inf)
-    norm = "gamma" if ns.route == "realline" else "gamma-contour"
-    return [_record("zeta", inputs, alpha, value, 0.0, strip, norm)]
+    return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
 
 
 def _do_eta(ns) -> list[dict]:
-    alpha = _need_alpha(ns)
-    value = eta_value(alpha, _cfg(ns))
-    return [_record("eta", {"route": "fermi"}, alpha, value, 0.0, (0.0, math.inf), "gamma")]
+    alpha = ns.alpha
+    tv = _eta(alpha, _cfg(ns))
+    return _records(ns, [({"route": "fermi"}, alpha, tv.value, tv.abs_error_estimate)])
 
 
 def _do_det(ns) -> list[dict]:
-    alpha = _need_alpha(ns)
+    alpha = ns.alpha
     op, inputs = _operator(ns)
     reg = Regulator(_read_matrix(ns.regulator)) if ns.regulator is not None else None
     value = functional_determinant(op, alpha, PhaseConvention(ns.winding), reg)
-    inputs = dict(inputs)
     inputs["winding"] = str(ns.winding)
     if ns.regulator is not None:
         inputs["regulator"] = ns.regulator
-    return [_record("det", inputs, alpha, value, 0.0, (-math.inf, math.inf), "gamma")]
+    return _records(ns, [(inputs, alpha, value, 0.0)])
 
 
-def _per_eigenvalue(operation, op, base_inputs, values, alpha) -> list[dict]:
-    records = []
-    for i, (eig, val) in enumerate(zip(op.spectrum, values)):
-        inputs = dict(base_inputs)
-        inputs["index"] = str(i)
-        inputs["eigenvalue"] = _g(eig)
-        records.append(
-            _record(operation, inputs, alpha, complex(val), 0.0, (-math.inf, math.inf), "gamma")
-        )
-    return records
+def _per_eigenvalue(ns, op, inputs, matrix, alpha) -> list[dict]:
+    """One record per eigenvalue: the operator function's value on it."""
+    eigs, vecs = op.eigensystem()
+    values = np.diag(vecs.conj().T @ matrix @ vecs)
+    rows = [
+        ({**inputs, "index": str(i), "eigenvalue": _g(eig)}, alpha, complex(val), 0.0)
+        for i, (eig, val) in enumerate(zip(eigs, values))
+    ]
+    return _records(ns, rows)
 
 
 def _do_power(ns) -> list[dict]:
-    alpha = _need_alpha(ns)
+    alpha = ns.alpha
     op, inputs = _operator(ns)
     inputs["winding"] = str(ns.winding)
-    vals = _branch_power(np.asarray(op.spectrum), alpha, ns.winding)
-    return _per_eigenvalue("power", op, inputs, vals, alpha)
+    power = complex_power(op, alpha, PhaseConvention(ns.winding))
+    return _per_eigenvalue(ns, op, inputs, power, alpha)
 
 
 def _do_resolvent(ns) -> list[dict]:
-    alpha = _need_alpha(ns)
+    alpha = ns.alpha
     op, inputs = _operator(ns)
     z = complex(ns.z)
-    resolvent(op, z, alpha, PhaseConvention(ns.winding))
-    vals = _branch_power(np.asarray(op.spectrum) - z, alpha, ns.winding)
+    shifted = resolvent(op, z, alpha, PhaseConvention(ns.winding))
     inputs["winding"] = str(ns.winding)
     inputs["z"] = _g(z.real) + "," + _g(z.imag)
-    return _per_eigenvalue("resolvent", op, inputs, vals, alpha)
+    return _per_eigenvalue(ns, op, inputs, shifted, alpha)
 
 
 def _do_log(ns) -> list[dict]:
     op, inputs = _operator(ns)
-    h = ns.h
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    eigs = np.asarray(op.spectrum)
-    vals = (4.0 * eigs ** (-h) - eigs ** (-2.0 * h) - 3.0) / (2.0 * h)
-    inputs["h"] = _g(h)
-    return _per_eigenvalue("log", op, inputs, vals, None)
+    log = functional_log(op, ns.h)
+    inputs["h"] = _g(ns.h)
+    return _per_eigenvalue(ns, op, inputs, log, None)
 
 
 def _do_greens(ns) -> list[dict]:
     problem = HeatKernelProblem(ns.n, (0.0,), (ns.distance,))
-    value = greens_function(problem, ns.route, _cfg(ns))
+    value, err = _greens(problem, ns.route, _cfg(ns))
     inputs = {"n": str(ns.n), "distance": _g(ns.distance), "route": ns.route}
-    return [
-        _record("greens", inputs, None, complex(value), 0.0, (-math.inf, 0.5 * ns.n), "haar")
-    ]
-
-
-def _singular_terms(ns) -> tuple[tuple, dict]:
-    name = ns.fn
-    terms = ns.terms
-    if terms < 1:
-        raise ValueError("--terms must be >= 1")
-    if name == "exp_decay":
-        beta = ns.beta if ns.beta is not None else 1.0
-        tt = tuple(
-            (-float(m), 0, (-1.0) ** m * beta**m / float(_factorial(m, exact=True)))
-            for m in range(terms)
-        )
-        return tt, {"fn": name, "beta": _g(beta)}
-    if name == "power_log":
-        eps = ns.eps if ns.eps is not None else 0.5
-        k = int(ns.k if ns.k is not None else 1)
-        return ((-eps, k, float(_factorial(k, exact=True))),), {
-            "fn": name,
-            "eps": _g(eps),
-            "k": str(k),
-        }
-    if name == "bose":
-        return _BOSE_SINGULAR[: min(terms, len(_BOSE_SINGULAR))], {"fn": name}
-    if name == "fermi":
-        tt = tuple(
-            (-float(m), 0, _ETA_AT_NEG[m] * (-1.0) ** m / float(_factorial(m, exact=True)))
-            for m in range(min(terms, len(_ETA_AT_NEG)))
-        )
-        return tt, {"fn": name}
-    raise ValueError(f"no pole map for {name!r}")
+    return _records(ns, [(inputs, None, complex(value), err)])
 
 
 def _do_asymptotic(ns) -> list[dict]:
-    f, _ = _descriptor(ns.fn, ns)
-    strip = (f.order_at_zero, f.order_at_infinity)
+    base = _function(ns)[1]
+    entry, params = _params(ns)
+    if ns.terms < 1:
+        raise ValueError("--terms must be >= 1")
+    if entry.poles is None:
+        raise ValueError(f"no pole map for {ns.fn!r}")
+    poles = entry.poles(ns.terms, **params)
     if ns.x is not None:
-        T = _closed_transform(ns.fn, ns)
-        if ns.fn == "exp_decay":
-            poles = [complex(-m) for m in range(ns.terms)]
-        else:
-            eps = ns.eps if ns.eps is not None else 0.5
-            poles = [complex(-eps)]
-        value = residue_asymptotics(T, poles, ns.x, side="zero")
+        T = _closed_transform(ns)
+        value = residue_asymptotics(T, [complex(p) for p, _, _ in poles], ns.x, side="zero")
         inputs = {"fn": ns.fn, "mode": "residues", "x": _g(ns.x), "terms": str(len(poles))}
-        return [_record("asymptotic", inputs, None, value, 0.0, strip, "haar")]
-    terms, base_inputs = _singular_terms(ns)
-    series = asymptotic_from_singular(SingularExpansion(terms, side="zero"))
-    records = []
+        return _records(ns, [(inputs, None, value, 0.0)])
+    series = asymptotic_from_singular(SingularExpansion(poles, side="zero"))
+    rows = []
     for exponent, log_power, coeff in series.terms:
         ex = complex(exponent).real
-        inputs = dict(base_inputs)
-        inputs["mode"] = "poles"
-        inputs["exponent"] = _g(ex)
-        inputs["log_power"] = str(log_power)
-        records.append(_record("asymptotic", inputs, complex(-ex), complex(coeff), 0.0, strip, "haar"))
-    return records
+        inputs = {**base, "mode": "poles", "exponent": _g(ex), "log_power": str(log_power)}
+        rows.append((inputs, complex(-ex), complex(coeff), 0.0))
+    return _records(ns, rows)
 
 
 def _do_reflection(ns) -> list[dict]:
-    alpha = _need_alpha(ns)
+    alpha = ns.alpha
     lhs, rhs = gamma_reflection(alpha, _cfg(ns))
     inputs = {"rhs": _g(rhs.real) + "," + _g(rhs.imag)}
-    return [_record("reflection", inputs, alpha, lhs, abs(lhs - rhs), (0.0, 1.0), "haar")]
+    return _records(ns, [(inputs, alpha, lhs, abs(lhs - rhs))])
 
 
 def _do_key_check(ns) -> list[dict]:
-    alpha = _need_alpha(ns)
+    alpha = ns.alpha
     op, inputs = _operator(ns)
     if ns.terms < 0:
         raise ValueError("--terms must be >= 0")
     lhs, rhs, bound = key_identity_check(op, alpha, ns.terms, _cfg(ns))
-    inputs = dict(inputs)
     inputs["terms"] = str(ns.terms)
     inputs["lhs"] = _g(lhs.real) + "," + _g(lhs.imag)
     inputs["deviation"] = _g(abs(lhs - rhs))
-    return [_record("key-check", inputs, alpha, rhs, bound, (0.0, math.inf), "haar")]
-
-
-_HANDLERS = {
-    "transform": _do_transform,
-    "invert": _do_invert,
-    "strip": _do_strip,
-    "convolve": _do_convolve,
-    "zeta": _do_zeta,
-    "eta": _do_eta,
-    "det": _do_det,
-    "power": _do_power,
-    "resolvent": _do_resolvent,
-    "log": _do_log,
-    "greens": _do_greens,
-    "asymptotic": _do_asymptotic,
-    "reflection": _do_reflection,
-    "key-check": _do_key_check,
-}
-
-
-def _dispatch(ns) -> list[dict]:
-    return _HANDLERS[ns.command](ns)
+    return _records(ns, [(inputs, alpha, rhs, bound)])
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# sweep and entry points
 # ---------------------------------------------------------------------------
 
 
-def _parse_grid(spec: str) -> list[complex]:
-    body, _, im_part = spec.partition(",")
+def _sweep_point(ns, alpha: complex) -> list[dict]:
+    ns.alpha = alpha
+    try:
+        return ns.handler(ns)
+    except MelliniumError as exc:
+        inputs = {"skipped_error": type(exc).__name__}
+        for suffix in ("", "2"):
+            if getattr(ns, "fn" + suffix, None):
+                inputs.update(_function(ns, suffix)[1])
+        if getattr(ns, "spectrum", None):
+            inputs["spectrum"] = ",".join(_g(e) for e in ns.spectrum)
+        return _records(ns, [(inputs, alpha, None, 0.0)], skipped=True)
+
+
+def _split_sweep(rest: list[str]) -> tuple[list[complex], list[str]]:
+    """The --alpha-grid points of a sweep, and the subcommand's own argv."""
+    grid_spec, inner, tokens = None, [], iter(rest)
+    for tok in tokens:
+        if tok == "--alpha-grid":
+            grid_spec = next(tokens, None)
+            if grid_spec is None:
+                raise ValueError("--alpha-grid needs a value")
+        elif tok.startswith("--alpha-grid="):
+            grid_spec = tok.split("=", 1)[1]
+        else:
+            inner.append(tok)
+    if grid_spec is None:
+        raise ValueError("sweep requires --alpha-grid re_start:re_stop:count[,im]")
+    body, _, im_part = grid_spec.partition(",")
     im = float(im_part) if im_part else 0.0
     parts = body.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid spec must be re_start:re_stop:count[,im], got {spec!r}")
+        raise ValueError(f"grid spec must be re_start:re_stop:count[,im], got {grid_spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("grid count must be >= 1")
-    return [complex(re, im) for re in np.linspace(start, stop, count)]
-
-
-def _strip_hint(ns) -> tuple[float, float]:
-    try:
-        if getattr(ns, "fn", None):
-            f, _ = _descriptor(ns.fn, ns)
-            return (f.order_at_zero, f.order_at_infinity)
-        if ns.command == "zeta":
-            return (1.0, math.inf) if ns.route == "realline" else (-math.inf, math.inf)
-        if ns.command == "eta":
-            return (0.0, math.inf)
-        if ns.command in ("key-check",):
-            return (0.0, math.inf)
-    except ValueError:
-        pass
-    return (-math.inf, math.inf)
-
-
-def _norm_hint(ns) -> str:
-    """Normalization tag a skipped record would have carried on success."""
-    if ns.command == "zeta":
-        return "gamma-contour" if ns.route == "hankel" else "gamma"
-    if ns.command in ("eta", "det", "power", "resolvent"):
-        return "gamma"
-    norm = getattr(ns, "norm", None)
-    return norm.name() if norm is not None else "haar"
-
-
-def _sweep_point(ns_template, alpha: complex) -> list[dict]:
-    ns = copy.copy(ns_template)
-    ns.alpha = alpha
-    try:
-        return _dispatch(ns)
-    except MelliniumError as exc:
-        inputs = {"skipped_error": type(exc).__name__}
-        try:
-            if getattr(ns, "fn", None):
-                inputs.update(_descriptor(ns.fn, ns)[1])
-            if getattr(ns, "fn2", None):
-                inputs.update(_descriptor(ns.fn2, ns, "2")[1])
-            if getattr(ns, "spectrum", None):
-                inputs["spectrum"] = ns.spectrum
-        except ValueError:
-            pass
-        return [
-            _record(
-                ns.command,
-                inputs,
-                alpha,
-                None,
-                0.0,
-                _strip_hint(ns),
-                _norm_hint(ns),
-                skipped=True,
-            )
-        ]
-
-
-def _run_sweep(rest: list[str]) -> int:
-    grid_spec = None
-    inner: list[str] = []
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if tok == "--alpha-grid":
-            if i + 1 >= len(rest):
-                raise ValueError("--alpha-grid needs a value")
-            grid_spec = rest[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--alpha-grid="):
-            grid_spec = tok.split("=", 1)[1]
-            i += 1
-            continue
-        inner.append(tok)
-        i += 1
-    if grid_spec is None:
-        raise ValueError("sweep requires --alpha-grid re_start:re_stop:count[,im]")
-    if not inner or inner[0] not in _SWEEPABLE:
-        raise ValueError(f"sweep needs a subcommand from {', '.join(_SWEEPABLE)}")
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(inner)
-    except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return 0 if code == 0 else 1
-    grid = _parse_grid(grid_spec)
-    with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-        chunks = list(pool.map(lambda a: _sweep_point(ns, a), grid))
-    records = [rec for chunk in chunks for rec in chunk]
-    _emit(records, ns.out, ns.format)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# entry points
-# ---------------------------------------------------------------------------
+    return [complex(re, im) for re in np.linspace(start, stop, count)], inner
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
+        grid = None
         if argv and argv[0] == "sweep":
-            return _run_sweep(argv[1:])
-        parser = _build_parser()
+            grid, argv = _split_sweep(argv[1:])
         try:
-            ns = parser.parse_args(argv)
+            ns = _build_parser().parse_args(argv)
         except SystemExit as exc:
-            code = exc.code if exc.code is not None else 0
-            return 0 if code == 0 else 1
-        records = _dispatch(ns)
+            return 0 if exc.code in (0, None) else 1
+        if grid is None:
+            if getattr(ns, "alpha", 0) is None:
+                raise ValueError(f"{ns.command} requires --alpha")
+            records = ns.handler(ns)
+        elif not hasattr(ns, "alpha"):
+            raise ValueError(f"{ns.command} takes no --alpha and cannot be swept")
+        else:
+            records = [rec for alpha in grid for rec in _sweep_point(ns, alpha)]
         _emit(records, ns.out, ns.format)
         return 0
     except MelliniumError as exc:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -109,6 +109,11 @@ class MellinFunction:
     <a, b>. ``atom_weight`` carries a point mass at x = 1 (the identity
     of multiplicative convolution) kept symbolic; its transform
     contribution is the constant ``atom_weight``.
+
+    ``grid_span`` is not a constructor argument: the convolution builders
+    set it to the (t_min, t_max) range in t = log x that their sampling
+    grid covers, and forward_mellin never integrates beyond it.
+    ``dataclasses.replace`` resets it to None.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -116,6 +121,9 @@ class MellinFunction:
     order_at_infinity: float
     label: str = ""
     atom_weight: complex = 0.0
+    grid_span: tuple[float, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def strip(self) -> FundamentalStrip:
@@ -371,6 +379,20 @@ def _widened_config(
     return replace(cfg, truncation_bounds=(tb0, tb1))
 
 
+def _wrap_eval(core: Callable[[np.ndarray], np.ndarray], dtype=None) -> Callable:
+    """Lift an array function to one taking a scalar or an array.
+
+    core sees at least a 1-d array (converted to dtype when given); a
+    scalar argument gets a scalar back.
+    """
+
+    def ev(x):
+        out = core(np.atleast_1d(np.asarray(x, dtype=dtype)))
+        return out if np.ndim(x) else out[()] if out.ndim == 0 else out[0]
+
+    return ev
+
+
 def _eval_vector(func: Callable, x: np.ndarray) -> np.ndarray:
     """Call func on an array, falling back to a scalar loop."""
     arr = np.asarray(x)
@@ -406,19 +428,20 @@ def forward_mellin(
     """Transform f at alpha against the chosen normalized measure.
 
     alpha must lie inside the fundamental strip declared by f
-    (StripViolation otherwise). The integration window is
-    cfg.truncation_bounds in t = log x; with cfg omitted the default
-    window is widened automatically so the declared edge rates clear
-    abs_tol. A truncation tail estimated from the declared decay orders
-    that dwarfs the tolerance raises QuadratureDivergence rather than
-    silently returning a bad value.
+    (StripViolation otherwise). The integration window in t = log x is
+    cfg.truncation_bounds (DEFAULT_CONFIG's when cfg is omitted), always
+    widened so that the tails at the declared edge rates clear abs_tol:
+    the bounds are the minimum window. A function built on a convolution
+    grid caps the window at the grid's span (``grid_span``). A truncation
+    tail estimated from the declared decay orders that dwarfs the
+    tolerance raises QuadratureDivergence rather than silently returning
+    a bad value.
     """
     f = _require_mellin_function(f)
     alpha = complex(alpha)
-    if cfg is None:
-        cfg = _widened_config(
-            DEFAULT_CONFIG, f.order_at_zero, f.order_at_infinity, alpha
-        )
+    cfg = _widened_config(
+        cfg or DEFAULT_CONFIG, f.order_at_zero, f.order_at_infinity, alpha
+    )
     norm = normalization or Normalization.haar()
     strip = f.strip
     if not strip.contains(alpha):
@@ -431,6 +454,10 @@ def forward_mellin(
         return _eval_vector(f.eval, np.exp(t)) * np.exp(alpha * t)
 
     tmin, tmax = cfg.truncation_bounds
+    if f.grid_span is not None:
+        # past the grid the function is not sampled; the tail check below
+        # raises when the part of the window cut off here matters
+        tmin, tmax = max(tmin, f.grid_span[0]), min(tmax, f.grid_span[1])
     i_left, e_left = _integrate_line(g, tmin, 0.0, cfg)
     i_right, e_right = _integrate_line(g, 0.0, tmax, cfg)
     total = i_left + i_right + complex(f.atom_weight)

@@ -35,6 +35,7 @@ from .mellin_core import (
     Normalization,
     QuadratureConfig,
     _widened_config,
+    _wrap_eval,
     forward_mellin,
 )
 from .strip_algebra import convolution_exp
@@ -137,14 +138,14 @@ class OperatorSpec:
         """Tr e^(-g op) as a MellinFunction on the strip <0, inf)."""
         eigs = self._eigs
 
-        def ev(g):
-            arr = np.atleast_1d(np.asarray(g, dtype=float))
+        def core(arr):
             with np.errstate(over="ignore", under="ignore"):
                 out = np.exp(-np.outer(arr.ravel(), eigs)).sum(axis=1)
-            out = out.reshape(arr.shape)
-            return out if np.ndim(g) else out[0]
+            return out.reshape(arr.shape)
 
-        return MellinFunction(ev, 0.0, math.inf, label=f"heat-trace(d={self.dimension})")
+        return MellinFunction(
+            _wrap_eval(core, float), 0.0, math.inf, label=f"heat-trace(d={self.dimension})"
+        )
 
 
 def _branch_power(values: np.ndarray, alpha: complex, winding: int) -> np.ndarray:
@@ -188,10 +189,6 @@ def resolvent(
     return (vecs * powered) @ vecs.conj().T
 
 
-def _widened(cfg: QuadratureConfig, alpha: complex) -> QuadratureConfig:
-    return _widened_config(cfg, 0.0, math.inf, alpha)
-
-
 def spectral_zeta(
     op: OperatorSpec,
     alpha: complex,
@@ -204,14 +201,11 @@ def spectral_zeta(
     finite spectrum). The Mellin route computes the Gamma-normalized
     transform of the heat trace on <0, inf), so it needs Re(alpha) > 0.
     """
-    cfg = cfg or DEFAULT_CONFIG
     key = route.replace("-", "_").lower()
     if key == "direct":
         return complex(np.sum(_branch_power(op.spectrum, alpha, 0)))
     if key in ("heat_trace_mellin", "mellin"):
-        h = op.heat_trace()
-        tv = forward_mellin(h, alpha, Normalization.gamma(), cfg=_widened(cfg, alpha))
-        return tv.value
+        return forward_mellin(op.heat_trace(), alpha, Normalization.gamma(), cfg=cfg).value
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -223,19 +217,18 @@ def spectral_eta(
     The Mellin value is cross-checked against the direct alternating
     sum; disagreement raises QuadratureDivergence.
     """
-    cfg = cfg or DEFAULT_CONFIG
     eigs = op.spectrum
     signs = np.array([(-1.0) ** i for i in range(len(eigs))])
 
-    def ev(g):
-        arr = np.atleast_1d(np.asarray(g, dtype=float))
+    def core(arr):
         with np.errstate(over="ignore", under="ignore"):
             out = (np.exp(-np.outer(arr.ravel(), eigs)) * signs).sum(axis=1)
-        out = out.reshape(arr.shape)
-        return out if np.ndim(g) else out[0]
+        return out.reshape(arr.shape)
 
-    alt = MellinFunction(ev, 0.0, math.inf, label=f"alt-heat-trace(d={len(eigs)})")
-    tv = forward_mellin(alt, alpha, Normalization.gamma(), cfg=_widened(cfg, alpha))
+    alt = MellinFunction(
+        _wrap_eval(core, float), 0.0, math.inf, label=f"alt-heat-trace(d={len(eigs)})"
+    )
+    tv = forward_mellin(alt, alpha, Normalization.gamma(), cfg=cfg)
     direct = complex(np.sum(signs * _branch_power(eigs, alpha, 0)))
     if abs(tv.value - direct) > max(1e-8, 1e-6 * abs(direct)):
         raise QuadratureDivergence(
@@ -345,7 +338,8 @@ def key_identity_check(
     alpha = complex(alpha)
     lhs = cmath.exp(-spectral_zeta(op, alpha, "direct"))
     h = op.heat_trace()
-    wcfg = _widened(cfg, alpha)
+    # the convolution grid must span the outer transform's window
+    wcfg = _widened_config(cfg, 0.0, math.inf, alpha)
     ce = convolution_exp(h, terms, wcfg)
     tv = forward_mellin(ce, alpha, cfg=wcfg)
     h_alpha = forward_mellin(h, alpha, cfg=wcfg)

@@ -49,7 +49,7 @@ from .mellin_core import (
     _eval_vector,
     _integrate_line,
     _tanh_sinh,
-    _widened_config,
+    _wrap_eval,
     forward_mellin,
 )
 
@@ -161,8 +161,7 @@ class TransformedPair:
     def _spot_check(self) -> None:
         cfg = replace(DEFAULT_CONFIG, rel_tol=1e-9, abs_tol=1e-11, max_levels=8)
         for alpha in _spot_alphas(self.strip):
-            wcfg = _widened_config(cfg, self.strip.a, self.strip.b, alpha)
-            got = forward_mellin(self.function_side, alpha, cfg=wcfg).value
+            got = forward_mellin(self.function_side, alpha, cfg=cfg).value
             claimed = complex(self.transform_side(alpha))
             if abs(got - claimed) > 1e-3 * max(1.0, abs(claimed)):
                 raise AnalyticityFailure(
@@ -207,18 +206,6 @@ def _dt_derivative(f: MellinFunction, n: int) -> Callable[[np.ndarray], np.ndarr
         return vals @ coeffs / h**n
 
     return dF
-
-
-def _as_scalar_or_array(x, out: np.ndarray):
-    return out if np.ndim(x) else out[()] if out.ndim == 0 else out[0]
-
-
-def _wrap_eval(core: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    def ev(x):
-        arr = np.atleast_1d(np.asarray(x))
-        return _as_scalar_or_array(x, core(arr))
-
-    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +386,26 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
 _GRID_STEP = 0.05
 
 
-def _log_grid(cfg: QuadratureConfig) -> np.ndarray:
+def _log_grid(cfg: QuadratureConfig) -> tuple[np.ndarray, tuple[float, float]]:
+    """Uniform grid in t = log x, and the span it covers."""
     # Symmetrized span: the star convolution reflects its argument, so
     # a window widened on one side must be covered on the other as well.
     tb0, tb1 = cfg.truncation_bounds
     t0 = min(tb0, -tb1)
     t1 = max(tb1, -tb0)
     n = int(math.floor((t1 - t0) / _GRID_STEP)) + 1
-    return t0 + _GRID_STEP * np.arange(n)
+    return t0 + _GRID_STEP * np.arange(n), (t0, t1)
+
+
+def _induced_strip(
+    f: MellinFunction, h: MellinFunction, star: bool
+) -> FundamentalStrip | None:
+    """Strip of f * h, or of f ** h when star; None when it is empty."""
+    if star:
+        return f.strip.intersect(
+            FundamentalStrip(1.0 - h.order_at_infinity, 1.0 - h.order_at_zero)
+        )
+    return f.strip.intersect(h.strip)
 
 
 def _chunked_kernel_sum(
@@ -439,12 +438,12 @@ def mult_convolve(
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(f, "mult_convolve")
     _check_no_atom(h, "mult_convolve")
-    strip = f.strip.intersect(h.strip)
+    strip = _induced_strip(f, h, star=False)
     if strip is None:
         raise EmptyStripIntersection(
             f"strips {f.strip} and {h.strip} do not intersect"
         )
-    t = _log_grid(cfg)
+    t, span = _log_grid(cfg)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         fw = _eval_vector(f.eval, np.exp(t)) * _GRID_STEP
     fw = np.nan_to_num(fw, nan=0.0, posinf=0.0, neginf=0.0)
@@ -453,12 +452,14 @@ def mult_convolve(
     def core(xs: np.ndarray) -> np.ndarray:
         return _chunked_kernel_sum(fw, inv, h.eval, xs)
 
-    return MellinFunction(
+    conv = MellinFunction(
         _wrap_eval(core),
         strip.a,
         strip.b,
         label=f"({f.label or 'f'} * {h.label or 'h'})",
     )
+    conv.grid_span = span
+    return conv
 
 
 def star_convolve(
@@ -478,13 +479,12 @@ def star_convolve(
         raise SideConditionViolation(
             "star integral diverges pointwise: needs a_f + a_h < 1 < b_f + b_h"
         )
-    reflected = FundamentalStrip(1.0 - h.order_at_infinity, 1.0 - h.order_at_zero)
-    strip = f.strip.intersect(reflected)
+    strip = _induced_strip(f, h, star=True)
     if strip is None:
         raise EmptyStripIntersection(
-            f"strip {f.strip} does not meet the reflected strip {reflected}"
+            f"strip {f.strip} does not meet the reflected strip of {h.strip}"
         )
-    t = _log_grid(cfg)
+    t, span = _log_grid(cfg)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         hw = _eval_vector(h.eval, np.exp(t)) * np.exp(t) * _GRID_STEP
         hw = np.nan_to_num(hw, nan=0.0, posinf=0.0, neginf=0.0)
@@ -495,12 +495,14 @@ def star_convolve(
     def core(xs: np.ndarray) -> np.ndarray:
         return _chunked_kernel_sum(hw, fac, f.eval, xs)
 
-    return MellinFunction(
+    conv = MellinFunction(
         _wrap_eval(core),
         strip.a,
         strip.b,
         label=f"({f.label or 'f'} ** {h.label or 'h'})",
     )
+    conv.grid_span = span
+    return conv
 
 
 def involution(f: MellinFunction) -> MellinFunction:
@@ -555,19 +557,13 @@ def parseval_pair(
         g.order_at_infinity + h.order_at_infinity,
         label="g*h pointwise",
     )
-    lcfg = _widened_config(cfg, prod.order_at_zero, prod.order_at_infinity, alpha)
-    lhs = forward_mellin(prod, alpha, cfg=lcfg).value
-
-    gcfg = _widened_config(cfg, g.order_at_zero, g.order_at_infinity, complex(c))
-    hcfg = _widened_config(
-        cfg, h.order_at_zero, h.order_at_infinity, alpha - c
-    )
+    lhs = forward_mellin(prod, alpha, cfg=cfg).value
 
     def line_term(ts: np.ndarray) -> np.ndarray:
         out = np.empty(ts.shape, dtype=complex)
         for i, ti in enumerate(ts.ravel()):
-            gv = forward_mellin(g, c + 1j * ti, cfg=gcfg).value
-            hv = forward_mellin(h, alpha - c - 1j * ti, cfg=hcfg).value
+            gv = forward_mellin(g, c + 1j * ti, cfg=cfg).value
+            hv = forward_mellin(h, alpha - c - 1j * ti, cfg=cfg).value
             out.ravel()[i] = gv * hv
         return out
 
@@ -617,7 +613,7 @@ def convolution_exp(
         zero = _wrap_eval(lambda xs: np.zeros(xs.shape, dtype=complex))
         return MellinFunction(zero, a, b, label="conv-exp(0 terms)", atom_weight=1.0)
 
-    t = _log_grid(cfg)
+    t, span = _log_grid(cfg)
     n_grid = len(t)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         h_grid = np.asarray(_eval_vector(h.eval, np.exp(t)), dtype=complex)
@@ -654,10 +650,12 @@ def convolution_exp(
             return base
         return base + _chunked_kernel_sum(weights, inv, h.eval, xs)
 
-    return MellinFunction(
+    ce = MellinFunction(
         _wrap_eval(core),
         a,
         b,
         label=f"conv-exp({terms} terms)[{h.label}]",
         atom_weight=1.0,
     )
+    ce.grid_span = span
+    return ce

@@ -7,8 +7,16 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
+from mellinium import (
+    Normalization,
+    bose_function,
+    fermi_function,
+    forward_mellin,
+    hankel_mellin,
+)
 from mellinium.cli import run
 
 RECORD_KEYS = [
@@ -171,6 +179,104 @@ class TestSubcommands:
         dev = float(rec["inputs"]["deviation"])
         assert abs(lhs - math.exp(-1.0)) < 1e-10
         assert dev <= rec["error_estimate"]
+
+
+def _bose_coefficient(rec) -> float:
+    # 1/(e^x - 1) = sum_n B_n x^(n-1) / n!
+    n = int(float(rec["inputs"]["exponent"])) + 1
+    return float(mpmath.bernoulli(n) / mpmath.factorial(n))
+
+
+def _fermi_coefficient(rec) -> float:
+    m = int(float(rec["inputs"]["exponent"]))
+    return float(mpmath.taylor(lambda x: 1 / (mpmath.exp(x) + 1), 0, m)[m])
+
+
+# every corpus function through the CLI: (argv, record count, oracle)
+CORPUS_CASES = {
+    "transform-exp_decay": (
+        ["transform", "--fn", "exp_decay", "--beta", "2", "--alpha", "1.5"],
+        1,
+        lambda rec: mpmath.gamma(1.5) * mpmath.mpf(2) ** -1.5,
+    ),
+    "transform-bose": (
+        ["transform", "--fn", "bose", "--alpha", "2.5"],
+        1,
+        lambda rec: mpmath.gamma(2.5) * mpmath.zeta(2.5),
+    ),
+    "transform-fermi": (
+        ["transform", "--fn", "fermi", "--alpha", "1.5,0.5"],
+        1,
+        lambda rec: mpmath.gamma(1.5 + 0.5j) * mpmath.altzeta(1.5 + 0.5j),
+    ),
+    "transform-power_log": (
+        ["transform", "--fn", "power_log", "--eps", "0.5", "--k", "2", "--alpha", "1"],
+        1,
+        lambda rec: 2 / mpmath.mpf(1.5) ** 3,
+    ),
+    "transform-heat_kernel": (
+        # int_0^inf e^(-pi d^2 / g) g^(-n/2) g^(alpha-1) dg
+        #   = Gamma(n/2 - alpha) (pi d^2)^(alpha - n/2)
+        ["transform", "--fn", "heat_kernel", "--n", "3", "--distance", "1.5", "--alpha", "0.5"],
+        1,
+        lambda rec: mpmath.gamma(1.0) / (mpmath.pi * 2.25),
+    ),
+    "poles-bose": (["asymptotic", "--fn", "bose", "--terms", "5"], 5, _bose_coefficient),
+    "poles-fermi": (["asymptotic", "--fn", "fermi", "--terms", "6"], 6, _fermi_coefficient),
+    "poles-power_log": (
+        # x^eps (-log x)^k = (-1)^k x^eps (log x)^k near 0
+        ["asymptotic", "--fn", "power_log", "--eps", "0.3", "--k", "2"],
+        1,
+        lambda rec: 1.0,
+    ),
+    "residues-power_log": (
+        # the single pole at -eps carries the whole function
+        ["asymptotic", "--fn", "power_log", "--eps", "0.3", "--k", "2", "--x", "0.2"],
+        1,
+        lambda rec: mpmath.mpf(0.2) ** 0.3 * mpmath.log(0.2) ** 2,
+    ),
+}
+
+
+class TestCorpus:
+    @pytest.mark.parametrize("case", sorted(CORPUS_CASES))
+    def test_corpus_against_oracle(self, capsys, case):
+        argv, count, oracle = CORPUS_CASES[case]
+        code, recs = run_lines(capsys, argv)
+        assert code == 0 and len(recs) == count
+        for rec in recs:
+            want = complex(oracle(rec))
+            got = complex(*rec["value"])
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_power_log_pole_record(self, capsys):
+        code, recs = run_lines(
+            capsys, ["asymptotic", "--fn", "power_log", "--eps", "0.3", "--k", "2"]
+        )
+        assert float(recs[0]["inputs"]["exponent"]) == 0.3
+        assert recs[0]["inputs"]["log_power"] == "2"
+
+
+class TestErrorEstimates:
+    @pytest.mark.parametrize(
+        "argv, library",
+        [
+            (
+                ["zeta", "--alpha", "0.5", "--route", "hankel"],
+                lambda: hankel_mellin(bose_function(), 0.5),
+            ),
+            (
+                ["eta", "--alpha", "2,3"],
+                lambda: forward_mellin(fermi_function(), 2 + 3j, Normalization.gamma()),
+            ),
+        ],
+        ids=["zeta-hankel", "eta"],
+    )
+    def test_record_carries_library_estimate(self, capsys, argv, library):
+        code, recs = run_lines(capsys, argv)
+        estimate = recs[0]["error_estimate"]
+        assert code == 0 and estimate > 0
+        assert estimate == library().abs_error_estimate
 
 
 class TestExitCodes:

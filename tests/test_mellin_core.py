@@ -147,6 +147,12 @@ class TestForwardMellin:
         tv = forward_mellin(f, 0.05)
         assert tv.value == pytest.approx(math.gamma(0.05), rel=1e-8)
 
+    def test_explicit_config_is_widened_too(self):
+        # the config's truncation bounds are a minimum window: an explicit
+        # config is widened by the same rule as the default one
+        tv = forward_mellin(make_exp(1.0), 0.05, cfg=DEFAULT_CONFIG)
+        assert tv.value == pytest.approx(math.gamma(0.05), rel=1e-9)
+
     def test_atom_contributes_constant(self):
         zero = MellinFunction(
             lambda x: np.zeros(np.shape(x)), 0.0, math.inf, atom_weight=2.5

@@ -17,6 +17,7 @@ from mellinium import (
     FundamentalStrip,
     LogMultiply,
     MellinFunction,
+    MelliniumError,
     PowerShift,
     PowerSubstitute,
     Primitive,
@@ -175,6 +176,14 @@ class TestConvolution:
         got = forward_mellin(star, 0.5).value
         # Gamma(1/2)^2 = pi
         assert got == pytest.approx(math.pi, rel=1e-7)
+
+    def test_transform_past_the_grid_raises(self):
+        # at Re(alpha) = 0.75 on <0, 1> the transform window reaches
+        # t = 146, far past the default +-40 grid; the uncovered tail must
+        # raise instead of returning a value 1e-4 off with a 1e-11 estimate
+        star = star_convolve(make_exp(1.0), make_exp(2.0))
+        with pytest.raises(MelliniumError):
+            forward_mellin(star, 0.75 - 1.0j)
 
     def test_star_side_condition(self):
         # a_f + a_h >= 1 makes the star integral diverge pointwise
