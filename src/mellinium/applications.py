@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import (
     CoincidentPoints,
@@ -30,6 +29,7 @@ from .mellin_core import (
     Normalization,
     QuadratureConfig,
     TransformValue,
+    _gamma,
     _widened_config,
     _wrap_eval,
     forward_mellin,

@@ -34,7 +34,7 @@ from .errors import MelliniumError
 from .mellin_core import DEFAULT_CONFIG, HankelContourSpec, Normalization, _widened_config
 from .mellin_core import forward_mellin, infer_strip, inverse_mellin
 from .operator_calculus import OperatorSpec, PhaseConvention, Regulator, complex_power
-from .operator_calculus import functional_determinant, functional_log, key_identity_check, resolvent
+from .operator_calculus import _functional_log, functional_determinant, key_identity_check, resolvent
 from .strip_algebra import _induced_strip, mult_convolve, star_convolve
 
 __all__ = ["run", "main"]
@@ -430,13 +430,17 @@ def _do_det(ns) -> list[dict]:
     return _records(ns, [(inputs, alpha, value, 0.0)])
 
 
-def _per_eigenvalue(ns, op, inputs, matrix, alpha) -> list[dict]:
-    """One record per eigenvalue: the operator function's value on it."""
+def _per_eigenvalue(ns, op, inputs, matrix, alpha, errs=None) -> list[dict]:
+    """One record per eigenvalue: the operator function's value on it.
+
+    errs holds an error estimate per eigenvalue; without it each is 0.
+    """
     eigs, vecs = op.eigensystem()
     values = np.diag(vecs.conj().T @ matrix @ vecs)
+    errs = np.zeros(len(eigs)) if errs is None else errs
     rows = [
-        ({**inputs, "index": str(i), "eigenvalue": _g(eig)}, alpha, complex(val), 0.0)
-        for i, (eig, val) in enumerate(zip(eigs, values))
+        ({**inputs, "index": str(i), "eigenvalue": _g(eig)}, alpha, complex(val), err)
+        for i, (eig, val, err) in enumerate(zip(eigs, values, errs))
     ]
     return _records(ns, rows)
 
@@ -461,9 +465,9 @@ def _do_resolvent(ns) -> list[dict]:
 
 def _do_log(ns) -> list[dict]:
     op, inputs = _operator(ns)
-    log = functional_log(op, ns.h)
+    log, errs = _functional_log(op, ns.h)
     inputs["h"] = _g(ns.h)
-    return _per_eigenvalue(ns, op, inputs, log, None)
+    return _per_eigenvalue(ns, op, inputs, log, None, errs)
 
 
 def _do_greens(ns) -> list[dict]:

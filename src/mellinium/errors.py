@@ -13,6 +13,7 @@ __all__ = [
     "StripViolation",
     "QuadratureDivergence",
     "NormalizationPole",
+    "GammaPole",
     "InconsistentDeclaration",
     "InsufficientDecay",
     "SlowContourDecay",
@@ -47,6 +48,10 @@ class QuadratureDivergence(MelliniumError):
 
 class NormalizationPole(MelliniumError):
     """The normalization multiplier has a pole at the requested point."""
+
+
+class GammaPole(NormalizationPole):
+    """Gamma itself requested at one of its poles 0, -1, -2, ..."""
 
 
 class InconsistentDeclaration(MelliniumError):

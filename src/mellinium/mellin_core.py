@@ -20,6 +20,10 @@ common core:
     gamma_contour  m = pi * csc(pi alpha) / (2 pi i Gamma(alpha))
     gamma_eta      m = (1 - 2^(1 - alpha)) / Gamma(alpha)
 
+Gamma and 1/Gamma come from a Lanczos approximation in this module,
+with math.gamma for real arguments; 1/Gamma is exactly 0 at the poles
+0, -1, -2, ..., so the reciprocal-Gamma multipliers are entire.
+
 The quadrature engine substitutes x = e^t and applies tanh-sinh
 quadrature to the two half-windows [t_min, 0] and [0, t_max]. Splitting
 at t = 0 keeps any kink at x = 1 (piecewise corpus functions) on an
@@ -35,10 +39,10 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import (
     ContourDependence,
+    GammaPole,
     InconsistentDeclaration,
     InsufficientDecay,
     NormalizationPole,
@@ -59,6 +63,164 @@ __all__ = [
     "inverse_mellin",
     "hankel_mellin",
 ]
+
+
+# ---------------------------------------------------------------------------
+# Gamma function
+# ---------------------------------------------------------------------------
+
+# Lanczos approximation with Godfrey's g = 607/128 and 15 coefficients:
+#   Gamma(w + 1) = sqrt(2 pi) (w + g + 1/2)^(w + 1/2) e^-(w + g + 1/2)
+#                  (c_0 + sum_k c_k / (w + k)),
+# good to a few ulp for Re(w + 1) >= 1/2; the reflection formula
+# Gamma(z) Gamma(1 - z) = pi / sin(pi z) covers the left half-plane.
+_LANCZOS_G = 607.0 / 128.0
+_LANCZOS_C = (
+    0.99999999999999709182,
+    57.156235665862923517,
+    -59.597960355475491248,
+    14.136097974741747174,
+    -0.49191381609762019978,
+    0.33994649984811888699e-4,
+    0.46523628927048575665e-4,
+    -0.98374475304879564677e-4,
+    0.15808870322491248884e-3,
+    -0.21026444172410488319e-3,
+    0.21743961811521264320e-3,
+    -0.16431810653676389022e-3,
+    0.84418223983852743293e-4,
+    -0.26190838401581408670e-4,
+    0.36899182659531622704e-5,
+)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
+
+
+def _sinpi(z: complex) -> tuple[complex, float]:
+    """sin(pi z) as (s, k) with sin(pi z) = s e^k and k = pi |Im z|.
+
+    Re z is reduced exactly, so s is exactly 0 at the integers; e^k is
+    kept apart so that large |Im z| does not overflow.
+    """
+    n = round(z.real)
+    r = math.pi * (z.real - n)
+    sin, cos = math.sin(r), math.cos(r)
+    if n % 2:
+        sin, cos = -sin, -cos
+    k = math.pi * abs(z.imag)
+    # cosh(pi y) = e^k (1 + e^-2k) / 2, sinh(pi y) = sign(y) e^k (1 - e^-2k) / 2
+    cosh = 0.5 * (1.0 + math.exp(-2.0 * k))
+    sinh = 0.5 * math.copysign(-math.expm1(-2.0 * k), z.imag)
+    return complex(sin * cosh, cos * sinh), k
+
+
+def _lanczos(z: complex, reciprocal: bool) -> complex:
+    """Gamma(z), or 1/Gamma(z) when reciprocal, of a complex scalar.
+
+    t^(w + 1/2) e^-t is formed as one exponential, together with the
+    reflection's e^k, so that large |z| does not overflow before the
+    result does. The reciprocal is 0 at the poles; Gamma itself raises
+    GammaPole there.
+    """
+    left = z.real < 0.5
+    if left:
+        # Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
+        s, k = _sinpi(z)
+        z = 1.0 - z
+    w = z - 1.0
+    x = _LANCZOS_C[0]
+    for j in range(1, len(_LANCZOS_C)):
+        x += _LANCZOS_C[j] / (w + j)
+    t = w + (_LANCZOS_G + 0.5)
+    e = (w + 0.5) * cmath.log(t) - t
+    if not left:
+        return cmath.exp(-e) / (_SQRT_2PI * x) if reciprocal else _SQRT_2PI * x * cmath.exp(e)
+    if reciprocal:
+        return s * _SQRT_2PI * x * cmath.exp(e + k) / math.pi
+    if s == 0:
+        raise GammaPole(f"Gamma has a pole at z={1.0 - z.real:g}")
+    return math.pi * cmath.exp(-e - k) / (_SQRT_2PI * x * s)
+
+
+def _lanczos_array(z: np.ndarray) -> np.ndarray:
+    """Gamma over a complex array: _lanczos vectorized."""
+    left = z.real < 0.5
+    n = np.round(z.real)
+    if np.any(left & (z.imag == 0) & (z.real == n)):
+        raise GammaPole("Gamma has a pole at a non-positive integer")
+    zz = np.where(left, 1.0 - z, z)
+    w = zz - 1.0
+    x = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
+    for j in range(1, len(_LANCZOS_C)):
+        x += _LANCZOS_C[j] / (w + j)
+    t = w + (_LANCZOS_G + 0.5)
+    e = (w + 0.5) * np.log(t) - t
+    # sin(pi z) = s e^k as in _sinpi
+    r = np.pi * (z.real - n)
+    k = np.pi * np.abs(z.imag)
+    cosh = 0.5 * (1.0 + np.exp(-2.0 * k))
+    sinh = 0.5 * np.copysign(-np.expm1(-2.0 * k), z.imag)
+    s = np.where(n % 2 == 0, 1.0, -1.0) * (np.sin(r) * cosh + 1j * np.cos(r) * sinh)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        right = _SQRT_2PI * x * np.exp(e)
+        reflected = math.pi * np.exp(-e - k) / (_SQRT_2PI * x * s)
+    return np.where(left, reflected, right)
+
+
+def _gamma_roundoff(z: complex) -> float:
+    """Relative rounding error bound of _lanczos at z, either way round.
+
+    The rounding of the exponent (w + 1/2) log t - t dominates; the
+    reflection adds that of sin(pi z).
+    """
+    extra = 4.0
+    if z.real < 0.5:
+        extra += math.pi * (abs(z.real) + abs(z.imag))
+        z = 1.0 - z
+    w = z - 1.0
+    t = w + (_LANCZOS_G + 0.5)
+    return _EPS * (abs(w + 0.5) * abs(cmath.log(t)) + abs(t) + extra)
+
+
+def _real_gamma(x: float) -> float:
+    try:
+        return math.gamma(x)
+    except ValueError:
+        raise GammaPole(f"Gamma has a pole at z={x:g}") from None
+
+
+def _gamma(z):
+    """Gamma of a real or complex scalar or of an array.
+
+    Real values, complex ones with a zero imaginary part included, go to
+    math.gamma, which is about ten times more accurate than the Lanczos
+    sum; other complex scalars go to a pure-Python Lanczos. An array
+    keeps its shape, and its dtype when real or complex. Raises
+    GammaPole at 0, -1, -2, ...; 1/Gamma, which is entire, is ``_rgamma``.
+    """
+    if isinstance(z, (int, float)):
+        return _real_gamma(z)
+    if np.ndim(z) == 0:
+        z = complex(z)
+        return complex(_real_gamma(z.real)) if z.imag == 0 else _lanczos(z, False)
+    arr = np.asarray(z)
+    out = _lanczos_array(arr.astype(complex))
+    if arr.dtype.kind == "c":
+        return out.astype(arr.dtype, copy=False)
+    return out.real.astype(arr.dtype if arr.dtype.kind == "f" else float, copy=False)
+
+
+def _rgamma(z: complex) -> complex:
+    """1/Gamma of a complex scalar: entire, exactly 0 at 0, -1, -2, ...
+
+    Real z goes to math.gamma as in _gamma, inside the range where
+    neither Gamma nor its reciprocal overflows.
+    """
+    z = complex(z)
+    if z.imag == 0 and abs(z.real) < 170.0:
+        x = z.real
+        return 0j if x <= 0 and x == round(x) else complex(1.0 / math.gamma(x))
+    return _lanczos(z, True)
 
 
 def _fmt_edge(v: float) -> str:
@@ -110,10 +272,11 @@ class MellinFunction:
     of multiplicative convolution) kept symbolic; its transform
     contribution is the constant ``atom_weight``.
 
-    ``grid_span`` is not a constructor argument: the convolution builders
-    set it to the (t_min, t_max) range in t = log x that their sampling
-    grid covers, and forward_mellin never integrates beyond it.
-    ``dataclasses.replace`` resets it to None.
+    ``grid_span`` is the (t_min, t_max) range in t = log x that a
+    sampling grid behind ``eval`` covers, None when there is no grid.
+    The convolution builders set it, functions derived from one carry it
+    through their change of variable, and forward_mellin never
+    integrates beyond it.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -121,9 +284,7 @@ class MellinFunction:
     order_at_infinity: float
     label: str = ""
     atom_weight: complex = 0.0
-    grid_span: tuple[float, float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    grid_span: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def strip(self) -> FundamentalStrip:
@@ -171,17 +332,28 @@ class Normalization:
         if self.kind == "haar":
             return 1.0 + 0.0j
         if self.kind == "gamma":
-            return 1.0 / complex(_gamma(alpha))
+            return _rgamma(alpha)
         if self.kind == "gamma_p":
-            return 1.0 / complex(_gamma(alpha + self.p))
+            return _rgamma(alpha + self.p)
         if self.kind == "gamma_contour":
             # pi csc(pi alpha) / (2 pi i Gamma(alpha)) = Gamma(1 - alpha) / (2 pi i)
             # by the reflection identity; the right-hand form avoids csc overflow
             # for large |Im alpha|.
-            return complex(_gamma(1.0 - alpha)) / (2.0j * math.pi)
+            return _gamma(1.0 - alpha) / (2.0j * math.pi)
         if self.kind == "gamma_eta":
-            return (1.0 - 2.0 ** (1.0 - alpha)) / complex(_gamma(alpha))
+            return (1.0 - 2.0 ** (1.0 - alpha)) * _rgamma(alpha)
         raise AssertionError(self.kind)
+
+    def roundoff(self, alpha: complex, m: complex) -> float:
+        """Absolute rounding error bound of m = multiplier(alpha)."""
+        if self.kind == "haar":
+            return 0.0
+        z = 1.0 - alpha if self.kind == "gamma_contour" else alpha + self.p
+        err = abs(m) * _gamma_roundoff(complex(z))
+        if self.kind == "gamma_eta":
+            two = abs(2.0 ** (1.0 - alpha))
+            err += abs(_rgamma(alpha)) * _EPS * two * (2.0 + abs(1.0 - alpha))
+        return err
 
     def nearest_pole(self, alpha: complex) -> tuple[float, complex | None]:
         """Distance to the nearest multiplier pole and the pole itself.
@@ -302,28 +474,35 @@ def _tanh_sinh(
     total: complex = 0.0
     prev: complex | None = None
     err = math.inf
+    # The estimate's roundoff floor is 4 eps times hw * h * sum |terms|
+    # over the levels summed: it follows the integrand's absolute size
+    # however much the terms cancel, and the factor 4 covers the rounding
+    # of each term's own evaluation (exp(alpha t) at large |alpha t|).
+    mass = 0.0
     for level in range(cfg.max_levels + 1):
         t, w = _ts_nodes(level)
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             vals = np.asarray(g(mid + hw * t))
         terms = vals * w
-        if not np.all(np.isfinite(terms.real)) or not np.all(np.isfinite(terms.imag)):
+        size = float(np.sum(np.abs(terms)))  # not finite iff some term is not
+        if not math.isfinite(size):
             raise QuadratureDivergence(
                 f"integrand not finite inside [{a:g}, {b:g}]"
             )
         h = 2.0 ** (-level) if level else 1.0
         partial = complex(np.sum(terms)) * hw * h
         total = partial if level == 0 else prev / 2.0 + partial
+        mass += size * hw * h
         if prev is not None:
             err = abs(total - prev)
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
             if level >= min_level and err <= tol:
-                return total, max(err, 2e-16 * abs(total))
+                return total, max(err, 4.0 * _EPS * mass)
         prev = total
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
     if err <= 50.0 * tol:
         # close but not fully settled: return with the honest estimate
-        return total, err
+        return total, max(err, 4.0 * _EPS * mass)
     raise QuadratureDivergence(
         f"tanh-sinh failed to converge on [{a:g}, {b:g}] (last delta {err:.3e})"
     )
@@ -483,7 +662,8 @@ def forward_mellin(
         alpha=alpha,
         strip=strip,
         normalization=norm,
-        abs_error_estimate=abs(m) * (e_left + e_right + tail),
+        abs_error_estimate=abs(m) * (e_left + e_right + tail)
+        + abs(total) * norm.roundoff(alpha, m),
     )
 
 
@@ -705,8 +885,10 @@ def _hankel_direct(
         raise QuadratureDivergence(
             f"ray integrand {tail:.3e} has not decayed by ray_length={L:g}"
         )
-    m = norm.multiplier(alpha) * cmath.exp(-1j * math.pi * alpha)
-    return m * loop, abs(m) * (e_up + e_arc + e_lo + tail)
+    mult = norm.multiplier(alpha)
+    phase = cmath.exp(-1j * math.pi * alpha)
+    err = abs(mult * phase) * (e_up + e_arc + e_lo + tail)
+    return mult * phase * loop, err + abs(phase * loop) * norm.roundoff(alpha, mult)
 
 
 def _hankel_value(

@@ -246,12 +246,27 @@ def functional_log(op: OperatorSpec, h: float = 1e-4) -> np.ndarray:
     machine epsilon over h, so the default step balances both well
     below 1e-6 for moderate spectra.
     """
+    return _functional_log(op, h)[0]
+
+
+def _functional_log(op: OperatorSpec, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """functional_log with an error bound for each eigenvalue of op.
+
+    With L = log(eig) the Richardson error is h^2 L^3 / 3 - h^3 L^4 / 4
+    + ...; for eig < 1 the two terms share a sign, so the bound takes
+    the first times 1 + h |L|. To that it adds the rounding of
+    4 p1 - p2 - 3 I over 2h, each power carrying about dimension * eps.
+    """
     if h <= 0:
         raise ValueError("step h must be positive")
-    eye = np.eye(op.dimension, dtype=complex)
+    d = op.dimension
+    eye = np.eye(d, dtype=complex)
     p1 = complex_power(op, h)
     p2 = complex_power(op, 2.0 * h)
-    return (4.0 * p1 - p2 - 3.0 * eye) / (2.0 * h)
+    logs = np.abs(np.log(op.eigensystem()[0]))
+    eps = np.finfo(float).eps
+    err = h * h * logs**3 * (1.0 + h * logs) / 3.0 + (5 * d + 8) * eps / (2.0 * h)
+    return (4.0 * p1 - p2 - 3.0 * eye) / (2.0 * h), err
 
 
 def _log_det(matrix: np.ndarray) -> complex:

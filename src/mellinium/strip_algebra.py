@@ -224,6 +224,13 @@ def _check_no_atom(f: MellinFunction, what: str) -> None:
         raise ValueError(f"{what} does not support functions carrying a point mass")
 
 
+def _mapped_span(f: MellinFunction, move: Callable[[float], float]):
+    """Grid span of f, moved to a function whose value at e^move(s) is made from f(e^s)."""
+    if f.grid_span is None:
+        return None
+    return tuple(sorted(move(s) for s in f.grid_span))
+
+
 def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
     """Apply a transform rule to a pair, producing the mapped pair.
 
@@ -240,14 +247,17 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         if c <= 0:
             raise SideConditionViolation(f"Scale needs c > 0, got {c}")
         fn = _wrap_eval(lambda xs: _eval_vector(f.eval, c * xs))
-        new_f = MellinFunction(fn, a, b, label=f"scale({c:g})[{f.label}]")
+        span = _mapped_span(f, lambda s: s - math.log(c))
+        new_f = MellinFunction(fn, a, b, label=f"scale({c:g})[{f.label}]", grid_span=span)
         new_T = lambda al: c ** (-complex(al)) * complex(T(al))
         return TransformedPair(new_f, new_T, FundamentalStrip(a, b), label=new_f.label)
 
     if isinstance(rule, PowerShift):
         d = float(rule.d)
         fn = _wrap_eval(lambda xs: xs**d * _eval_vector(f.eval, xs))
-        new_f = MellinFunction(fn, a - d, b - d, label=f"shift({d:g})[{f.label}]")
+        new_f = MellinFunction(
+            fn, a - d, b - d, label=f"shift({d:g})[{f.label}]", grid_span=f.grid_span
+        )
         new_T = lambda al: complex(T(complex(al) + d))
         return TransformedPair(new_f, new_T, FundamentalStrip(a - d, b - d), label=new_f.label)
 
@@ -257,7 +267,8 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
             raise SideConditionViolation("PowerSubstitute needs r != 0")
         fn = _wrap_eval(lambda xs: _eval_vector(f.eval, xs**r))
         lo, hi = sorted((r * a, r * b))
-        new_f = MellinFunction(fn, lo, hi, label=f"subst({r:g})[{f.label}]")
+        span = _mapped_span(f, lambda s: s / r)
+        new_f = MellinFunction(fn, lo, hi, label=f"subst({r:g})[{f.label}]", grid_span=span)
         new_T = lambda al: complex(T(complex(al) / r)) / abs(r)
         return TransformedPair(new_f, new_T, FundamentalStrip(lo, hi), label=new_f.label)
 
@@ -267,7 +278,9 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         def fn_core(xs: np.ndarray) -> np.ndarray:
             return np.log(xs) ** n * _eval_vector(f.eval, xs)
 
-        new_f = MellinFunction(_wrap_eval(fn_core), a, b, label=f"log^{n}[{f.label}]")
+        new_f = MellinFunction(
+            _wrap_eval(fn_core), a, b, label=f"log^{n}[{f.label}]", grid_span=f.grid_span
+        )
 
         def new_T(al: complex) -> complex:
             al = complex(al)
@@ -295,7 +308,9 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         def fn_core(xs: np.ndarray) -> np.ndarray:
             return dF(np.log(xs))
 
-        new_f = MellinFunction(_wrap_eval(fn_core), a, b, label=f"euler^{n}[{f.label}]")
+        new_f = MellinFunction(
+            _wrap_eval(fn_core), a, b, label=f"euler^{n}[{f.label}]", grid_span=f.grid_span
+        )
         new_T = lambda al: (-complex(al)) ** n * complex(T(al))
         return TransformedPair(new_f, new_T, FundamentalStrip(a, b), label=new_f.label)
 
@@ -314,7 +329,9 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
             # poly[-1] is the z^0 coefficient, zero since 0 is a root
             return acc * xs ** (-float(n))
 
-        new_f = MellinFunction(_wrap_eval(fn_core), a + n, b + n, label=f"d^{n}[{f.label}]")
+        new_f = MellinFunction(
+            _wrap_eval(fn_core), a + n, b + n, label=f"d^{n}[{f.label}]", grid_span=f.grid_span
+        )
 
         def new_T(al: complex) -> complex:
             al = complex(al)
@@ -365,7 +382,13 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
             out = np.array([one_point(float(v)) for v in flat])
             return out.reshape(xs.shape)
 
-        new_f = MellinFunction(_wrap_eval(fn_core), new_a, new_b, label=f"prim^{n}[{f.label}]")
+        new_f = MellinFunction(
+            _wrap_eval(fn_core),
+            new_a,
+            new_b,
+            label=f"prim^{n}[{f.label}]",
+            grid_span=f.grid_span,
+        )
 
         def new_T(al: complex) -> complex:
             al = complex(al)
@@ -452,14 +475,13 @@ def mult_convolve(
     def core(xs: np.ndarray) -> np.ndarray:
         return _chunked_kernel_sum(fw, inv, h.eval, xs)
 
-    conv = MellinFunction(
+    return MellinFunction(
         _wrap_eval(core),
         strip.a,
         strip.b,
         label=f"({f.label or 'f'} * {h.label or 'h'})",
+        grid_span=span,
     )
-    conv.grid_span = span
-    return conv
 
 
 def star_convolve(
@@ -495,14 +517,13 @@ def star_convolve(
     def core(xs: np.ndarray) -> np.ndarray:
         return _chunked_kernel_sum(hw, fac, f.eval, xs)
 
-    conv = MellinFunction(
+    return MellinFunction(
         _wrap_eval(core),
         strip.a,
         strip.b,
         label=f"({f.label or 'f'} ** {h.label or 'h'})",
+        grid_span=span,
     )
-    conv.grid_span = span
-    return conv
 
 
 def involution(f: MellinFunction) -> MellinFunction:
@@ -520,6 +541,7 @@ def involution(f: MellinFunction) -> MellinFunction:
         1.0 - f.order_at_infinity,
         1.0 - f.order_at_zero,
         label=f"invol[{f.label}]",
+        grid_span=_mapped_span(f, lambda t: -t),
     )
 
 
@@ -650,12 +672,11 @@ def convolution_exp(
             return base
         return base + _chunked_kernel_sum(weights, inv, h.eval, xs)
 
-    ce = MellinFunction(
+    return MellinFunction(
         _wrap_eval(core),
         a,
         b,
         label=f"conv-exp({terms} terms)[{h.label}]",
         atom_weight=1.0,
+        grid_span=span,
     )
-    ce.grid_span = span
-    return ce

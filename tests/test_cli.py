@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from mellinium import (
@@ -277,6 +280,36 @@ class TestErrorEstimates:
         estimate = recs[0]["error_estimate"]
         assert code == 0 and estimate > 0
         assert estimate == library().abs_error_estimate
+
+
+    def test_log_estimate_bounds_true_error(self, capsys, tmp_path):
+        eigs = (0.1, 0.3, 0.9, 1.0, 1.1, 2.0, 7.5, 20.0, 50.0)
+        code, recs = run_lines(capsys, ["log", "--spectrum", ",".join(map(str, eigs))])
+        assert code == 0 and len(recs) == len(eigs)
+        # a dense matrix adds the rounding of its eigenvectors
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+        matrix = (q * np.array([0.15, 4.0, 45.0])) @ q.T
+        matrix = (matrix + matrix.T) / 2.0
+        path = tmp_path / "op.txt"
+        path.write_text("3\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in matrix))
+        code, more = run_lines(capsys, ["log", "--matrix", str(path)])
+        assert code == 0 and len(more) == 3
+        for rec in recs + more:
+            lam = float(rec["inputs"]["eigenvalue"])
+            assert abs(complex(*rec["value"]) + math.log(lam)) <= rec["error_estimate"]
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        # importing scipy.special alone cost about 0.25 s of every CLI start
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        code = "import mellinium.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestExitCodes:

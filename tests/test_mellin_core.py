@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mellinium import (
     DEFAULT_CONFIG,
     ContourDependence,
     FundamentalStrip,
+    GammaPole,
     HankelContourSpec,
     InconsistentDeclaration,
     InsufficientDecay,
@@ -25,6 +28,7 @@ from mellinium import (
     infer_strip,
     inverse_mellin,
 )
+from mellinium.mellin_core import _gamma, _rgamma
 
 from conftest import make_exp, make_rational
 from oracles import zeta_from_eta
@@ -81,6 +85,71 @@ class TestNormalization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Normalization("lebesgue")
+
+
+def _random_points(seed: int, re: tuple[float, float], im: float, n: int) -> list[complex]:
+    rng = random.Random(seed)
+    return [complex(rng.uniform(*re), rng.uniform(-im, im)) for _ in range(n)]
+
+
+class TestGamma:
+    # (Re range, |Im| bound): the right half-plane, large Re, the
+    # reflection's half-plane and large |Im|
+    REGIONS = [((0.05, 4.0), 8.0), ((6.0, 14.0), 3.0), ((-13.0, 1.0), 8.0), ((0.3, 3.0), 30.0)]
+
+    @pytest.mark.parametrize("re, im", REGIONS)
+    def test_against_mpmath(self, re, im):
+        zs = _random_points(17, re, im, 400)
+        want = [complex(mp.gamma(mp.mpc(z))) for z in zs]
+        rwant = [complex(mp.rgamma(mp.mpc(z))) for z in zs]
+        arr = _gamma(np.array(zs))
+        for z, w, rw, a in zip(zs, want, rwant, arr):
+            assert abs(_gamma(z) - w) <= 3e-14 * abs(w)
+            assert abs(a - w) <= 3e-14 * abs(w)
+            assert abs(_rgamma(z) - rw) <= 3e-14 * abs(rw)
+
+    def test_real_arguments(self):
+        rng = random.Random(5)
+        for x in [rng.uniform(-12.5, 25.0) for _ in range(400)] + [0.5, 1.0, 2.0, -0.5]:
+            want = mp.gamma(x)
+            assert abs(_gamma(x) - float(want)) <= 1e-15 * abs(float(want))
+            assert _gamma(complex(x)) == _gamma(x)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64])
+    @pytest.mark.parametrize("shape", [(5,), (2, 3), (1, 1)])
+    def test_array_keeps_shape_and_dtype(self, shape, dtype):
+        z = np.linspace(0.3, 6.2, math.prod(shape)).reshape(shape).astype(dtype)
+        out = _gamma(z)
+        assert out.shape == shape and out.dtype == dtype
+        want = np.array([float(mp.gamma(float(v.real))) for v in z.ravel()]).reshape(shape)
+        assert np.allclose(out, want, rtol=1e-6 if dtype in (np.float32, np.complex64) else 1e-14)
+
+    @pytest.mark.parametrize("n", [0, -1, -2])
+    def test_poles(self, n):
+        # 1/Gamma is entire: exactly 0 at the poles; Gamma itself raises
+        assert _rgamma(n) == 0 and _rgamma(complex(n)) == 0
+        for norm in (Normalization.gamma(), Normalization.gamma_eta()):
+            assert norm.multiplier(n) == 0
+        assert Normalization.gamma_p(1.0).multiplier(n - 1.0) == 0
+        for z in (n, float(n), complex(n), np.array([1.5, n])):
+            with pytest.raises(GammaPole):
+                _gamma(z)
+        with pytest.raises(NormalizationPole):
+            Normalization.gamma_contour().multiplier(1 - n)
+
+    def test_near_a_pole(self):
+        # near a pole Gamma is finite and large, and 1/Gamma small but not 0
+        for z in (-1.0 + 1e-12, -2.0 + 1e-9j):
+            assert 0 < abs(_rgamma(z)) < 1e-8
+            assert np.isfinite(_gamma(z)) and abs(_gamma(z)) > 1e8
+
+    def test_large_imaginary_part(self):
+        # sin(pi z) alone overflows past |Im z| = 226; the results do not
+        for z in (0.2 + 300j, 0.2 - 300j, -3.5 + 400j):
+            want, rwant = complex(mp.gamma(z)), complex(mp.rgamma(z))
+            assert abs(_gamma(z) - want) <= 1e-12 * abs(want)
+            assert abs(_gamma(np.array([z]))[0] - want) <= 1e-12 * abs(want)
+            assert abs(_rgamma(z) - rwant) <= 1e-12 * abs(rwant)
 
 
 class TestQuadratureConfig:
@@ -152,6 +221,22 @@ class TestForwardMellin:
         # config is widened by the same rule as the default one
         tv = forward_mellin(make_exp(1.0), 0.05, cfg=DEFAULT_CONFIG)
         assert tv.value == pytest.approx(math.gamma(0.05), rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["haar", "gamma"])
+    def test_estimate_bounds_true_error(self, kind):
+        # the roundoff floor scales with the integrand's absolute mass, so
+        # it stays honest when the terms cancel (complex alpha, 1/Gamma)
+        rng = random.Random(23)
+        for _ in range(60):
+            beta = rng.uniform(0.5, 3.0)
+            if kind == "haar":
+                alpha = complex(rng.uniform(0.5, 4.0))
+                want = mp.gamma(alpha) * mp.power(beta, -alpha)
+            else:
+                alpha = complex(rng.uniform(0.5, 4.0), rng.uniform(-8.0, 8.0))
+                want = mp.power(beta, -mp.mpc(alpha))
+            tv = forward_mellin(make_exp(beta), alpha, Normalization(kind))
+            assert abs(tv.value - complex(want)) <= tv.abs_error_estimate
 
     def test_atom_contributes_constant(self):
         zero = MellinFunction(

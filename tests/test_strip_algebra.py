@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -220,6 +221,31 @@ class TestInvolution:
             lhs = abs(forward_mellin(conv, alpha).value)
             rhs = abs(forward_mellin(f, alpha).value) ** 2
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, rhs)
+
+
+class TestGridSpan:
+    def test_involution_of_a_grid_function_raises(self):
+        # the involution keeps the grid's span (mirrored); without it the
+        # window ran past the grid and the value came back 9.9e-5 off
+        # against an estimate of 4.4e-11
+        star = star_convolve(make_exp(1.0), make_exp(2.0))
+        with pytest.raises(MelliniumError):
+            forward_mellin(involution(star), 0.25 - 1.0j)
+
+    def test_derived_functions_carry_the_span(self):
+        f = make_self_involutive()
+        conv = mult_convolve(f, f)
+        t0, t1 = conv.grid_span
+        pair = TransformedPair(
+            conv, lambda a: forward_mellin(f, a).value ** 2, conv.strip, verify=False
+        )
+        c, r = 3.0, -2.0
+        scaled = apply_rule(Scale(c), pair).function_side
+        assert scaled.grid_span == (t0 - math.log(c), t1 - math.log(c))
+        assert apply_rule(PowerSubstitute(r), pair).function_side.grid_span == (t1 / r, t0 / r)
+        assert apply_rule(PowerShift(0.5), pair).function_side.grid_span == (t0, t1)
+        assert involution(conv).grid_span == (-t1, -t0)
+        assert dataclasses.replace(conv, label="copy").grid_span == (t0, t1)
 
 
 class TestParseval:
