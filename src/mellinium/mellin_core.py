@@ -28,12 +28,17 @@ The quadrature engine substitutes x = e^t and applies tanh-sinh
 quadrature to the two half-windows [t_min, 0] and [0, t_max]. Splitting
 at t = 0 keeps any kink at x = 1 (piecewise corpus functions) on an
 endpoint, where the double-exponential node clustering absorbs it.
+Panels and alpha are rows of one refinement loop: a single kernel
+refines every panel of every alpha of a call together and freezes each
+row once it meets its own tolerance, so a scalar transform is the
+one-alpha case of the many-alpha one.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -454,85 +459,194 @@ def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+def _cabs(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise, rounded as abs() of a Python complex (libm hypot)."""
+    return np.hypot(z.real, z.imag)
+
+
+# Integrand points handed to one call, as in strip_algebra's kernel sums.
+_BLOCK_POINTS = 2_000_000
+# Up to this many active rows, a level's bookkeeping is cheaper row by row
+# in Python than as numpy calls, whose fixed cost dominates on tiny arrays.
+_FEW_ROWS = 8
+
+
+def _level_sums(g, mid, hw, t, w, rows) -> tuple[np.ndarray, np.ndarray]:
+    """One level's weighted sum and absolute sum for each of the rows."""
+    x = mid + hw * t
+    terms = np.asarray(g(x.ravel(), rows)).reshape(x.shape) * w
+    return np.add.reduce(terms, axis=1), np.add.reduce(np.abs(terms), axis=1)
+
+
+def _advance_rows(level, h, sums, sizes, hw, prev, mass, err, cfg, test) -> list[int]:
+    """One level's bookkeeping on Python scalars, row by row.
+
+    prev, mass and err are lists, updated in place (prev to the level's
+    total); returns the rows that met their tolerance when ``test``. The
+    arithmetic is the array form's in _tanh_sinh, one row at a time, so
+    the values are the same to the bit.
+    """
+    done = []
+    for i, (s, z, w) in enumerate(zip(sums, sizes, hw)):
+        w = w * h
+        t = s * w if level == 0 else prev[i] / 2.0 + s * w
+        if level:
+            err[i] = abs(t - prev[i])
+        prev[i] = t
+        mass[i] += z * w
+        if test and err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(t)):
+            done.append(i)
+    return done
+
+
 def _tanh_sinh(
-    g: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo,
+    hi,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     min_level: int = 2,
-) -> tuple[complex, float]:
-    """Integrate g over [a, b]; returns (value, error estimate).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate k rows at once, row i over [lo[i], hi[i]].
 
-    g must be vectorized over a float ndarray. Raises
-    QuadratureDivergence when the integrand is not finite at a node or
-    the level refinement fails to converge.
+    g(x, rows) gets the nodes of the rows ``rows`` (indices into lo and
+    hi) as one flat array of len(rows) equal blocks, block j holding the
+    nodes of row rows[j], and returns the integrand at them in the same
+    layout. Each row is refined until it meets its own tolerance and is
+    then frozen, so its value and estimate are those it would get alone.
+    A level whose active rows hold more than _BLOCK_POINTS nodes is
+    handed to g in blocks of rows. Returns (values, error estimates);
+    a row with hi <= lo is 0 with estimate 0. Raises
+    QuadratureDivergence, naming the row's interval, when the integrand
+    is not finite at a node or the level refinement fails to converge.
     """
-    if b <= a:
-        return 0.0 + 0.0j, 0.0
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    total: complex = 0.0
-    prev: complex | None = None
-    err = math.inf
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    value = np.zeros(lo.shape, dtype=complex)
+    est = np.zeros(lo.shape)
+    # state of the active rows only, compacted as rows are frozen
+    active = np.flatnonzero(hi > lo)
+    mid = (0.5 * (lo + hi))[active, None]
+    hw = (0.5 * (hi - lo))[active, None]
+    prev = np.zeros(active.size, dtype=complex)
+    err = np.full(active.size, math.inf)
     # The estimate's roundoff floor is 4 eps times hw * h * sum |terms|
     # over the levels summed: it follows the integrand's absolute size
     # however much the terms cancel, and the factor 4 covers the rounding
     # of each term's own evaluation (exp(alpha t) at large |alpha t|).
-    mass = 0.0
-    for level in range(cfg.max_levels + 1):
-        t, w = _ts_nodes(level)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            vals = np.asarray(g(mid + hw * t))
-        terms = vals * w
-        size = float(np.sum(np.abs(terms)))  # not finite iff some term is not
-        if not math.isfinite(size):
-            raise QuadratureDivergence(
-                f"integrand not finite inside [{a:g}, {b:g}]"
-            )
-        h = 2.0 ** (-level) if level else 1.0
-        partial = complex(np.sum(terms)) * hw * h
-        total = partial if level == 0 else prev / 2.0 + partial
-        mass += size * hw * h
-        if prev is not None:
-            err = abs(total - prev)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-            if level >= min_level and err <= tol:
-                return total, max(err, 4.0 * _EPS * mass)
-        prev = total
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-    if err <= 50.0 * tol:
-        # close but not fully settled: return with the honest estimate
-        return total, max(err, 4.0 * _EPS * mass)
-    raise QuadratureDivergence(
-        f"tanh-sinh failed to converge on [{a:g}, {b:g}] (last delta {err:.3e})"
-    )
+    mass = np.zeros(active.size)
+    with np.errstate(all="ignore"):
+        for level in range(cfg.max_levels + 1):
+            if not active.size:
+                return value, est
+            t, w = _ts_nodes(level)
+            step = max(1, _BLOCK_POINTS // t.size)
+            if active.size <= step:
+                sums, sizes = _level_sums(g, mid, hw, t, w, active)
+            else:
+                parts = [
+                    _level_sums(g, mid[j : j + step], hw[j : j + step], t, w, active[j : j + step])
+                    for j in range(0, active.size, step)
+                ]
+                sums, sizes = map(np.concatenate, zip(*parts))
+            # a row's size is not finite iff some term is not; max keeps a nan
+            if not math.isfinite(np.maximum.reduce(sizes)):
+                r = active[np.argmin(np.isfinite(sizes))]
+                raise QuadratureDivergence(
+                    f"integrand not finite inside [{lo[r]:g}, {hi[r]:g}]"
+                )
+            h = 2.0 ** (-level) if level else 1.0
+            if active.size <= _FEW_ROWS:
+                # few rows: the state moves to Python lists for good
+                if not isinstance(prev, list):
+                    prev, mass, err = prev.tolist(), mass.tolist(), err.tolist()
+                done = _advance_rows(
+                    level, h, sums.tolist(), sizes.tolist(), hw[:, 0].tolist(),
+                    prev, mass, err, cfg, level >= min_level,
+                )
+                if done:
+                    for i in done:
+                        value[active[i]] = prev[i]
+                        est[active[i]] = max(err[i], 4.0 * _EPS * mass[i])
+                    keep = [i for i in range(len(prev)) if i not in done]
+                    active, mid, hw = active[keep], mid[keep], hw[keep]
+                    prev, mass, err = ([a[i] for i in keep] for a in (prev, mass, err))
+                continue
+            # (sums * hw) * h: scaling by the power of two h is exact
+            wh = hw[:, 0] * h
+            partial = sums * wh
+            total = partial if level == 0 else prev / 2.0 + partial
+            mass = mass + sizes * wh
+            if level:
+                err = _cabs(total - prev)
+            if level >= min_level:
+                done = err <= np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(total))
+                if np.count_nonzero(done):
+                    rows = active[done]
+                    value[rows] = total[done]
+                    est[rows] = np.maximum(err[done], 4.0 * _EPS * mass[done])
+                    keep = ~done
+                    active, mid, hw, total, err, mass = (
+                        a[keep] for a in (active, mid, hw, total, err, mass)
+                    )
+            prev = total
+    prev, mass, err = np.array(prev, dtype=complex), np.array(mass), np.array(err)
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(prev))
+    # close but not fully settled: return with the honest estimate
+    unsettled = err > 50.0 * tol
+    if unsettled.any():
+        i = np.argmax(unsettled)
+        raise QuadratureDivergence(
+            f"tanh-sinh failed to converge on [{lo[active[i]]:g}, {hi[active[i]]:g}] "
+            f"(last delta {err[i]:.3e})"
+        )
+    value[active] = prev
+    est[active] = np.maximum(err, 4.0 * _EPS * mass)
+    return value, est
 
 
 _PANEL_WIDTH = 60.0
 
 
-def _integrate_line(
-    g: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> tuple[complex, float]:
-    """tanh-sinh over [a, b], split into panels of bounded width.
+def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split each [lo[i], hi[i]] into panels of width at most _PANEL_WIDTH.
 
     Wide windows (small strip-edge distances) would otherwise starve the
-    level refinement of interior resolution.
+    level refinement of interior resolution. Returns (panel lo, panel hi,
+    owner): interval by interval, each one's panels left to right, with
+    the edges np.linspace(lo[i], hi[i], n + 1) would give.
     """
-    if b <= a:
-        return 0.0 + 0.0j, 0.0
-    n_panels = max(1, math.ceil((b - a) / _PANEL_WIDTH))
-    edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0 + 0.0j
-    err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _tanh_sinh(g, float(lo), float(hi), cfg)
-        total += v
-        err += e
-    return total, err
+    n = np.maximum(1, np.ceil((hi - lo) / _PANEL_WIDTH)).astype(int)
+    if n.max() == 1:
+        return lo, hi, np.arange(n.size)
+    owner = np.repeat(np.arange(n.size), n)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    step = ((hi - lo) / n)[owner]
+    start = lo[owner]
+    right = np.where(j + 1 == n[owner], hi[owner], (j + 1) * step + start)
+    return j * step + start, right, owner
+
+
+@lru_cache(maxsize=256)
+def _window_panels(tmin: float, tmax: float, half0: int):
+    """Panels of the halves [tmin, 0] and [0, tmax] of one window.
+
+    Returns read-only (panel lo, panel hi, half), half being half0 on the
+    left half and half0 + 1 on the right one. Most transforms share the
+    default window, so this is cached.
+    """
+    lo, hi, half = _panels(np.array([tmin, 0.0]), np.array([0.0, tmax]))
+    out = (lo, hi, half + half0)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each run of equal keys, and each entry's run number."""
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _widened_config(
@@ -598,6 +712,91 @@ def _require_mellin_function(f) -> MellinFunction:
     return f
 
 
+def _haar_transforms(
+    f: MellinFunction, alphas, cfg: QuadratureConfig | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Haar transforms of f at many alpha in its strip: (values, estimates).
+
+    One kernel call integrates every panel of every alpha's window as a
+    row. Alpha with the same real part share a window, and f is
+    evaluated once per node of a panel however many alpha use it. Each
+    value and estimate is forward_mellin's for that alpha alone, before
+    the normalization multiplier.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    alphas = np.asarray(alphas, dtype=complex).ravel()
+    strip = f.strip
+    res = sorted(set(alphas.real.tolist()))
+    win = np.searchsorted(res, alphas.real)
+    windows = [_widened_config(cfg, strip.a, strip.b, r).truncation_bounds for r in res]
+    if f.grid_span is not None:
+        # past the grid the function is not sampled; the tail check below
+        # raises when the part of the window cut off here matters
+        g0, g1 = f.grid_span
+        windows = [(max(t0, g0), min(t1, g1)) for t0, t1 in windows]
+    # the panels of each window's halves [tmin, 0] and [0, tmax]; half is
+    # 2 * (window index) + (1 on the right half)
+    plo, phi, half = (
+        np.concatenate(a)
+        for a in zip(*(_window_panels(t0, t1, 2 * w) for w, (t0, t1) in enumerate(windows)))
+    )
+    # rows panel by panel, each panel's alpha in order: the rows of a
+    # panel are a run of the active rows, sharing their nodes
+    row_panel, row_of = np.divmod(np.flatnonzero(half[:, None] // 2 == win), alphas.size)
+    row_alpha = alphas[row_of, None]
+    shared = len(res) < alphas.size
+
+    def f_at(u: np.ndarray) -> np.ndarray:
+        # f at the points u, a (k, m) array: in one call, or in one call
+        # per row of u when f is grid-backed. Such an f is a kernel sum
+        # whose temporaries grow with the points of a call; a panel per
+        # call keeps them as small as panel-by-panel integration had them
+        # (twice that page-faulted and ran about 25% slower), and the
+        # matrix product behind it rounds each point as it did then.
+        if f.grid_span is None:
+            return _eval_vector(f.eval, u.ravel()).reshape(u.shape)
+        return np.array([_eval_vector(f.eval, row) for row in u])
+
+    def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        t = x.reshape(rows.size, -1)
+        if shared:
+            first, run = _runs(row_panel[rows])
+            fx = f_at(np.exp(t[first]))[run]
+        else:
+            fx = f_at(np.exp(t))
+        # rows are sorted and distinct: as many as there are means all of them
+        ra = row_alpha if rows.size == row_alpha.shape[0] else row_alpha[rows]
+        return fx * np.exp(ra * t)
+
+    vals, errs = _tanh_sinh(g, plo[row_panel], phi[row_panel], cfg)
+    # each half's panels summed in order, then left + right
+    side = (row_of, half[row_panel] % 2)
+    halves = np.zeros((alphas.size, 2), dtype=complex)
+    np.add.at(halves, side, vals)
+    total = halves[:, 0] + halves[:, 1] + complex(f.atom_weight)
+    err = np.zeros((alphas.size, 2))
+    np.add.at(err, side, errs)
+
+    # Tail bound: past the window the integrand decays at least like
+    # e^(-rate * |t|) with rate given by the distance of Re(alpha) to the
+    # strip edge (faster than any rate for infinite edges).
+    rate_l = alphas.real - strip.a if math.isfinite(strip.a) else 1.0
+    rate_r = strip.b - alphas.real if math.isfinite(strip.b) else 1.0
+    ends = np.array(windows).T
+    with np.errstate(all="ignore"):
+        f_ends = f_at(np.exp(ends.reshape(-1, 1))).reshape(ends.shape)[:, win]
+        g_ends = _cabs(f_ends * np.exp(alphas * ends[:, win]))
+    tail = g_ends[0] / np.maximum(rate_l, 0.05) + g_ends[1] / np.maximum(rate_r, 0.05)
+    bad = tail > 1e3 * np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(total))
+    if bad.any():
+        i = np.argmax(bad)
+        raise QuadratureDivergence(
+            f"integrand tail {tail[i]:.3e} fails to decay within truncation bounds "
+            f"({ends[0, win[i]]:g}, {ends[1, win[i]]:g}) for alpha={complex(alphas[i])}"
+        )
+    return total, err[:, 0] + err[:, 1] + tail
+
+
 def forward_mellin(
     f: MellinFunction,
     alpha: complex,
@@ -618,9 +817,6 @@ def forward_mellin(
     """
     f = _require_mellin_function(f)
     alpha = complex(alpha)
-    cfg = _widened_config(
-        cfg or DEFAULT_CONFIG, f.order_at_zero, f.order_at_infinity, alpha
-    )
     norm = normalization or Normalization.haar()
     strip = f.strip
     if not strip.contains(alpha):
@@ -628,42 +824,15 @@ def forward_mellin(
     dpole, pole = norm.nearest_pole(alpha)
     if dpole < 1e-8:
         raise NormalizationPole(f"normalization multiplier has a pole at alpha={pole}")
-
-    def g(t: np.ndarray) -> np.ndarray:
-        return _eval_vector(f.eval, np.exp(t)) * np.exp(alpha * t)
-
-    tmin, tmax = cfg.truncation_bounds
-    if f.grid_span is not None:
-        # past the grid the function is not sampled; the tail check below
-        # raises when the part of the window cut off here matters
-        tmin, tmax = max(tmin, f.grid_span[0]), min(tmax, f.grid_span[1])
-    i_left, e_left = _integrate_line(g, tmin, 0.0, cfg)
-    i_right, e_right = _integrate_line(g, 0.0, tmax, cfg)
-    total = i_left + i_right + complex(f.atom_weight)
-
-    # Tail bound: past the window the integrand decays at least like
-    # e^(-rate * |t|) with rate given by the distance of Re(alpha) to the
-    # strip edge (faster than any rate for infinite edges).
-    rate_l = (alpha.real - strip.a) if math.isfinite(strip.a) else 1.0
-    rate_r = (strip.b - alpha.real) if math.isfinite(strip.b) else 1.0
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        g_l = abs(complex(g(np.array([tmin]))[0]))
-        g_r = abs(complex(g(np.array([tmax]))[0]))
-    tail = g_l / max(rate_l, 0.05) + g_r / max(rate_r, 0.05)
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-    if tail > 1e3 * tol:
-        raise QuadratureDivergence(
-            f"integrand tail {tail:.3e} fails to decay within truncation bounds "
-            f"({tmin:g}, {tmax:g}) for alpha={alpha}"
-        )
+    (total,), (err,) = _haar_transforms(f, [alpha], cfg)
+    total = complex(total)
     m = norm.multiplier(alpha)
     return TransformValue(
         value=complex(m * total),
         alpha=alpha,
         strip=strip,
         normalization=norm,
-        abs_error_estimate=abs(m) * (e_left + e_right + tail)
-        + abs(total) * norm.roundoff(alpha, m),
+        abs_error_estimate=abs(m) * float(err) + abs(total) * norm.roundoff(alpha, m),
     )
 
 
@@ -813,11 +982,12 @@ def inverse_mellin(
         )
     lx = math.log(x)
 
-    def g(t: np.ndarray) -> np.ndarray:
+    def g(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         return tf(t) * np.exp(-1j * t * lx)
 
-    i_left, e_left = _tanh_sinh(g, -T, 0.0, cfg)
-    i_right, e_right = _tanh_sinh(g, 0.0, T, cfg)
+    # the halves [-T, 0] and [0, T] are the kernel's two rows
+    vals, errs = _tanh_sinh(g, [-T, 0.0], [0.0, T], cfg)
+    (i_left, i_right), (e_left, e_right) = vals.tolist(), errs.tolist()
     scale = x ** (-c) / (2.0 * math.pi)
     # the scan guarantees the discarded tails are below abs_tol pointwise
     err = scale * (e_left + e_right + 2.0 * cfg.abs_tol)
@@ -830,17 +1000,17 @@ def inverse_mellin(
 
 _POLE_WINDOW = 0.02
 _CONTINUATION_RADIUS = 0.05
-_CONTINUATION_POINTS = 8
+_CONTINUATION_POINTS = 16
 
 
 def _hankel_direct(
     f: MellinFunction,
-    alpha: complex,
-    contour: HankelContourSpec,
+    alphas: list[complex],
+    contours: list[HankelContourSpec],
     norm: Normalization,
     cfg: QuadratureConfig,
-) -> tuple[complex, float]:
-    """One keyhole-contour evaluation, argument tracked 0+ to 2pi-.
+) -> list[tuple[list[complex], list[float]]]:
+    """Keyhole-contour evaluations: (values, estimates) per contour and alpha.
 
     The loop runs in from +inf above the cut, circles the origin
     counterclockwise, and returns to +inf below the cut. z^(alpha-1) is
@@ -848,61 +1018,88 @@ def _hankel_direct(
     ray to about 2 pi on the lower ray. The reported value is aligned
     with the real-axis transform branch, which shifts the tracked
     argument by -pi, hence the e^(-i pi alpha) factor.
+
+    The upper ray, the arc and the lower ray of every contour and alpha
+    are rows of one kernel call; f is evaluated once per node of a
+    segment, and only the phase z^(alpha-1) is per alpha.
     """
-    r, d, L = contour.radius, contour.offset, contour.ray_length
-    x0 = math.sqrt(r * r - d * d)
-    th0 = math.atan2(d, x0)
-    am1 = alpha - 1.0
+    n = len(alphas)
+    # segment q = 3 * (contour index) + (0 upper ray, 1 arc, 2 lower ray);
+    # row q * n + i is segment q of alphas[i]
+    shape = []  # (r, d, L, x0, th0) of each contour
+    for c in contours:
+        x0 = math.sqrt(c.radius * c.radius - c.offset * c.offset)
+        shape.append((c.radius, c.offset, c.ray_length, x0, math.atan2(c.offset, x0)))
+    segments = 3 * len(contours)
+    am1 = np.tile(np.asarray(alphas, dtype=complex) - 1.0, segments)[:, None]
 
-    def upper(xs: np.ndarray) -> np.ndarray:
-        z = xs + 1j * d
-        phase = np.exp(am1 * (0.5 * np.log(xs * xs + d * d) + 1j * np.arctan2(d, xs)))
-        return _eval_vector(f.eval, z) * phase
+    def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # the active rows of a segment are a run sharing their nodes
+        x = x.reshape(rows.size, -1)
+        at = rows.tolist()
+        cuts = [0, *(bisect_left(at, q * n) for q in range(1, segments)), len(at)]
+        parts = [(q, a, b) for q, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
+        z = []
+        for q, a, _ in parts:
+            (r, d, *_), s, xs = shape[q // 3], q % 3, x[a]
+            z.append(xs + 1j * d if s == 0 else r * np.exp(1j * xs) if s == 1 else xs - 1j * d)
+        fz = _eval_vector(f.eval, np.concatenate(z)).reshape(len(parts), -1)
+        out = []
+        for (q, a, b), fs in zip(parts, fz):
+            (r, d, *_), s, xs, am = shape[q // 3], q % 3, x[a], am1[rows[a:b]]
+            if s == 1:
+                phase = np.exp(am * (math.log(r) + 1j * xs))
+                out.append(fs * phase * 1j * r * np.exp(1j * xs))
+            else:
+                arg = np.arctan2(d, xs) if s == 0 else 2.0 * math.pi - np.arctan2(d, xs)
+                out.append(fs * np.exp(am * (0.5 * np.log(xs * xs + d * d) + 1j * arg)))
+        return np.concatenate(out)
 
-    def lower(xs: np.ndarray) -> np.ndarray:
-        z = xs - 1j * d
-        arg = 2.0 * math.pi - np.arctan2(d, xs)
-        phase = np.exp(am1 * (0.5 * np.log(xs * xs + d * d) + 1j * arg))
-        return _eval_vector(f.eval, z) * phase
-
-    def arc(th: np.ndarray) -> np.ndarray:
-        z = r * np.exp(1j * th)
-        phase = np.exp(am1 * (math.log(r) + 1j * th))
-        return _eval_vector(f.eval, z) * phase * 1j * r * np.exp(1j * th)
-
-    i_up, e_up = _tanh_sinh(upper, x0, L, cfg)
-    i_arc, e_arc = _tanh_sinh(arc, th0, 2.0 * math.pi - th0, cfg)
-    i_lo, e_lo = _tanh_sinh(lower, x0, L, cfg)
-    loop = -i_up + i_arc + i_lo
-
-    # ray tail must be negligible at the cutoff
+    lo = np.repeat([v for _, _, _, x0, th0 in shape for v in (x0, th0, x0)], n)
+    hi = np.repeat([v for _, _, L, _, th0 in shape for v in (L, 2.0 * math.pi - th0, L)], n)
+    vals, errs = _tanh_sinh(g, lo, hi, cfg)
+    # ray tails must be negligible at the cutoff: the integrand at L on
+    # the upper and the lower ray rows of each contour
+    rays = np.arange(segments * n).reshape(segments, n)[np.arange(segments) % 3 != 1].ravel()
+    ends = np.repeat([L for _, _, L, _, _ in shape], 2 * n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        tail = abs(complex(upper(np.array([L]))[0])) + abs(
-            complex(lower(np.array([L]))[0])
-        )
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(loop))
-    if tail > 1e3 * tol:
-        raise QuadratureDivergence(
-            f"ray integrand {tail:.3e} has not decayed by ray_length={L:g}"
-        )
-    mult = norm.multiplier(alpha)
-    phase = cmath.exp(-1j * math.pi * alpha)
-    err = abs(mult * phase) * (e_up + e_arc + e_lo + tail)
-    return mult * phase * loop, err + abs(phase * loop) * norm.roundoff(alpha, mult)
+        tails = _cabs(g(ends, rays)).reshape(len(contours), 2, n).sum(axis=1)
+    out = []
+    for (_, _, L, _, _), v3, e3, tail_c in zip(
+        shape, vals.reshape(-1, 3, n).tolist(), errs.reshape(-1, 3, n).tolist(), tails.tolist()
+    ):
+        values, ests = [], []
+        for alpha, i_up, i_arc, i_lo, e_up, e_arc, e_lo, tail in zip(alphas, *v3, *e3, tail_c):
+            loop = -i_up + i_arc + i_lo
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(loop))
+            if tail > 1e3 * tol:
+                raise QuadratureDivergence(
+                    f"ray integrand {tail:.3e} has not decayed by ray_length={L:g}"
+                )
+            mult = norm.multiplier(alpha)
+            phase = cmath.exp(-1j * math.pi * alpha)
+            err = abs(mult * phase) * (e_up + e_arc + e_lo + tail)
+            values.append(mult * phase * loop)
+            ests.append(err + abs(phase * loop) * norm.roundoff(alpha, mult))
+        out.append((values, ests))
+    return out
 
 
-def _hankel_value(
+def _hankel_values(
     f: MellinFunction,
     alpha: complex,
-    contour: HankelContourSpec,
+    contours: list[HankelContourSpec],
     norm: Normalization,
     cfg: QuadratureConfig,
-) -> tuple[complex, float, bool]:
-    """Direct evaluation, or a circle average around a multiplier pole."""
+) -> tuple[list[tuple[complex, float]], bool]:
+    """Direct evaluations on each contour, or circle averages near a pole.
+
+    Returns [(value, estimate)], one per contour, and whether the values
+    are continued (circle averages around a multiplier pole).
+    """
     dpole, pole = norm.nearest_pole(alpha)
     if dpole >= _POLE_WINDOW:
-        v, e = _hankel_direct(f, alpha, contour, norm, cfg)
-        return v, e, False
+        return [(v, e) for (v,), (e,) in _hankel_direct(f, [alpha], contours, norm, cfg)], False
     if pole is not None and abs(pole - 1.0) < 0.5:
         raise NormalizationPole(
             "no continuation across alpha = 1: the multiplier pole meets a "
@@ -910,18 +1107,18 @@ def _hankel_value(
         )
     # 0 * inf cancellation at the pole: the product of multiplier and loop
     # integral is holomorphic, so average it on a small circle around alpha.
+    # The mean of n points carries an aliasing error of about c_n rho^n from
+    # the next singularity, so the 16-point mean is checked against the
+    # 8-point mean of its even-indexed points.
     rho = _CONTINUATION_RADIUS
-    vals = []
-    errs = []
-    for k in range(_CONTINUATION_POINTS):
-        ak = alpha + rho * cmath.exp(2j * math.pi * k / _CONTINUATION_POINTS)
-        v, e = _hankel_direct(f, ak, contour, norm, cfg)
-        vals.append(v)
-        errs.append(e)
-    mean = sum(vals) / len(vals)
-    spread = max(abs(v - mean) for v in vals)
-    err = sum(errs) / len(errs) + spread * rho ** 7
-    return mean, err, True
+    n = _CONTINUATION_POINTS
+    ring = [alpha + rho * cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    out = []
+    for vals, errs in _hankel_direct(f, ring, contours, norm, cfg):
+        mean = sum(vals) / n
+        coarse = sum(vals[::2]) / (n // 2)
+        out.append((mean, sum(errs) / n + abs(mean - coarse)))
+    return out, True
 
 
 def hankel_mellin(
@@ -947,14 +1144,20 @@ def hankel_mellin(
     contour = contour or HankelContourSpec()
     norm = normalization or Normalization.gamma_contour()
     cfg = cfg or DEFAULT_CONFIG
-    value, err, continued = _hankel_value(f, alpha, contour, norm, cfg)
+    contours = [contour]
     if check_radius:
-        half = HankelContourSpec(
-            radius=contour.radius / 2.0,
-            offset=min(contour.offset, contour.radius / 4.0),
-            ray_length=contour.ray_length,
+        # the same loop with the arc radius halved, in the same kernel call
+        contours.append(
+            HankelContourSpec(
+                radius=contour.radius / 2.0,
+                offset=min(contour.offset, contour.radius / 4.0),
+                ray_length=contour.ray_length,
+            )
         )
-        v2, e2, _ = _hankel_value(f, alpha, half, norm, cfg)
+    results, continued = _hankel_values(f, alpha, contours, norm, cfg)
+    value, err = results[0]
+    if check_radius:
+        v2, e2 = results[1]
         drift = abs(value - v2)
         if drift > max(1e-7, 50.0 * (err + e2)):
             raise ContourDependence(

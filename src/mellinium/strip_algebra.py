@@ -47,7 +47,8 @@ from .mellin_core import (
     MellinFunction,
     QuadratureConfig,
     _eval_vector,
-    _integrate_line,
+    _haar_transforms,
+    _panels,
     _tanh_sinh,
     _wrap_eval,
     forward_mellin,
@@ -160,8 +161,9 @@ class TransformedPair:
 
     def _spot_check(self) -> None:
         cfg = replace(DEFAULT_CONFIG, rel_tol=1e-9, abs_tol=1e-11, max_levels=8)
-        for alpha in _spot_alphas(self.strip):
-            got = forward_mellin(self.function_side, alpha, cfg=cfg).value
+        alphas = _spot_alphas(self.strip)
+        quad, _ = _haar_transforms(self.function_side, alphas, cfg)
+        for alpha, got in zip(alphas, quad.tolist()):
             claimed = complex(self.transform_side(alpha))
             if abs(got - claimed) > 1e-3 * max(1.0, abs(claimed)):
                 raise AnalyticityFailure(
@@ -352,35 +354,38 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         # Cauchy repeated integral in log space,
         #   I_n(x) = 1/(n-1)! int_0^x (x-u)^{n-1} f(u) du,  u = e^s.
         # Integrated adaptively per point: a fixed node set cannot track
-        # the integrand once x moves the mass across many decades. The
-        # absolute floor is kept effectively off so the acceptance is
-        # relative; I_n spans hundreds of orders of magnitude over the
-        # outer window and must stay relatively accurate throughout.
+        # the integrand once x moves the mass across many decades, so the
+        # panels of every x are rows of one kernel call, each refined on
+        # its own. The absolute floor is kept effectively off so the
+        # acceptance is relative; I_n spans hundreds of orders of magnitude
+        # over the outer window and must stay relatively accurate throughout.
         icfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-280, max_levels=10)
         fact = float(math.factorial(n - 1))
         rate = max(1.0 - a, 0.02) if math.isfinite(a) else math.inf
         window = max(15.0, 38.0 / rate)
 
-        def one_point(x: float) -> float:
-            if x <= 0.0:
-                return 0.0
-            top = math.log(min(x, 1e290))
+        def fn_core(xs: np.ndarray) -> np.ndarray:
+            out = np.zeros(xs.shape, dtype=complex)
+            pos = np.flatnonzero(xs > 0.0)
+            x = xs.ravel()[pos]
+            top = np.log(np.minimum(x, 1e290))
+            lo, hi, owner = _panels(np.minimum(top, 0.0) - window, top)
 
-            def gs(s: np.ndarray) -> np.ndarray:
+            def gs(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+                s = s.reshape(rows.size, -1)
                 u = np.exp(s)
-                with np.errstate(over="ignore", under="ignore"):
-                    core = _eval_vector(f.eval, u) * u
-                    if n > 1:
-                        core = core * (x - u) ** (n - 1)
+                core = _eval_vector(f.eval, u.ravel()).reshape(s.shape) * u
+                if n > 1:
+                    core = core * (x[owner[rows], None] - u) ** (n - 1)
                 return core
 
-            val, _ = _integrate_line(gs, min(top, 0.0) - window, top, icfg)
-            return val / fact
-
-        def fn_core(xs: np.ndarray) -> np.ndarray:
-            flat = xs.ravel()
-            out = np.array([one_point(float(v)) for v in flat])
-            return out.reshape(xs.shape)
+            vals, _ = _tanh_sinh(gs, lo, hi, icfg)
+            total = np.zeros(x.size, dtype=complex)
+            np.add.at(total, owner, vals)  # panel by panel, in order
+            # real and imaginary parts apart: the quotient of a complex
+            # scalar by a float
+            out.ravel()[pos] = total.real / fact + 1j * (total.imag / fact)
+            return out
 
         new_f = MellinFunction(
             _wrap_eval(fn_core),
@@ -581,13 +586,14 @@ def parseval_pair(
     )
     lhs = forward_mellin(prod, alpha, cfg=cfg).value
 
-    def line_term(ts: np.ndarray) -> np.ndarray:
-        out = np.empty(ts.shape, dtype=complex)
-        for i, ti in enumerate(ts.ravel()):
-            gv = forward_mellin(g, c + 1j * ti, cfg=cfg).value
-            hv = forward_mellin(h, alpha - c - 1j * ti, cfg=cfg).value
-            out.ravel()[i] = gv * hv
-        return out
+    def line_term(ts: np.ndarray, rows=None) -> np.ndarray:
+        # every node of an outer level in one transform call for g and one for h
+        gv, _ = _haar_transforms(g, c + 1j * ts, cfg)
+        hv, _ = _haar_transforms(h, alpha - c - 1j * ts, cfg)
+        # gv * hv rounded as Python rounds a complex product, one real
+        # operation at a time (numpy's complex multiply may fuse them)
+        re = gv.real * hv.real - gv.imag * hv.imag
+        return re + 1j * (gv.real * hv.imag + gv.imag * hv.real)
 
     T = None
     probe = 2.0
@@ -609,9 +615,8 @@ def parseval_pair(
         abs_tol=max(cfg.abs_tol, 1e-11),
         max_levels=8,
     )
-    i_l, _ = _tanh_sinh(line_term, -T, 0.0, ocfg)
-    i_r, _ = _tanh_sinh(line_term, 0.0, T, ocfg)
-    rhs = (i_l + i_r) / (2.0 * math.pi)
+    (i_l, i_r), _ = _tanh_sinh(line_term, [-T, 0.0], [0.0, T], ocfg)
+    rhs = (complex(i_l) + complex(i_r)) / (2.0 * math.pi)
     return complex(lhs), complex(rhs)
 
 

@@ -319,6 +319,16 @@ class TestHankelMellin:
         assert tv.continued
         assert tv.value == pytest.approx(math.pi**2 / 6.0, rel=1e-8)
 
+    @pytest.mark.parametrize("alpha", [1.985, 1.9935, 2.0004, 2.009, 2.015, 2.985, 3.002, 3.0149])
+    def test_continuation_estimate_bounds_error(self, alpha):
+        # the 8-point circle mean near alpha = 2 carries an aliasing error
+        # about as large as the estimate it used to report
+        tv = hankel_mellin(bose_function(), alpha)
+        assert tv.continued
+        err = abs(tv.value - complex(mp.zeta(alpha)))
+        assert err <= tv.abs_error_estimate
+        assert err <= 1e-13 * abs(complex(mp.zeta(alpha)))
+
     def test_pole_at_one(self):
         with pytest.raises(NormalizationPole):
             hankel_mellin(bose_function(), 1.0)

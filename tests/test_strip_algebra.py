@@ -270,6 +270,42 @@ class TestParseval:
             parseval_pair(make_exp(1.0), make_exp(1.0), 2.0, -1.0)
 
 
+def counted(f: MellinFunction) -> tuple[MellinFunction, list[int]]:
+    """f with an eval that records the size of every call it gets."""
+    sizes: list[int] = []
+
+    def ev(x):
+        sizes.append(int(np.size(x)))
+        return f.eval(x)
+
+    return dataclasses.replace(f, eval=ev), sizes
+
+
+class TestBatchedQuadrature:
+    """The quadrature integrates many intervals as rows of one refinement."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_primitive_batch_matches_pointwise(self, n):
+        prim = apply_rule(Primitive(n), exp_pair()).function_side
+        xs = np.geomspace(1e-3, 40.0, 50)
+        batch = prim(xs)
+        assert [complex(v) for v in batch] == [complex(prim(x)) for x in xs]
+
+    def test_parseval_evaluations(self):
+        g, calls = counted(make_exp(1.0))
+        lhs, rhs = parseval_pair(g, make_exp(1.0), 2.0, 1.0)
+        assert rhs == pytest.approx(0.25, abs=1e-9)
+        assert len(calls) <= 900
+        assert max(calls) <= 2_000_000
+
+    def test_primitive_evaluations(self):
+        base = exp_pair()
+        f, calls = counted(base.function_side)
+        apply_rule(Primitive(1), dataclasses.replace(base, function_side=f, verify=False))
+        assert 0 < len(calls) <= 2150
+        assert max(calls) <= 2_000_000
+
+
 class TestConvolutionExp:
     def test_zero_terms_is_identity_atom(self):
         ce = convolution_exp(make_exp(1.0), 0)
