@@ -282,6 +282,12 @@ class MellinFunction:
     The convolution builders set it, functions derived from one carry it
     through their change of variable, and forward_mellin never
     integrates beyond it.
+
+    The convolution builders also record how ``eval`` is made: a finite
+    sum of scaled copies of one kernel (``_KernelSum``), whose transform
+    is exact given the kernel's. The record is not a constructor
+    argument, so ``dataclasses.replace`` and every function derived from
+    a grid-built one drop it: their ``eval`` is no longer that sum.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -290,6 +296,7 @@ class MellinFunction:
     label: str = ""
     atom_weight: complex = 0.0
     grid_span: tuple[float, float] | None = field(default=None, repr=False, compare=False)
+    _kernel_sum: _KernelSum | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def strip(self) -> FundamentalStrip:
@@ -297,6 +304,23 @@ class MellinFunction:
 
     def __call__(self, x):
         return self.eval(x)
+
+
+@dataclass(frozen=True)
+class _KernelSum:
+    """eval(x) = c0 k(x) + sum_j w_j k(x e^(-tau_j)), k the kernel.
+
+    By the Scale rule the Haar transform of such a function is exactly
+    K(alpha) (c0 + sum_j w_j e^(alpha tau_j)), K the kernel's transform.
+    The factor sum discretizes a transform convergent on ``strip``, whose
+    edges give the rates at which its terms decay past the grid's ends.
+    """
+
+    kernel: MellinFunction
+    tau: np.ndarray
+    weights: np.ndarray
+    c0: float
+    strip: FundamentalStrip
 
 
 @dataclass(frozen=True)
@@ -464,7 +488,7 @@ def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-# Integrand points handed to one call, as in strip_algebra's kernel sums.
+# Integrand points handed to one call.
 _BLOCK_POINTS = 2_000_000
 # Up to this many active rows, a level's bookkeeping is cheaper row by row
 # in Python than as numpy calls, whose fixed cost dominates on tiny arrays.
@@ -712,12 +736,61 @@ def _require_mellin_function(f) -> MellinFunction:
     return f
 
 
+def _kernel_sum_transforms(
+    ks: _KernelSum, alphas: np.ndarray, cfg: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Haar transforms K(alpha) (c0 + S(alpha)) of a kernel sum: (values, estimates).
+
+    S(alpha) = sum_j w_j e^(alpha tau_j) is summed exactly rounded, real
+    and imaginary parts apart, over the terms of nonzero weight only, so
+    an underflowed weight never meets an overflowed exponential. The
+    estimate adds to the kernel's, scaled by |c0 + S|, the rounding of
+    the terms and the factor's tail past the grid's ends, bounded as
+    _haar_transforms bounds a window's tail. A term that is not finite,
+    or a tail that dwarfs the tolerance, raises QuadratureDivergence.
+    """
+    k_vals, k_errs = _haar_transforms(ks.kernel, alphas, cfg)
+    live = ks.weights != 0
+    tau, w = ks.tau[live], ks.weights[live]
+    if ks.tau.size > 1:
+        step = abs(float(ks.tau[1] - ks.tau[0]))
+        ends = [ks.tau.argmin(), ks.tau.argmax()]
+        t_ends, w_ends = ks.tau[ends], ks.weights[ends] / step
+    else:
+        t_ends, w_ends = np.zeros(2), np.zeros(2)
+    a, b = ks.strip.a, ks.strip.b
+    values = np.empty(alphas.size, dtype=complex)
+    ests = np.empty(alphas.size)
+    for i, (alpha, k, k_err) in enumerate(zip(alphas.tolist(), k_vals.tolist(), k_errs.tolist())):
+        with np.errstate(all="ignore"):
+            terms = w * np.exp(alpha * tau)
+            g_ends = _cabs(np.where(w_ends != 0, w_ends * np.exp(alpha * t_ends), 0.0)).tolist()
+        size = float(np.add.reduce(_cabs(terms)))
+        s = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) + ks.c0
+        total = k * s
+        if not (math.isfinite(size) and cmath.isfinite(total)):
+            raise QuadratureDivergence(f"kernel-sum terms not finite for alpha={alpha}")
+        rate_l = alpha.real - a if math.isfinite(a) else 1.0
+        rate_r = b - alpha.real if math.isfinite(b) else 1.0
+        tail = g_ends[0] / max(rate_l, 0.05) + g_ends[1] / max(rate_r, 0.05)
+        if abs(k) * tail > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            raise QuadratureDivergence(
+                f"integrand tail {abs(k) * tail:.3e} fails to decay within the grid "
+                f"({t_ends.min():g}, {t_ends.max():g}) for alpha={alpha}"
+            )
+        values[i] = total
+        ests[i] = abs(s) * k_err + abs(k) * (tail + 4.0 * _EPS * (size + abs(ks.c0)))
+    return values, ests
+
+
 def _haar_transforms(
     f: MellinFunction, alphas, cfg: QuadratureConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Haar transforms of f at many alpha in its strip: (values, estimates).
 
-    One kernel call integrates every panel of every alpha's window as a
+    A grid-built f that records its kernel sum is transformed exactly
+    from its kernel's transforms (_kernel_sum_transforms). For any other
+    f, one kernel call integrates every panel of every alpha's window as a
     row. Alpha with the same real part share a window, and f is
     evaluated once per node of a panel however many alpha use it. Each
     value and estimate is forward_mellin's for that alpha alone, before
@@ -725,6 +798,9 @@ def _haar_transforms(
     """
     cfg = cfg or DEFAULT_CONFIG
     alphas = np.asarray(alphas, dtype=complex).ravel()
+    if f._kernel_sum is not None:
+        total, err = _kernel_sum_transforms(f._kernel_sum, alphas, cfg)
+        return total + complex(f.atom_weight), err
     strip = f.strip
     res = sorted(set(alphas.real.tolist()))
     win = np.searchsorted(res, alphas.real)
@@ -750,9 +826,8 @@ def _haar_transforms(
         # f at the points u, a (k, m) array: in one call, or in one call
         # per row of u when f is grid-backed. Such an f is a kernel sum
         # whose temporaries grow with the points of a call; a panel per
-        # call keeps them as small as panel-by-panel integration had them
-        # (twice that page-faulted and ran about 25% slower), and the
-        # matrix product behind it rounds each point as it did then.
+        # call keeps them small, and one call for all the panels of a
+        # level ran about 20% slower on convolutions of exponentials.
         if f.grid_span is None:
             return _eval_vector(f.eval, u.ravel()).reshape(u.shape)
         return np.array([_eval_vector(f.eval, row) for row in u])
@@ -814,6 +889,14 @@ def forward_mellin(
     tail estimated from the declared decay orders that dwarfs the
     tolerance raises QuadratureDivergence rather than silently returning
     a bad value.
+
+    The functions mult_convolve, star_convolve and convolution_exp return
+    are finite sums of scaled copies of one kernel, and are transformed
+    exactly: the kernel's transform times a sum of O(grid) weights, with
+    no quadrature over the sum itself. The tail of that weight sum past
+    the grid is bounded and checked the same way. A function derived
+    from one of them (by a rule, the involution or dataclasses.replace)
+    takes the quadrature route above.
     """
     f = _require_mellin_function(f)
     alpha = complex(alpha)

@@ -21,6 +21,14 @@ with induced strips the intersection, respectively the intersection of
 <a_f, b_f> with the reflection <1-b_h, 1-a_h>. Function sides of
 derivative-like rules are realized by 4th-order central stencils in
 t = log x; transform sides of LogMultiply by Cauchy-circle quadrature.
+
+The convolutions and the convolution exponential are built on a uniform
+grid in t = log x, and each is a finite sum of scaled copies of one
+kernel, c0 k(x) + sum_j w_j k(x e^(-t_j)). By the Scale rule its
+transform is exactly K(alpha) (c0 + sum_j w_j e^(alpha t_j)), which
+forward_mellin uses: only the kernel's own transform is a quadrature.
+Functions derived from them (rules, the involution) are transformed by
+quadrature of their pointwise values, as any other function.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from .mellin_core import (
     FundamentalStrip,
     MellinFunction,
     QuadratureConfig,
+    _KernelSum,
     _eval_vector,
     _haar_transforms,
     _panels,
@@ -439,9 +448,14 @@ def _induced_strip(
 def _chunked_kernel_sum(
     weights: np.ndarray, grid_factors: np.ndarray, kernel: Callable, xs: np.ndarray
 ) -> np.ndarray:
-    """sum_j weights[j] * kernel(xs[i] * grid_factors[j]), chunked over i."""
+    """sum_j weights[j] * kernel(xs[i] * grid_factors[j]), chunked over i.
+
+    Each row is summed by einsum, whose order does not depend on the
+    other rows of the chunk, so a point's value does not depend on the
+    points it is evaluated with.
+    """
     out = np.empty(xs.shape, dtype=complex)
-    step = max(1, 2_000_000 // max(1, len(grid_factors)))
+    step = max(1, 250_000 // max(1, len(grid_factors)))
     flat = xs.ravel()
     res = out.ravel()
     for k in range(0, len(flat), step):
@@ -449,8 +463,33 @@ def _chunked_kernel_sum(
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             vals = _eval_vector(kernel, block[:, None] * grid_factors[None, :])
             vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-        res[k : k + step] = vals @ weights
+        res[k : k + step] = np.einsum("ij,j->i", vals, weights)
     return out
+
+
+def _kernel_sum_function(
+    ks: _KernelSum,
+    strip: FundamentalStrip,
+    label: str,
+    span: tuple[float, float],
+    atom_weight: complex = 0.0,
+) -> MellinFunction:
+    """The function c0 k(x) + sum_j w_j k(x e^(-tau_j)) of ks, recording ks."""
+    with np.errstate(over="ignore"):
+        factors = np.exp(-ks.tau)
+    kernel = ks.kernel.eval
+
+    def core(xs: np.ndarray) -> np.ndarray:
+        out = _chunked_kernel_sum(ks.weights, factors, kernel, xs) if ks.weights.size else 0.0
+        if ks.c0:
+            out = ks.c0 * np.asarray(_eval_vector(kernel, xs), dtype=complex) + out
+        return out
+
+    f = MellinFunction(
+        _wrap_eval(core), strip.a, strip.b, label=label, atom_weight=atom_weight, grid_span=span
+    )
+    f._kernel_sum = ks
+    return f
 
 
 def mult_convolve(
@@ -461,7 +500,9 @@ def mult_convolve(
     The first factor is sampled on a uniform grid in log x spanning the
     truncation bounds; the second is evaluated at the shifted arguments,
     so convolving an already-gridded result with a plain kernel never
-    nests quadratures. The induced strip is the intersection.
+    nests quadratures. The induced strip is the intersection. The result
+    is sum_j w_j h(x e^(-t_j)), so its transform is H(alpha) times
+    sum_j w_j e^(alpha t_j), exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(f, "mult_convolve")
@@ -475,17 +516,11 @@ def mult_convolve(
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         fw = _eval_vector(f.eval, np.exp(t)) * _GRID_STEP
     fw = np.nan_to_num(fw, nan=0.0, posinf=0.0, neginf=0.0)
-    inv = np.exp(-t)
-
-    def core(xs: np.ndarray) -> np.ndarray:
-        return _chunked_kernel_sum(fw, inv, h.eval, xs)
-
-    return MellinFunction(
-        _wrap_eval(core),
-        strip.a,
-        strip.b,
-        label=f"({f.label or 'f'} * {h.label or 'h'})",
-        grid_span=span,
+    return _kernel_sum_function(
+        _KernelSum(h, t, fw, 0.0, f.strip),
+        strip,
+        f"({f.label or 'f'} * {h.label or 'h'})",
+        span,
     )
 
 
@@ -497,7 +532,9 @@ def star_convolve(
     Transform side F(alpha) H(1 - alpha); the induced strip intersects
     <a_f, b_f> with the reflected <1 - b_h, 1 - a_h>. The pointwise
     integral additionally needs a_f + a_h < 1 < b_f + b_h
-    (SideConditionViolation otherwise).
+    (SideConditionViolation otherwise). The result is
+    sum_j w_j f(x e^(t_j)), so its transform is F(alpha) times
+    sum_j w_j e^(-alpha t_j), exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(f, "star_convolve")
@@ -513,21 +550,17 @@ def star_convolve(
         )
     t, span = _log_grid(cfg)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        hw = _eval_vector(h.eval, np.exp(t)) * np.exp(t) * _GRID_STEP
-        hw = np.nan_to_num(hw, nan=0.0, posinf=0.0, neginf=0.0)
         fac = np.exp(t)
+        hw = _eval_vector(h.eval, fac) * fac * _GRID_STEP
+        hw = np.nan_to_num(hw, nan=0.0, posinf=0.0, neginf=0.0)
+    # past t = 709 the grid factor e^t overflows: those points carry no weight
     hw = np.where(np.isfinite(fac), hw, 0.0)
-    fac = np.where(np.isfinite(fac), fac, 0.0)
-
-    def core(xs: np.ndarray) -> np.ndarray:
-        return _chunked_kernel_sum(hw, fac, f.eval, xs)
-
-    return MellinFunction(
-        _wrap_eval(core),
-        strip.a,
-        strip.b,
-        label=f"({f.label or 'f'} ** {h.label or 'h'})",
-        grid_span=span,
+    reflected = FundamentalStrip(1.0 - h.order_at_infinity, 1.0 - h.order_at_zero)
+    return _kernel_sum_function(
+        _KernelSum(f, -t, hw, 0.0, reflected),
+        strip,
+        f"({f.label or 'f'} ** {h.label or 'h'})",
+        span,
     )
 
 
@@ -630,6 +663,8 @@ def convolution_exp(
     constant 1. Stages h^{*n} are built on the uniform log grid by
     discrete convolution (the grid is geometric in x); a stage whose
     probe transform exceeds the magnitude guard raises DivergentStage.
+    The result is 1 (the atom) - h(x) + sum_j w_j h(x e^(-t_j)), so its
+    transform is 1 + H(alpha) (-1 + sum_j w_j e^(alpha t_j)), exactly.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(h, "convolution_exp")
@@ -662,26 +697,18 @@ def convolution_exp(
             # Direct convolution keeps superexponential tails exactly zero in
             # floating point; an FFT product would spray absolute roundoff
             # across the grid, which the probe weights amplify by e^{alpha t}.
-            stage = _GRID_STEP * np.convolve(stage, kernel)[n_grid - 1 : 2 * n_grid - 1]
+            stage = _GRID_STEP * np.convolve(stage, kernel, mode="valid")
             probe = complex(stage @ probe_w)
             if abs(probe) > 1e6:
                 raise DivergentStage(
                     f"stage {n + 1} probe transform magnitude {abs(probe):.3e}"
                 )
-    inv = np.exp(-t)
-    weights = combined * _GRID_STEP
-
-    def core(xs: np.ndarray) -> np.ndarray:
-        base = -np.asarray(_eval_vector(h.eval, xs), dtype=complex)
-        if terms == 1:
-            return base
-        return base + _chunked_kernel_sum(weights, inv, h.eval, xs)
-
-    return MellinFunction(
-        _wrap_eval(core),
-        a,
-        b,
-        label=f"conv-exp({terms} terms)[{h.label}]",
+    # with one term there is nothing to sum: eval(x) = -h(x)
+    grid = slice(None) if terms > 1 else slice(0)
+    return _kernel_sum_function(
+        _KernelSum(h, t[grid], combined[grid] * _GRID_STEP, -1.0, h.strip),
+        h.strip,
+        f"conv-exp({terms} terms)[{h.label}]",
+        span,
         atom_weight=1.0,
-        grid_span=span,
     )

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gamma as sc_gamma
@@ -19,6 +22,7 @@ from mellinium import (
     LogMultiply,
     MellinFunction,
     MelliniumError,
+    OperatorSpec,
     PowerShift,
     PowerSubstitute,
     Primitive,
@@ -30,11 +34,14 @@ from mellinium import (
     bose_function,
     convolution_exp,
     forward_mellin,
+    gamma_reflection,
     involution,
     mult_convolve,
     parseval_pair,
     star_convolve,
 )
+
+from mellinium.mellin_core import DEFAULT_CONFIG, _widened_config
 
 from conftest import make_exp, make_self_involutive
 from oracles import zeta_from_eta
@@ -336,3 +343,134 @@ class TestConvolutionExp:
         big = MellinFunction(ev, 0.0, math.inf, label="5exp")
         with pytest.raises(DivergentStage):
             convolution_exp(big, 12)
+
+
+def pointwise(f: MellinFunction) -> MellinFunction:
+    """f as a plain function: replace drops the kernel sum, so its
+    transform is a quadrature of the pointwise values."""
+    return dataclasses.replace(f, eval=lambda x: f.eval(x))
+
+
+# each grid builder, with three alpha inside its strip
+BUILDERS = {
+    "mult": (lambda: mult_convolve(make_exp(1.0), make_exp(2.0)), (1.0, 1.5 + 0.5j, 2.5)),
+    "star": (
+        # on <0, 1> the window of every alpha reaches past +-40: the grid
+        # spans the widest of the three
+        lambda: star_convolve(
+            make_exp(1.0), make_exp(2.0), _widened_config(DEFAULT_CONFIG, 0.0, 1.0, 0.3)
+        ),
+        (0.3, 0.5 - 0.4j, 0.6),
+    ),
+    "conv_exp": (
+        lambda: convolution_exp(OperatorSpec.from_spectrum((1.0, 2.0)).heat_trace(), 12),
+        (1.0, 1.5 + 0.3j, 2.0),
+    ),
+    "conv_exp_one_term": (lambda: convolution_exp(make_exp(1.0), 1), (0.7, 1.5, 2.5 - 1.0j)),
+    "nested": (
+        lambda: mult_convolve(mult_convolve(make_exp(1.0), make_exp(2.0)), make_exp(1.0)),
+        (1.0, 1.5 - 0.5j, 2.5),
+    ),
+}
+
+
+class TestExactTransform:
+    """Grid-built functions: the kernel's transform times a weight sum."""
+
+    @pytest.mark.parametrize("name", ["mult", "star", "conv_exp"])
+    def test_eval_does_not_depend_on_the_call(self, name):
+        f = BUILDERS[name][0]()
+        xs = np.geomspace(0.01, 50.0, 40)
+        batch = f(xs)
+        assert [complex(v) for v in batch] == [complex(f(x)) for x in xs]
+
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_routes_agree(self, name):
+        build, alphas = BUILDERS[name]
+        f = build()
+        plain = pointwise(f)
+        assert f._kernel_sum is not None and plain._kernel_sum is None
+        for alpha in alphas:
+            exact = forward_mellin(f, alpha)
+            quad = forward_mellin(plain, alpha)
+            gap = abs(exact.value - quad.value)
+            assert gap <= exact.abs_error_estimate + quad.abs_error_estimate
+
+    def test_replaced_eval_is_transformed_afresh(self):
+        conv = mult_convolve(make_exp(1.0), make_exp(2.0))
+        double = dataclasses.replace(conv, eval=lambda x: 2.0 * conv.eval(x))
+        once = forward_mellin(conv, 1.5)
+        twice = forward_mellin(double, 1.5)
+        assert abs(twice.value - 2.0 * once.value) <= (
+            twice.abs_error_estimate + 2.0 * once.abs_error_estimate
+        )
+
+    def test_grid_built_kernel(self):
+        # the kernel is itself a convolution: its transform is exact too
+        inner = mult_convolve(make_exp(1.0), make_exp(2.0))
+        outer = mult_convolve(make_exp(1.0), inner)
+        for alpha in (0.7, 1.5 + 0.5j, 2.5):
+            tv = forward_mellin(outer, alpha)
+            want = complex(mp.gamma(alpha) ** 3 * mp.mpf(2) ** (-alpha))
+            assert abs(tv.value - want) <= tv.abs_error_estimate
+
+    def test_grid_wider_than_the_window(self):
+        # a grid built for alpha = 0.03 reaches t = 1220, where e^(2 t)
+        # overflows and the weights have underflowed to 0: such terms are
+        # left out, not summed as 0 * inf
+        conv = mult_convolve(
+            make_exp(1.0), make_exp(2.0), _widened_config(DEFAULT_CONFIG, 0.0, math.inf, 0.03)
+        )
+        tv = forward_mellin(conv, 2.0)
+        assert abs(tv.value - 0.25) <= tv.abs_error_estimate
+
+    @pytest.mark.parametrize("kind", ["mult", "star"])
+    def test_estimate_bounds_true_error(self, kind):
+        # 120 convolutions of two exponentials, Re(alpha) at least 0.2
+        # from the strip edges, each on the grid its window needs
+        rng = random.Random(61 if kind == "mult" else 62)
+        misses = []
+        for _ in range(120):
+            b1, b2 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            if kind == "mult":
+                alpha = complex(rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0))
+                build, strip = mult_convolve, (0.0, math.inf)
+                want = mp.gamma(alpha) ** 2 * mp.mpf(b1 * b2) ** (-alpha)
+            else:
+                alpha = complex(rng.uniform(0.2, 0.8), rng.uniform(-2.0, 2.0))
+                build, strip = star_convolve, (0.0, 1.0)
+                want = (
+                    mp.gamma(alpha) * mp.gamma(1 - alpha)
+                    * mp.mpf(b1) ** (-alpha) * mp.mpf(b2) ** (alpha - 1)
+                )
+            cfg = _widened_config(DEFAULT_CONFIG, *strip, alpha)
+            tv = forward_mellin(build(make_exp(b1), make_exp(b2), cfg), alpha, cfg=cfg)
+            if not abs(tv.value - complex(want)) <= tv.abs_error_estimate:
+                misses.append(alpha)
+        assert misses == []
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("mult", 0.05),
+            ("mult", 0.05 - 3.0j),
+            ("star", 0.05 + 1.0j),
+            ("star", 0.95 - 1.0j),
+            ("reflection", 0.97 + 3.0j),
+        ],
+    )
+    def test_near_edge_is_finite_or_raises(self, case):
+        kind, alpha = case
+        try:
+            if kind == "reflection":
+                value, _ = gamma_reflection(alpha)
+            else:
+                strip = (0.0, math.inf) if kind == "mult" else (0.0, 1.0)
+                cfg = _widened_config(DEFAULT_CONFIG, *strip, alpha)
+                build = mult_convolve if kind == "mult" else star_convolve
+                tv = forward_mellin(build(make_exp(1.3), make_exp(0.7), cfg), alpha, cfg=cfg)
+                value = tv.value
+                assert math.isfinite(tv.abs_error_estimate)
+        except MelliniumError:
+            return
+        assert cmath.isfinite(value)
