@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -234,6 +233,11 @@ def _fmt_edge(v: float) -> str:
     return f"{v:g}"
 
 
+def _holds_float(a: float, b: float) -> bool:
+    """Whether some float lies strictly between a and b."""
+    return math.nextafter(a, math.inf) < b
+
+
 @dataclass(frozen=True)
 class FundamentalStrip:
     """Open vertical strip a < Re(alpha) < b, endpoints possibly infinite."""
@@ -242,8 +246,8 @@ class FundamentalStrip:
     b: float
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError(f"empty strip: a={self.a} must be < b={self.b}")
+        if not _holds_float(self.a, self.b):
+            raise ValueError(f"empty strip: no float lies strictly between a={self.a} and b={self.b}")
 
     def contains(self, alpha: complex) -> bool:
         return self.a < complex(alpha).real < self.b
@@ -251,7 +255,7 @@ class FundamentalStrip:
     def intersect(self, other: "FundamentalStrip") -> "FundamentalStrip | None":
         a = max(self.a, other.a)
         b = min(self.b, other.b)
-        if a < b:
+        if _holds_float(a, b):
             return FundamentalStrip(a, b)
         return None
 
@@ -259,7 +263,11 @@ class FundamentalStrip:
         """A representative interior point, finite even for infinite edges."""
         a = self.a if math.isfinite(self.a) else min(self.b - 2.0, 0.0) if math.isfinite(self.b) else -1.0
         b = self.b if math.isfinite(self.b) else max(self.a + 2.0, 0.0) if math.isfinite(self.a) else 1.0
-        return 0.5 * (a + b)
+        m = 0.5 * (a + b)
+        if not self.a < m < self.b:
+            # the sum overflowed or rounded onto an edge: the float next to a finite edge
+            m = math.nextafter(self.a, self.b) if math.isfinite(self.a) else math.nextafter(self.b, self.a)
+        return m
 
     def __str__(self) -> str:
         return f"<{_fmt_edge(self.a)}, {_fmt_edge(self.b)}>"
@@ -427,19 +435,20 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+# where the keyhole's rays end: the integrand must have decayed there
+_RAY_LENGTH = 40.0
+
+
 @dataclass(frozen=True)
 class HankelContourSpec:
-    """Keyhole contour: rays at height +-offset, arc of given radius at 0."""
+    """Keyhole contour: both sides of the positive axis down to ``radius``, and that circle."""
 
     radius: float = 0.5
-    offset: float = 1e-3
-    ray_length: float = 40.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.offset < self.radius < self.ray_length):
+        if not 0.0 < self.radius < _RAY_LENGTH:
             raise ValueError(
-                "contour requires 0 < offset < radius < ray_length, got "
-                f"offset={self.offset}, radius={self.radius}, ray_length={self.ray_length}"
+                f"contour requires 0 < radius < {_RAY_LENGTH:g}, got radius={self.radius}"
             )
 
 
@@ -528,7 +537,6 @@ def _tanh_sinh(
     lo,
     hi,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-    min_level: int = 2,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate k rows at once, row i over [lo[i], hi[i]].
 
@@ -536,9 +544,9 @@ def _tanh_sinh(
     hi) as one flat array of len(rows) equal blocks, block j holding the
     nodes of row rows[j], and returns the integrand at them in the same
     layout. Each row is refined until it meets its own tolerance and is
-    then frozen, so its value and estimate are those it would get alone.
-    A level whose active rows hold more than _BLOCK_POINTS nodes is
-    handed to g in blocks of rows. Returns (values, error estimates);
+    then frozen, from level 2 on, so its value and estimate are those it
+    would get alone. A level whose active rows hold more than
+    _BLOCK_POINTS nodes is handed to g in blocks of rows. Returns (values, error estimates);
     a row with hi <= lo is 0 with estimate 0. Raises
     QuadratureDivergence, naming the row's interval, when the integrand
     is not finite at a node or the level refinement fails to converge.
@@ -585,7 +593,7 @@ def _tanh_sinh(
                     prev, mass, err = prev.tolist(), mass.tolist(), err.tolist()
                 done = _advance_rows(
                     level, h, sums.tolist(), sizes.tolist(), hw[:, 0].tolist(),
-                    prev, mass, err, cfg, level >= min_level,
+                    prev, mass, err, cfg, level >= 2,
                 )
                 if done:
                     for i in done:
@@ -602,7 +610,7 @@ def _tanh_sinh(
             mass = mass + sizes * wh
             if level:
                 err = _cabs(total - prev)
-            if level >= min_level:
+            if level >= 2:
                 done = err <= np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(total))
                 if np.count_nonzero(done):
                     rows = active[done]
@@ -736,6 +744,27 @@ def _require_mellin_function(f) -> MellinFunction:
     return f
 
 
+def _checked_tail(g_ends, alpha: complex, strip, scale: float, total: complex, window, cfg) -> float:
+    """Bound on a transform's tails past the window (t0, t1), checked.
+
+    Past the window the integrand decays at least like e^(-rate |t|),
+    rate the distance of Re(alpha) to the strip edge (faster than any
+    rate for infinite edges), so the integrand's size g_ends at each end
+    over max(rate, 0.05) bounds that side's tail. Raises
+    QuadratureDivergence when scale times the bound dwarfs the tolerance
+    of the transform ``total``.
+    """
+    rate_l = alpha.real - strip.a if math.isfinite(strip.a) else 1.0
+    rate_r = strip.b - alpha.real if math.isfinite(strip.b) else 1.0
+    tail = g_ends[0] / max(rate_l, 0.05) + g_ends[1] / max(rate_r, 0.05)
+    if scale * tail > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        raise QuadratureDivergence(
+            f"integrand tail {scale * tail:.3e} fails to decay within the window "
+            f"({window[0]:g}, {window[1]:g}) for alpha={alpha}"
+        )
+    return tail
+
+
 def _kernel_sum_transforms(
     ks: _KernelSum, alphas: np.ndarray, cfg: QuadratureConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -758,7 +787,7 @@ def _kernel_sum_transforms(
         t_ends, w_ends = ks.tau[ends], ks.weights[ends] / step
     else:
         t_ends, w_ends = np.zeros(2), np.zeros(2)
-    a, b = ks.strip.a, ks.strip.b
+    grid = t_ends.tolist()
     values = np.empty(alphas.size, dtype=complex)
     ests = np.empty(alphas.size)
     for i, (alpha, k, k_err) in enumerate(zip(alphas.tolist(), k_vals.tolist(), k_errs.tolist())):
@@ -770,14 +799,7 @@ def _kernel_sum_transforms(
         total = k * s
         if not (math.isfinite(size) and cmath.isfinite(total)):
             raise QuadratureDivergence(f"kernel-sum terms not finite for alpha={alpha}")
-        rate_l = alpha.real - a if math.isfinite(a) else 1.0
-        rate_r = b - alpha.real if math.isfinite(b) else 1.0
-        tail = g_ends[0] / max(rate_l, 0.05) + g_ends[1] / max(rate_r, 0.05)
-        if abs(k) * tail > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-            raise QuadratureDivergence(
-                f"integrand tail {abs(k) * tail:.3e} fails to decay within the grid "
-                f"({t_ends.min():g}, {t_ends.max():g}) for alpha={alpha}"
-            )
+        tail = _checked_tail(g_ends, alpha, ks.strip, abs(k), total, grid, cfg)
         values[i] = total
         ests[i] = abs(s) * k_err + abs(k) * (tail + 4.0 * _EPS * (size + abs(ks.c0)))
     return values, ests
@@ -823,14 +845,7 @@ def _haar_transforms(
     shared = len(res) < alphas.size
 
     def f_at(u: np.ndarray) -> np.ndarray:
-        # f at the points u, a (k, m) array: in one call, or in one call
-        # per row of u when f is grid-backed. Such an f is a kernel sum
-        # whose temporaries grow with the points of a call; a panel per
-        # call keeps them small, and one call for all the panels of a
-        # level ran about 20% slower on convolutions of exponentials.
-        if f.grid_span is None:
-            return _eval_vector(f.eval, u.ravel()).reshape(u.shape)
-        return np.array([_eval_vector(f.eval, row) for row in u])
+        return _eval_vector(f.eval, u.ravel()).reshape(u.shape)
 
     def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         t = x.reshape(rows.size, -1)
@@ -852,23 +867,13 @@ def _haar_transforms(
     err = np.zeros((alphas.size, 2))
     np.add.at(err, side, errs)
 
-    # Tail bound: past the window the integrand decays at least like
-    # e^(-rate * |t|) with rate given by the distance of Re(alpha) to the
-    # strip edge (faster than any rate for infinite edges).
-    rate_l = alphas.real - strip.a if math.isfinite(strip.a) else 1.0
-    rate_r = strip.b - alphas.real if math.isfinite(strip.b) else 1.0
     ends = np.array(windows).T
     with np.errstate(all="ignore"):
-        f_ends = f_at(np.exp(ends.reshape(-1, 1))).reshape(ends.shape)[:, win]
-        g_ends = _cabs(f_ends * np.exp(alphas * ends[:, win]))
-    tail = g_ends[0] / np.maximum(rate_l, 0.05) + g_ends[1] / np.maximum(rate_r, 0.05)
-    bad = tail > 1e3 * np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(total))
-    if bad.any():
-        i = np.argmax(bad)
-        raise QuadratureDivergence(
-            f"integrand tail {tail[i]:.3e} fails to decay within truncation bounds "
-            f"({ends[0, win[i]]:g}, {ends[1, win[i]]:g}) for alpha={complex(alphas[i])}"
-        )
+        g_ends = _cabs(f_at(np.exp(ends))[:, win] * np.exp(alphas * ends[:, win]))
+    tail = [
+        _checked_tail(g, alpha, strip, 1.0, t, windows[j], cfg)
+        for g, alpha, t, j in zip(g_ends.T.tolist(), alphas.tolist(), total.tolist(), win.tolist())
+    ]
     return total, err[:, 0] + err[:, 1] + tail
 
 
@@ -1095,73 +1100,73 @@ def _hankel_direct(
 ) -> list[tuple[list[complex], list[float]]]:
     """Keyhole-contour evaluations: (values, estimates) per contour and alpha.
 
-    The loop runs in from +inf above the cut, circles the origin
-    counterclockwise, and returns to +inf below the cut. z^(alpha-1) is
-    taken with arg(z) increasing continuously from about 0 on the upper
-    ray to about 2 pi on the lower ray. The reported value is aligned
-    with the real-axis transform branch, which shifts the tracked
-    argument by -pi, hence the e^(-i pi alpha) factor.
+    The loop runs in along the positive axis from +inf to the radius r
+    above the cut, circles the origin counterclockwise, and returns to
+    +inf below the cut. z^(alpha-1) has arg 0 above the cut and 2 pi
+    below it, so the loop is (e^(2 pi i alpha) - 1) I_ray + I_arc, I_arc
+    the circle's integral and I_ray that of f(x) x^(alpha-1) over
+    [r, _RAY_LENGTH], taken in t = log x: in x, the rounding of the nodes
+    next to x = r outgrows the estimate at small r. The value is aligned
+    with the real-axis transform branch, which shifts the argument by
+    -pi, hence the e^(-i pi alpha) factor.
 
-    The upper ray, the arc and the lower ray of every contour and alpha
-    are rows of one kernel call; f is evaluated once per node of a
-    segment, and only the phase z^(alpha-1) is per alpha.
+    The ray and the arc of every contour and alpha are rows of one
+    kernel call; f is evaluated once per node of a ray, at real x, or of
+    an arc, and only the phase z^(alpha-1) is per alpha.
     """
     n = len(alphas)
-    # segment q = 3 * (contour index) + (0 upper ray, 1 arc, 2 lower ray);
-    # row q * n + i is segment q of alphas[i]
-    shape = []  # (r, d, L, x0, th0) of each contour
-    for c in contours:
-        x0 = math.sqrt(c.radius * c.radius - c.offset * c.offset)
-        shape.append((c.radius, c.offset, c.ray_length, x0, math.atan2(c.offset, x0)))
-    segments = 3 * len(contours)
-    am1 = np.tile(np.asarray(alphas, dtype=complex) - 1.0, segments)[:, None]
+    # segment q = 2 * (contour index) + (0 ray, 1 arc); row q * n + i is
+    # segment q of alphas[i]
+    radii = np.repeat([c.radius for c in contours], 2)
+    am1 = np.tile(np.asarray(alphas, dtype=complex) - 1.0, 2 * len(contours))[:, None]
 
     def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # the active rows of a segment are a run sharing their nodes
         x = x.reshape(rows.size, -1)
-        at = rows.tolist()
-        cuts = [0, *(bisect_left(at, q * n) for q in range(1, segments)), len(at)]
-        parts = [(q, a, b) for q, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
-        z = []
-        for q, a, _ in parts:
-            (r, d, *_), s, xs = shape[q // 3], q % 3, x[a]
-            z.append(xs + 1j * d if s == 0 else r * np.exp(1j * xs) if s == 1 else xs - 1j * d)
-        fz = _eval_vector(f.eval, np.concatenate(z)).reshape(len(parts), -1)
-        out = []
-        for (q, a, b), fs in zip(parts, fz):
-            (r, d, *_), s, xs, am = shape[q // 3], q % 3, x[a], am1[rows[a:b]]
-            if s == 1:
-                phase = np.exp(am * (math.log(r) + 1j * xs))
-                out.append(fs * phase * 1j * r * np.exp(1j * xs))
-            else:
-                arg = np.arctan2(d, xs) if s == 0 else 2.0 * math.pi - np.arctan2(d, xs)
-                out.append(fs * np.exp(am * (0.5 * np.log(xs * xs + d * d) + 1j * arg)))
-        return np.concatenate(out)
+        first, run = _runs(rows // n)
+        seg = rows[first] // n
+        arc = seg % 2 == 1
+        u, ray = x[first], ~arc
+        # f dz/du and log z at each segment's nodes: z = e^u on a ray,
+        # z = r e^(i u) on an arc
+        fz = np.empty(u.shape, dtype=complex)
+        logz = np.empty(u.shape, dtype=complex)
+        if ray.any():
+            xs = np.exp(u[ray])
+            fz[ray] = _eval_vector(f.eval, xs.ravel()).reshape(xs.shape) * xs
+            logz[ray] = u[ray]
+        if arc.any():
+            r = radii[seg[arc], None]
+            z = r * np.exp(1j * u[arc])
+            fz[arc] = _eval_vector(f.eval, z.ravel()).reshape(z.shape) * (1j * z)
+            logz[arc] = np.log(r) + 1j * u[arc]
+        return fz[run] * np.exp(am1[rows] * logz[run])
 
-    lo = np.repeat([v for _, _, _, x0, th0 in shape for v in (x0, th0, x0)], n)
-    hi = np.repeat([v for _, _, L, _, th0 in shape for v in (L, 2.0 * math.pi - th0, L)], n)
+    lo = np.repeat([v for c in contours for v in (math.log(c.radius), 0.0)], n)
+    hi = np.tile(np.repeat([math.log(_RAY_LENGTH), 2.0 * math.pi], n), len(contours))
     vals, errs = _tanh_sinh(g, lo, hi, cfg)
-    # ray tails must be negligible at the cutoff: the integrand at L on
-    # the upper and the lower ray rows of each contour
-    rays = np.arange(segments * n).reshape(segments, n)[np.arange(segments) % 3 != 1].ravel()
-    ends = np.repeat([L for _, _, L, _, _ in shape], 2 * n)
+    # the ray's tail must be negligible at the cutoff: its integrand there
+    rays = np.arange(2 * len(contours) * n).reshape(-1, n)[::2].ravel()
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        tails = _cabs(g(ends, rays)).reshape(len(contours), 2, n).sum(axis=1)
+        tails = _cabs(g(np.full(rays.size, math.log(_RAY_LENGTH)), rays)).reshape(-1, n)
+    # the rays enter the loop with the factor e^(2 pi i alpha) - 1
+    jumps = [cmath.exp(2j * math.pi * alpha) - 1.0 for alpha in alphas]
     out = []
-    for (_, _, L, _, _), v3, e3, tail_c in zip(
-        shape, vals.reshape(-1, 3, n).tolist(), errs.reshape(-1, 3, n).tolist(), tails.tolist()
+    for v2, e2, tail_c in zip(
+        vals.reshape(-1, 2, n).tolist(), errs.reshape(-1, 2, n).tolist(), tails.tolist()
     ):
         values, ests = [], []
-        for alpha, i_up, i_arc, i_lo, e_up, e_arc, e_lo, tail in zip(alphas, *v3, *e3, tail_c):
-            loop = -i_up + i_arc + i_lo
+        for alpha, jump, i_ray, i_arc, e_ray, e_arc, tail in zip(alphas, jumps, *v2, *e2, tail_c):
+            loop = jump * i_ray + i_arc
             tol = max(cfg.abs_tol, cfg.rel_tol * abs(loop))
-            if tail > 1e3 * tol:
+            ray_tail = abs(jump) * tail
+            if ray_tail > 1e3 * tol:
                 raise QuadratureDivergence(
-                    f"ray integrand {tail:.3e} has not decayed by ray_length={L:g}"
+                    f"ray integrand {ray_tail:.3e} has not decayed by x={_RAY_LENGTH:g}"
                 )
             mult = norm.multiplier(alpha)
             phase = cmath.exp(-1j * math.pi * alpha)
-            err = abs(mult * phase) * (e_up + e_arc + e_lo + tail)
+            err = abs(mult * phase) * (abs(jump) * (e_ray + tail) + e_arc)
             values.append(mult * phase * loop)
             ests.append(err + abs(phase * loop) * norm.roundoff(alpha, mult))
         out.append((values, ests))
@@ -1210,49 +1215,37 @@ def hankel_mellin(
     contour: HankelContourSpec | None = None,
     normalization: Normalization | None = None,
     cfg: QuadratureConfig | None = None,
-    check_radius: bool = True,
 ) -> TransformValue:
     """Mellin transform along a keyhole contour around the positive axis.
 
     Extends the transform left of the real-axis strip for functions
-    analytic in a neighbourhood of the contour. The default
-    normalization is the contour one. Near positive-integer multiplier
-    poles (n >= 2) the value is produced by analytic continuation and
-    tagged ``continued``; near alpha = 1 there is no continuation
-    (NormalizationPole). The result is checked for independence of the
-    arc radius (ContourDependence on mismatch).
+    analytic in a neighbourhood of the positive axis and of the disc of
+    the contour's radius; f is evaluated at real x on the rays and at
+    complex z on the circle. The default normalization is the contour
+    one. Near positive-integer multiplier poles (n >= 2) the value is
+    produced by analytic continuation and tagged ``continued``; near
+    alpha = 1 there is no continuation (NormalizationPole). The value is
+    checked against the same loop with half the radius
+    (ContourDependence on mismatch).
     """
     f = _require_mellin_function(f)
     alpha = complex(alpha)
     contour = contour or HankelContourSpec()
     norm = normalization or Normalization.gamma_contour()
     cfg = cfg or DEFAULT_CONFIG
-    contours = [contour]
-    if check_radius:
-        # the same loop with the arc radius halved, in the same kernel call
-        contours.append(
-            HankelContourSpec(
-                radius=contour.radius / 2.0,
-                offset=min(contour.offset, contour.radius / 4.0),
-                ray_length=contour.ray_length,
-            )
+    # the same loop with the radius halved, in the same kernel call
+    contours = [contour, HankelContourSpec(contour.radius / 2.0)]
+    ((value, err), (v2, e2)), continued = _hankel_values(f, alpha, contours, norm, cfg)
+    drift = abs(value - v2)
+    if drift > max(1e-7, 50.0 * (err + e2)):
+        raise ContourDependence(
+            f"contour value moved by {drift:.3e} when the arc radius was halved"
         )
-    results, continued = _hankel_values(f, alpha, contours, norm, cfg)
-    value, err = results[0]
-    if check_radius:
-        v2, e2 = results[1]
-        drift = abs(value - v2)
-        if drift > max(1e-7, 50.0 * (err + e2)):
-            raise ContourDependence(
-                f"contour value moved by {drift:.3e} when the arc radius was halved"
-            )
-        err = max(err, drift)
-    strip = FundamentalStrip(-math.inf, f.order_at_infinity)
     return TransformValue(
         value=complex(value),
         alpha=alpha,
-        strip=strip,
+        strip=FundamentalStrip(-math.inf, f.order_at_infinity),
         normalization=norm,
-        abs_error_estimate=float(err),
+        abs_error_estimate=float(max(err, drift)),
         continued=continued,
     )

@@ -54,6 +54,36 @@ class TestFundamentalStrip:
         with pytest.raises(ValueError):
             FundamentalStrip(1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "a, b", [(-50.0, -49.99999999999999), (-5e-324, 0.0), (-math.inf, -1.7976931348623157e308)]
+    )
+    def test_strip_without_a_float_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            FundamentalStrip(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (-50.0, -49.99999999999998),
+            (-1e-323, 0.0),
+            (-5e-324, 5e-324),
+            (1e308, 1.7e308),
+            (-1.7e308, 1.7e308),
+            (-math.inf, -1e300),
+            (-math.inf, 1e300),
+            (-1e300, math.inf),
+            (1e300, math.inf),
+        ],
+    )
+    def test_midpoint_is_interior(self, a, b):
+        s = FundamentalStrip(a, b)
+        assert s.contains(s.midpoint())
+
+    def test_float_empty_intersection_is_none(self):
+        s = FundamentalStrip(-50.0, 0.0)
+        assert s.intersect(FundamentalStrip(-60.0, -49.99999999999999)) is None
+        assert s.intersect(FundamentalStrip(-5e-324, 1.0)) is None
+
     def test_intersect(self):
         a = FundamentalStrip(0.0, 3.0)
         b = FundamentalStrip(1.0, math.inf)
@@ -309,7 +339,7 @@ class TestHankelMellin:
     def test_radius_independence(self):
         f = bose_function()
         vals = [
-            hankel_mellin(f, 0.5, HankelContourSpec(radius=r), check_radius=False).value
+            hankel_mellin(f, 0.5, HankelContourSpec(radius=r)).value
             for r in (0.25, 0.5, 1.0)
         ]
         assert max(abs(v - vals[0]) for v in vals) < 1e-9
@@ -334,8 +364,34 @@ class TestHankelMellin:
             hankel_mellin(bose_function(), 1.0)
 
     def test_contour_spec_validation(self):
-        with pytest.raises(ValueError):
-            HankelContourSpec(radius=0.5, offset=0.6)
+        for radius in (0.0, 40.0):
+            with pytest.raises(ValueError):
+                HankelContourSpec(radius=radius)
+
+    @pytest.mark.parametrize("radius", [1e-4, 0.03, 0.5, 2.0])
+    @pytest.mark.parametrize("alpha", [0.25 + 1j, 0.7 - 2.5j, 0.1 + 3j, -1.5 + 2j, -3.2 - 0.5j, 2.5 + 5j])
+    def test_estimate_bounds_error(self, alpha, radius):
+        tv = hankel_mellin(bose_function(), alpha, HankelContourSpec(radius))
+        assert abs(tv.value - complex(mp.zeta(alpha))) <= tv.abs_error_estimate
+
+    def test_rays_evaluate_f_on_the_axis(self):
+        # the rays lie on the positive axis, so f sees real x there and
+        # complex z only on the arc
+        bose = bose_function()
+        seen = []
+
+        def ev(z):
+            seen.append(np.asarray(z))
+            return bose.eval(z)
+
+        f = MellinFunction(ev, bose.order_at_zero, bose.order_at_infinity)
+        assert hankel_mellin(f, 0.5).value == hankel_mellin(bose, 0.5).value
+        rays = [z for z in seen if z.dtype == float]
+        arcs = [z for z in seen if z.dtype == complex]
+        assert len(rays) + len(arcs) == len(seen) and rays and arcs
+        # the rays of radius 0.5 and of the halved check contour, up to rounding
+        assert all(np.allclose(np.clip(x, 0.25, 40.0), x) for x in rays)
+        assert all((np.isclose(np.abs(z), 0.5) | np.isclose(np.abs(z), 0.25)).all() for z in arcs)
 
     def test_radius_check_flags_contour_dependence(self):
         # smooth in (x, y) but not holomorphic: the conjugate factor

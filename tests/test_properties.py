@@ -38,7 +38,8 @@ coeff = st.complex_numbers(
 
 
 def strips():
-    return st.tuples(finite, finite).filter(lambda ab: ab[0] < ab[1]).map(
+    # a strip must hold a float strictly inside
+    return st.tuples(finite, finite).filter(lambda ab: math.nextafter(ab[0], math.inf) < ab[1]).map(
         lambda ab: FundamentalStrip(*ab)
     )
 
