@@ -66,13 +66,13 @@ def bose_function() -> MellinFunction:
 
 
 def fermi_function() -> MellinFunction:
-    """1 / (e^x + 1) on the strip <0, inf)."""
+    """1 / (e^x + 1) on the strip <0, inf); complex-safe off the axis."""
 
     def core(arr):
         with np.errstate(over="ignore", under="ignore"):
             return 1.0 / (np.exp(arr) + 1.0)
 
-    return MellinFunction(_wrap_eval(core, float), 0.0, math.inf, label="fermi")
+    return MellinFunction(_wrap_eval(core), 0.0, math.inf, label="fermi")
 
 
 def _exp_function(beta: float) -> MellinFunction:

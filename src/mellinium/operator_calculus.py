@@ -135,17 +135,36 @@ class OperatorSpec:
         return np.diag(self._eigs).astype(complex)
 
     def heat_trace(self) -> MellinFunction:
-        """Tr e^(-g op) as a MellinFunction on the strip <0, inf)."""
-        eigs = self._eigs
-
-        def core(arr):
-            with np.errstate(over="ignore", under="ignore"):
-                out = np.exp(-np.outer(arr.ravel(), eigs)).sum(axis=1)
-            return out.reshape(arr.shape)
-
+        """Tr e^(-g op) as a MellinFunction on the strip <0, inf), real or complex g."""
+        core = _exp_sum(self._eigs, np.ones(self.dimension))
         return MellinFunction(
-            _wrap_eval(core, float), 0.0, math.inf, label=f"heat-trace(d={self.dimension})"
+            _wrap_eval(core), 0.0, math.inf, label=f"heat-trace(d={self.dimension})"
         )
+
+
+def _exp_sum(eigs: np.ndarray, coeffs: np.ndarray):
+    """Array core of g -> sum_k coeffs[k] e^(-eigs[k] g), for real or complex g.
+
+    The terms are added one eigenvalue at a time, in order, so no
+    len(g) by len(eigs) temporary is built; the result keeps g's shape,
+    in float64 or complex128.
+    """
+    pairs = list(zip(eigs.tolist(), coeffs.tolist()))
+
+    def core(arr):
+        g = np.asarray(arr, dtype=np.result_type(arr, np.float64))
+        out = np.zeros_like(g)
+        term = np.empty_like(g)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for lam, c in pairs:
+                np.multiply(g, -lam, out=term)
+                np.exp(term, out=term)
+                if c != 1.0:
+                    term *= c
+                out += term
+        return out
+
+    return core
 
 
 def _branch_power(values: np.ndarray, alpha: complex, winding: int) -> np.ndarray:
@@ -219,14 +238,8 @@ def spectral_eta(
     """
     eigs = op.spectrum
     signs = np.array([(-1.0) ** i for i in range(len(eigs))])
-
-    def core(arr):
-        with np.errstate(over="ignore", under="ignore"):
-            out = (np.exp(-np.outer(arr.ravel(), eigs)) * signs).sum(axis=1)
-        return out.reshape(arr.shape)
-
     alt = MellinFunction(
-        _wrap_eval(core, float), 0.0, math.inf, label=f"alt-heat-trace(d={len(eigs)})"
+        _wrap_eval(_exp_sum(eigs, signs)), 0.0, math.inf, label=f"alt-heat-trace(d={len(eigs)})"
     )
     tv = forward_mellin(alt, alpha, Normalization.gamma(), cfg=cfg)
     direct = complex(np.sum(signs * _branch_power(eigs, alpha, 0)))

@@ -474,13 +474,20 @@ def _kernel_sum_function(
     span: tuple[float, float],
     atom_weight: complex = 0.0,
 ) -> MellinFunction:
-    """The function c0 k(x) + sum_j w_j k(x e^(-tau_j)) of ks, recording ks."""
+    """The function c0 k(x) + sum_j w_j k(x e^(-tau_j)) of ks, recording ks.
+
+    Terms of zero weight are dropped here, once: a grid weight that
+    underflowed adds exactly 0, since non-finite kernel values are
+    zeroed before they meet the weights.
+    """
+    live = ks.weights != 0
+    weights = ks.weights[live]
     with np.errstate(over="ignore"):
-        factors = np.exp(-ks.tau)
+        factors = np.exp(-ks.tau[live])
     kernel = ks.kernel.eval
 
     def core(xs: np.ndarray) -> np.ndarray:
-        out = _chunked_kernel_sum(ks.weights, factors, kernel, xs) if ks.weights.size else 0.0
+        out = _chunked_kernel_sum(weights, factors, kernel, xs) if weights.size else 0.0
         if ks.c0:
             out = ks.c0 * np.asarray(_eval_vector(kernel, xs), dtype=complex) + out
         return out
@@ -661,8 +668,10 @@ def convolution_exp(
     The n = 0 term is the point mass at x = 1 (the *-identity), kept
     symbolic via atom_weight = 1; its transform contribution is the
     constant 1. Stages h^{*n} are built on the uniform log grid by
-    discrete convolution (the grid is geometric in x); a stage whose
-    probe transform exceeds the magnitude guard raises DivergentStage.
+    direct discrete convolution (the grid is geometric in x), in h's
+    dtype: real stages and real weights for a real h, complex ones
+    otherwise. A stage whose probe transform exceeds the magnitude
+    guard raises DivergentStage.
     The result is 1 (the atom) - h(x) + sum_j w_j h(x e^(-t_j)), so its
     transform is 1 + H(alpha) (-1 + sum_j w_j e^(alpha t_j)), exactly.
     """
@@ -678,10 +687,9 @@ def convolution_exp(
     t, span = _log_grid(cfg)
     n_grid = len(t)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        h_grid = np.asarray(_eval_vector(h.eval, np.exp(t)), dtype=complex)
-        h_grid = np.nan_to_num(h_grid, nan=0.0, posinf=0.0, neginf=0.0)
+        h_grid = np.nan_to_num(_eval_vector(h.eval, np.exp(t)), nan=0.0, posinf=0.0, neginf=0.0)
         m = np.arange(-(n_grid - 1), n_grid, dtype=float)
-        kernel = np.asarray(_eval_vector(h.eval, np.exp(m * _GRID_STEP)), dtype=complex)
+        kernel = _eval_vector(h.eval, np.exp(m * _GRID_STEP))
         kernel = np.nan_to_num(kernel, nan=0.0, posinf=0.0, neginf=0.0)
 
     alpha_probe = complex(FundamentalStrip(a, b).midpoint())
@@ -689,7 +697,8 @@ def convolution_exp(
 
     stage = h_grid
     # combined weights: eval(x) = c_1 h(x) + dt * sum_j P[j] h(x e^{-t_j})
-    combined = np.zeros(n_grid, dtype=complex)
+    # real for a real h, complex otherwise, like the stages
+    combined = np.zeros(n_grid, dtype=np.result_type(h_grid, kernel))
     for n in range(2, terms + 1):
         c_n = (-1.0) ** n / math.factorial(n)
         combined = combined + c_n * stage

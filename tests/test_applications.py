@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from mellinium import (
     gamma_p_extension,
     gamma_reflection,
     greens_function,
+    hankel_mellin,
     subtracted_exponential_transform,
     zeta_value,
 )
@@ -46,6 +49,24 @@ class TestDistributions:
         assert f.eval(1.0) == pytest.approx(1.0 / (math.e + 1.0))
         assert f.eval(1e-9) == pytest.approx(0.5, rel=1e-8)
         assert (f.order_at_zero, f.order_at_infinity) == (0.0, math.inf)
+
+    def test_fermi_complex_argument(self):
+        z = 0.5 + 0.5j
+        got = complex(fermi_function().eval(z))
+        assert abs(got - 1.0 / (np.exp(z) + 1.0)) < 1e-15
+        assert abs(got.imag) > 0.1
+
+    @pytest.mark.parametrize("alpha", [0.5 + 1.0j, -0.5 + 0.3j, -1.7, 2.5])
+    def test_fermi_hankel_continues_eta(self, alpha):
+        # the contour normalization turns the Fermi transform into the
+        # alternating zeta, left of the strip <0, inf) too; the circle
+        # needs the function at complex z, so a dropped imaginary part
+        # would show as contour dependence
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            tv = hankel_mellin(fermi_function(), alpha)
+        err = abs(tv.value - complex(mp.altzeta(alpha)))
+        assert err <= tv.abs_error_estimate
 
     def test_overflow_tails_are_zero(self):
         assert bose_function().eval(1e4) == 0.0 or bose_function().eval(1e4) < 1e-300

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mellinium import (
     forward_mellin,
     functional_determinant,
     functional_log,
+    hankel_mellin,
     key_identity_check,
     resolvent,
     spectral_eta,
@@ -67,6 +69,50 @@ class TestOperatorSpec:
         g = 0.7
         assert ht.eval(g) == pytest.approx(math.exp(-g) + math.exp(-2 * g))
         assert ht.order_at_zero == 0.0
+
+
+class TestHeatTrace:
+    SPECTRUM = (0.3, 0.45, 0.8, 1.0, 1.25, 1.7, 2.0, 2.6, 3.1, 4.4, 5.0, 7.5)
+
+    def test_matches_fsum(self):
+        ht = OperatorSpec.from_spectrum(self.SPECTRUM).heat_trace()
+        gs = np.geomspace(1e-3, 30.0, 25)
+        got = ht.eval(gs)
+        for g, v in zip(gs.tolist(), got.tolist()):
+            want = math.fsum(math.exp(-e * g) for e in self.SPECTRUM)
+            assert abs(v - want) <= 4e-16 * want
+
+    def test_complex_argument(self):
+        ht = OperatorSpec.from_spectrum(self.SPECTRUM).heat_trace()
+        z = 0.4 - 0.7j
+        terms = [cmath.exp(-e * z) for e in self.SPECTRUM]
+        want = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            got = complex(ht.eval(z))
+        assert abs(got - want) <= 1e-15 * sum(abs(t) for t in terms)
+
+    def test_shapes_are_kept(self):
+        ht = OperatorSpec.from_spectrum(self.SPECTRUM).heat_trace()
+        scalar = ht.eval(0.5)
+        assert np.ndim(scalar) == 0
+        grid = np.linspace(0.1, 3.0, 12).reshape(3, 4)
+        out = ht.eval(grid)
+        assert out.shape == (3, 4) and out.dtype == np.float64
+        assert out[1, 2] == ht.eval(grid[1, 2])
+        assert ht.eval(grid.astype(complex)).shape == (3, 4)
+
+    @pytest.mark.parametrize("alpha", [0.5 + 1.0j, -0.5 + 0.3j, -1.7, 2.5])
+    def test_hankel_continues_the_zeta(self, alpha):
+        # left of the strip <0, inf) the contour transform of the heat
+        # trace is still sum e^-alpha; its circle evaluates the trace at
+        # complex g, so a dropped imaginary part shows as contour dependence
+        spectrum = (1.5, 2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            tv = hankel_mellin(OperatorSpec.from_spectrum(spectrum).heat_trace(), alpha)
+        err = abs(tv.value - spectrum_zeta_direct(spectrum, alpha))
+        assert err <= tv.abs_error_estimate
 
 
 class TestComplexPower:

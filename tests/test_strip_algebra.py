@@ -345,6 +345,41 @@ class TestConvolutionExp:
             convolution_exp(big, 12)
 
 
+class TestGridArithmetic:
+    """Grid builders do only the arithmetic their inputs need."""
+
+    def test_real_h_gives_real_weights(self):
+        h = OperatorSpec.from_spectrum((1.0, 2.0)).heat_trace()
+        h_complex = MellinFunction(lambda x: h.eval(x) + 0j, 0.0, math.inf, label="complex")
+        real, cplx = convolution_exp(h, 12), convolution_exp(h_complex, 12)
+        assert real._kernel_sum.weights.dtype == np.float64
+        assert cplx._kernel_sum.weights.dtype == np.complex128
+        xs = np.geomspace(1e-3, 40.0, 30)
+        a, b = real.eval(xs), cplx.eval(xs)
+        assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b))
+        for alpha in (1.0, 1.5 + 0.3j, 2.0, 3.0 - 1.0j):
+            got = forward_mellin(real, alpha).value
+            want = forward_mellin(cplx, alpha).value
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_underflowed_factor_sums_to_fsum(self):
+        # e^-x underflows to exactly 0 past t = log 745, so a large share
+        # of the grid weights is 0; the sum over the others must equal the
+        # sum over every grid point
+        h = make_exp(2.0)
+        conv = mult_convolve(make_exp(1.0), h)
+        ks = conv._kernel_sum
+        assert np.mean(ks.weights == 0) > 0.3
+        for x in (1e-3, 0.2, 1.0, 3.7, 25.0):
+            terms = [
+                w * complex(h.eval(x * math.exp(-t)))
+                for w, t in zip(ks.weights.tolist(), ks.tau.tolist())
+            ]
+            want = complex(math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms))
+            size = math.fsum(abs(v) for v in terms)
+            assert abs(complex(conv.eval(x)) - want) <= 1e-14 * size
+
+
 def pointwise(f: MellinFunction) -> MellinFunction:
     """f as a plain function: replace drops the kernel sum, so its
     transform is a quadrature of the pointwise values."""
