@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResidueInstability
-from .mellin_core import _eval_vector
+from .mellin_core import _circle, _circle_mode, _eval_vector
 
 __all__ = [
     "AsymptoticSeries",
@@ -120,12 +120,11 @@ _STABILITY_TOL = 1e-8
 
 
 def _circle_residue(transform, pole: complex, rho: float, x: float) -> complex:
-    """Residue of transform(z) x^(-z) at the pole, radius-rho circle."""
-    th = 2.0 * math.pi * np.arange(_RESIDUE_NODES) / _RESIDUE_NODES
-    z = pole + rho * np.exp(1j * th)
+    """Residue of transform(z) x^(-z) at the pole, radius-rho circle: rho times mode -1."""
+    z = _circle(pole, rho, _RESIDUE_NODES)
     tv = np.asarray(_eval_vector(transform, z), dtype=complex)
-    vals = tv * np.exp(-z * math.log(x)) * np.exp(1j * th)
-    return complex(rho / _RESIDUE_NODES * np.sum(vals))
+    mode, _ = _circle_mode(tv * np.exp(-z * math.log(x)), -1)
+    return complex(rho * mode)
 
 
 def residue_asymptotics(

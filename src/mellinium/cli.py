@@ -228,7 +228,7 @@ def _read_matrix(path: str) -> np.ndarray:
         raise ValueError(f"empty matrix file {path}")
     d = int(tokens[0])
     need = d * d
-    entries = tokens[1 : 1 + need]
+    entries = tokens[1:]
     if len(entries) != need:
         raise ValueError(f"matrix file {path}: expected {need} entries, got {len(entries)}")
     vals = [complex(tok) for tok in entries]
@@ -315,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("log", help="functional logarithm, one record per eigenvalue")
     _add_operator_flags(sp)
-    sp.add_argument("--h", type=float, default=1e-4)
     _add_common(sp, _do_log, (_WHOLE, "gamma"), with_alpha=False)
 
     sp = sub.add_parser("greens", help="free Green's function from the heat kernel")
@@ -465,8 +464,7 @@ def _do_resolvent(ns) -> list[dict]:
 
 def _do_log(ns) -> list[dict]:
     op, inputs = _operator(ns)
-    log, errs = _functional_log(op, ns.h)
-    inputs["h"] = _g(ns.h)
+    log, errs = _functional_log(op)
     return _per_eigenvalue(ns, op, inputs, log, None, errs)
 
 

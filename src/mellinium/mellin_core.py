@@ -960,16 +960,8 @@ def _edge_exponent(xs: np.ndarray, vals: np.ndarray, side: str) -> float:
     lx, lv = np.log(x_edge), np.log(v_edge)
     slopes = np.diff(lv) / np.diff(lx)
     s0 = slopes[0]
-    if side == "zero":
-        if s0 > _SLOPE_SUPER:
-            return math.inf
-        if s0 < -_SLOPE_SUPER:
-            return -math.inf
-    else:
-        if s0 < -_SLOPE_SUPER:
-            return -math.inf
-        if s0 > _SLOPE_SUPER:
-            return math.inf
+    if abs(s0) > _SLOPE_SUPER:
+        return math.copysign(math.inf, s0)
     if abs(slopes[0] - slopes[1]) > _SLOPE_STABLE:
         raise InsufficientDecay(
             f"slopes do not stabilize near the {side} edge "
@@ -979,19 +971,8 @@ def _edge_exponent(xs: np.ndarray, vals: np.ndarray, side: str) -> float:
 
 
 def _check_declared(declared: float, fitted_order: float, side: str) -> None:
-    if math.isinf(declared) and math.isinf(fitted_order):
-        if declared != fitted_order:
-            raise InconsistentDeclaration(
-                f"declared order {declared} at {side} but fitted {fitted_order}"
-            )
-        return
-    if math.isinf(declared) != math.isinf(fitted_order):
-        raise InconsistentDeclaration(
-            f"declared order {declared} at {side} but fitted {fitted_order:.3f}"
-            if math.isfinite(fitted_order)
-            else f"declared order {declared} at {side} but fitted {fitted_order}"
-        )
-    if abs(declared - fitted_order) > _DECLARED_TOL:
+    # equal infinities pass; any other infinity is infinitely far off
+    if declared != fitted_order and not abs(declared - fitted_order) <= _DECLARED_TOL:
         raise InconsistentDeclaration(
             f"declared order {declared:g} at {side} but fitted {fitted_order:.3f}"
         )
@@ -1032,6 +1013,58 @@ def infer_strip(f, probe_grid: Sequence[float]) -> FundamentalStrip:
 
 
 # ---------------------------------------------------------------------------
+# circle and line integrals
+# ---------------------------------------------------------------------------
+
+
+def _circle_angles(n: int) -> np.ndarray:
+    return 2.0 * math.pi * np.arange(n) / n
+
+
+def _circle(center: complex, rho: float, n: int) -> np.ndarray:
+    """The n points center + rho e^(2 pi i j / n), j = 0, ..., n - 1."""
+    return center + rho * np.exp(1j * _circle_angles(n))
+
+
+def _circle_mode(values, k: int):
+    """Mode k of values at the n points of _circle, along the last axis: (mode, alias).
+
+    The mode is the n-point trapezoid mean of v e^(-i k theta); over
+    rho^k it is the k-th Taylor coefficient. alias, its distance to the
+    same rule over the even-indexed points, estimates the aliasing error.
+    """
+    values = np.asarray(values)
+    n = values.shape[-1]
+    terms = values * np.exp(-1j * k * _circle_angles(n))
+    mode = np.sum(terms, axis=-1) / n
+    coarse = np.sum(terms[..., ::2], axis=-1) / (n // 2)
+    return mode, np.abs(mode - coarse)
+
+
+def _line_integral(g, tol: float, cfg: QuadratureConfig) -> tuple[complex, float]:
+    """Integral of g(t) over the real line, cut at the first |t| = T where |g| < tol.
+
+    T runs through 1, 2, 4, ... up to max(64, the right truncation
+    bound); SlowContourDecay if |g(T)| or |g(-T)| never falls below tol
+    there. [-T, 0] and [0, T] are two rows of one kernel call. Returns
+    (value, estimate); the discarded tails are the caller's to bound.
+    """
+    t_cap = max(64.0, cfg.truncation_bounds[1])
+    T = 1.0
+    while True:
+        with np.errstate(all="ignore"):
+            m = np.abs(g(np.array([T, -T])))
+        if np.all(m < tol):
+            break
+        T *= 2.0
+        if T > t_cap:
+            raise SlowContourDecay(f"line integrand never fell below {tol:g} for |t| <= {t_cap:g}")
+    vals, errs = _tanh_sinh(lambda t, rows: g(t), [-T, 0.0], [0.0, T], cfg)
+    (left, right), (e_left, e_right) = vals.tolist(), errs.tolist()
+    return left + right, e_left + e_right
+
+
+# ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------
 
@@ -1046,40 +1079,23 @@ def inverse_mellin(
 
         f(x) = 1/(2 pi) int_-inf^inf transform(c + it) x^(-c - it) dt
 
-    The line is truncated where a dyadic scan of |transform(c + it)|
-    falls below abs_tol; SlowContourDecay if that never happens inside
-    the scan window. Returns (value, error estimate).
+    The line is truncated where a dyadic scan of the integrand falls
+    below abs_tol; SlowContourDecay if that never happens inside the
+    scan window. Returns (value, error estimate).
     """
     cfg = cfg or DEFAULT_CONFIG
     if x <= 0:
         raise ValueError("inversion point x must be positive")
-    tf = lambda t: _eval_vector(transform, c + 1j * np.asarray(t))
-    t_cap = max(64.0, cfg.truncation_bounds[1])
-    T = None
-    t_probe = 1.0
-    while t_probe <= t_cap:
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            m = np.abs(tf(np.array([t_probe, -t_probe])))
-        if np.all(m < cfg.abs_tol):
-            T = t_probe
-            break
-        t_probe *= 2.0
-    if T is None:
-        raise SlowContourDecay(
-            f"|transform(c+it)| never fell below {cfg.abs_tol:g} for t <= {t_cap:g}"
-        )
     lx = math.log(x)
 
-    def g(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return tf(t) * np.exp(-1j * t * lx)
+    def g(t: np.ndarray) -> np.ndarray:
+        return _eval_vector(transform, c + 1j * t) * np.exp(-1j * t * lx)
 
-    # the halves [-T, 0] and [0, T] are the kernel's two rows
-    vals, errs = _tanh_sinh(g, [-T, 0.0], [0.0, T], cfg)
-    (i_left, i_right), (e_left, e_right) = vals.tolist(), errs.tolist()
+    value, est = _line_integral(g, cfg.abs_tol, cfg)
     scale = x ** (-c) / (2.0 * math.pi)
     # the scan guarantees the discarded tails are below abs_tol pointwise
-    err = scale * (e_left + e_right + 2.0 * cfg.abs_tol)
-    return complex(scale * (i_left + i_right)), float(err)
+    err = scale * (est + 2.0 * cfg.abs_tol)
+    return complex(scale * value), float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -1145,25 +1161,23 @@ def _hankel_direct(
     lo = np.repeat([v for c in contours for v in (math.log(c.radius), 0.0)], n)
     hi = np.tile(np.repeat([math.log(_RAY_LENGTH), 2.0 * math.pi], n), len(contours))
     vals, errs = _tanh_sinh(g, lo, hi, cfg)
-    # the ray's tail must be negligible at the cutoff: its integrand there
+    # the ray's integrand at its cutoff bounds its tail, as a window's does
+    t_end = math.log(_RAY_LENGTH)
     rays = np.arange(2 * len(contours) * n).reshape(-1, n)[::2].ravel()
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        tails = _cabs(g(np.full(rays.size, math.log(_RAY_LENGTH)), rays)).reshape(-1, n)
+        ends = _cabs(g(np.full(rays.size, t_end), rays)).reshape(-1, n)
+    strip = FundamentalStrip(-math.inf, f.order_at_infinity)
     # the rays enter the loop with the factor e^(2 pi i alpha) - 1
     jumps = [cmath.exp(2j * math.pi * alpha) - 1.0 for alpha in alphas]
     out = []
-    for v2, e2, tail_c in zip(
-        vals.reshape(-1, 2, n).tolist(), errs.reshape(-1, 2, n).tolist(), tails.tolist()
+    for contour, v2, e2, ends_c in zip(
+        contours, vals.reshape(-1, 2, n).tolist(), errs.reshape(-1, 2, n).tolist(), ends.tolist()
     ):
+        window = (math.log(contour.radius), t_end)
         values, ests = [], []
-        for alpha, jump, i_ray, i_arc, e_ray, e_arc, tail in zip(alphas, jumps, *v2, *e2, tail_c):
+        for alpha, jump, i_ray, i_arc, e_ray, e_arc, end in zip(alphas, jumps, *v2, *e2, ends_c):
             loop = jump * i_ray + i_arc
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(loop))
-            ray_tail = abs(jump) * tail
-            if ray_tail > 1e3 * tol:
-                raise QuadratureDivergence(
-                    f"ray integrand {ray_tail:.3e} has not decayed by x={_RAY_LENGTH:g}"
-                )
+            tail = _checked_tail((0.0, end), alpha, strip, abs(jump), loop, window, cfg)
             mult = norm.multiplier(alpha)
             phase = cmath.exp(-1j * math.pi * alpha)
             err = abs(mult * phase) * (abs(jump) * (e_ray + tail) + e_arc)
@@ -1194,18 +1208,14 @@ def _hankel_values(
             "genuine transform pole there"
         )
     # 0 * inf cancellation at the pole: the product of multiplier and loop
-    # integral is holomorphic, so average it on a small circle around alpha.
-    # The mean of n points carries an aliasing error of about c_n rho^n from
-    # the next singularity, so the 16-point mean is checked against the
-    # 8-point mean of its even-indexed points.
-    rho = _CONTINUATION_RADIUS
-    n = _CONTINUATION_POINTS
-    ring = [alpha + rho * cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    # integral is holomorphic, so its value at alpha is its mean (mode 0)
+    # on a small circle around alpha, with the circle rule's aliasing
+    # estimate on top of the points' own.
+    ring = _circle(alpha, _CONTINUATION_RADIUS, _CONTINUATION_POINTS).tolist()
     out = []
     for vals, errs in _hankel_direct(f, ring, contours, norm, cfg):
-        mean = sum(vals) / n
-        coarse = sum(vals[::2]) / (n // 2)
-        out.append((mean, sum(errs) / n + abs(mean - coarse)))
+        mean, alias = _circle_mode(vals, 0)
+        out.append((complex(mean), sum(errs) / len(errs) + float(alias)))
     return out, True
 
 

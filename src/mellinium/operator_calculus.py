@@ -34,6 +34,9 @@ from .mellin_core import (
     MellinFunction,
     Normalization,
     QuadratureConfig,
+    _EPS,
+    _circle,
+    _circle_mode,
     _widened_config,
     _wrap_eval,
     forward_mellin,
@@ -250,36 +253,35 @@ def spectral_eta(
     return tv.value
 
 
-def functional_log(op: OperatorSpec, h: float = 1e-4) -> np.ndarray:
+def functional_log(op: OperatorSpec) -> np.ndarray:
     """Derivative of alpha -> op^(-alpha) at 0, i.e. -log(op).
 
-    One-sided Richardson from steps h and 2h with the exact value
-    op^0 = I at the base point; the O(h^2) error is about
-    (log max eig)^3 h^2 / 3, and the cancellation noise about
-    machine epsilon over h, so the default step balances both well
-    below 1e-6 for moderate spectra.
+    The Cauchy derivative on a circle about alpha = 0, taken on each
+    eigenvalue: no step to choose, and the error is at rounding level.
     """
-    return _functional_log(op, h)[0]
+    return _functional_log(op)[0]
 
 
-def _functional_log(op: OperatorSpec, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """functional_log with an error bound for each eigenvalue of op.
+def _functional_log(op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """functional_log with an error estimate for each eigenvalue of op.
 
-    With L = log(eig) the Richardson error is h^2 L^3 / 3 - h^3 L^4 / 4
-    + ...; for eig < 1 the two terms share a sign, so the bound takes
-    the first times 1 + h |L|. To that it adds the rounding of
-    4 p1 - p2 - 3 I over 2h, each power carrying about dimension * eps.
+    On eigenvalue e, -log e is mode 1 of e^(-alpha log e) on the circle
+    |alpha| = rho, over rho; rho = min(1, 2 / max |log e|) keeps every
+    |alpha log e| <= 2, so 32 points are exact to rounding. The estimate
+    is the aliasing estimate over rho, plus 4 eps times the mean term
+    over rho (the circle sum's rounding) and 4 d eps max |log e| (the
+    rounding of rebuilding the d x d matrix and reading it back).
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    d = op.dimension
-    eye = np.eye(d, dtype=complex)
-    p1 = complex_power(op, h)
-    p2 = complex_power(op, 2.0 * h)
-    logs = np.abs(np.log(op.eigensystem()[0]))
-    eps = np.finfo(float).eps
-    err = h * h * logs**3 * (1.0 + h * logs) / 3.0 + (5 * d + 8) * eps / (2.0 * h)
-    return (4.0 * p1 - p2 - 3.0 * eye) / (2.0 * h), err
+    eigs, vecs = op.eigensystem()
+    logs = np.log(eigs)
+    top = float(np.abs(logs).max())
+    rho = 2.0 / max(2.0, top)
+    values = np.exp(-np.outer(logs, _circle(0.0, rho, 32)))
+    mode, alias = _circle_mode(values, 1)
+    mass = np.abs(values).mean(axis=1)
+    err = (alias + 4.0 * _EPS * mass) / rho + 4.0 * op.dimension * _EPS * top
+    # log e is real, so is every Taylor coefficient of e^(-alpha log e)
+    return (vecs * (mode.real / rho)) @ vecs.conj().T, err
 
 
 def _log_det(matrix: np.ndarray) -> complex:

@@ -46,7 +46,6 @@ from .errors import (
     EmptyResultStrip,
     EmptyStripIntersection,
     SideConditionViolation,
-    SlowContourDecay,
     StripViolation,
 )
 from .mellin_core import (
@@ -55,8 +54,11 @@ from .mellin_core import (
     MellinFunction,
     QuadratureConfig,
     _KernelSum,
+    _circle,
+    _circle_mode,
     _eval_vector,
     _haar_transforms,
+    _line_integral,
     _panels,
     _tanh_sinh,
     _wrap_eval,
@@ -301,14 +303,9 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
                 1.0,
             )
             rho = 0.5 * dist
-            k = np.arange(32)
-            th = 2.0 * math.pi * k / 32
-            z = al + rho * np.exp(1j * th)
-            tv = _eval_vector(T, z)
             # Cauchy derivative on the circle: n-th Fourier mode
-            return complex(
-                math.factorial(n) / (32 * rho**n) * np.sum(tv * np.exp(-1j * n * th))
-            )
+            mode, _ = _circle_mode(_eval_vector(T, _circle(al, rho, 32)), n)
+            return complex(math.factorial(n) / rho**n * mode)
 
         return TransformedPair(new_f, new_T, FundamentalStrip(a, b), label=new_f.label)
 
@@ -626,7 +623,7 @@ def parseval_pair(
     )
     lhs = forward_mellin(prod, alpha, cfg=cfg).value
 
-    def line_term(ts: np.ndarray, rows=None) -> np.ndarray:
+    def line_term(ts: np.ndarray) -> np.ndarray:
         # every node of an outer level in one transform call for g and one for h
         gv, _ = _haar_transforms(g, c + 1j * ts, cfg)
         hv, _ = _haar_transforms(h, alpha - c - 1j * ts, cfg)
@@ -635,18 +632,6 @@ def parseval_pair(
         re = gv.real * hv.real - gv.imag * hv.imag
         return re + 1j * (gv.real * hv.imag + gv.imag * hv.real)
 
-    T = None
-    probe = 2.0
-    while probe <= 64.0:
-        m = np.abs(line_term(np.array([probe, -probe])))
-        if np.all(m < max(cfg.abs_tol, 1e-14)):
-            T = probe
-            break
-        probe *= 2.0
-    if T is None:
-        raise SlowContourDecay(
-            "Parseval line integrand does not decay inside the scan window"
-        )
     # inner transforms leave noise around 1e-12, so the outer refinement
     # cannot be asked for more than that
     ocfg = replace(
@@ -655,9 +640,8 @@ def parseval_pair(
         abs_tol=max(cfg.abs_tol, 1e-11),
         max_levels=8,
     )
-    (i_l, i_r), _ = _tanh_sinh(line_term, [-T, 0.0], [0.0, T], ocfg)
-    rhs = (complex(i_l) + complex(i_r)) / (2.0 * math.pi)
-    return complex(lhs), complex(rhs)
+    rhs, _ = _line_integral(line_term, max(cfg.abs_tol, 1e-14), ocfg)
+    return complex(lhs), rhs / (2.0 * math.pi)
 
 
 def convolution_exp(

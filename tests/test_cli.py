@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +349,18 @@ class TestExitCodes:
         assert run(["det", "--matrix", str(path), "--alpha", "1"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["det", "--matrix", "{}", "--alpha", "1"], ["det", "--spectrum", "2,3", "--regulator", "{}", "--alpha", "1"]],
+        ids=["matrix", "regulator"],
+    )
+    def test_trailing_matrix_entries_rejected(self, capsys, tmp_path, argv):
+        # a 2 x 2 matrix followed by three entries too many
+        path = tmp_path / "long.txt"
+        path.write_text("2\n2 0\n0 3\n7 7 7\n")
+        assert run([a.format(path) for a in argv]) == 1
+        assert "expected 4 entries, got 7" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_grid_values_and_order(self, capsys):
@@ -462,3 +475,19 @@ class TestDeterminism:
         first = subprocess.run(argv, capture_output=True, check=True).stdout
         second = subprocess.run(argv, capture_output=True, check=True).stdout
         assert first == second and first
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_PREFIX = "python3 -m mellinium.cli "
+
+
+class TestReadmeExamples:
+    COMMANDS = [line[len(README_PREFIX):] for line in README.read_text().splitlines() if line.startswith(README_PREFIX)]
+
+    def test_examples_found(self):
+        assert len(self.COMMANDS) >= 15
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_example_runs(self, capsys, command):
+        code, recs = run_lines(capsys, shlex.split(command))
+        assert code == 0 and recs

@@ -21,6 +21,8 @@ from mellinium import (
     Normalization,
     NormalizationPole,
     QuadratureConfig,
+    QuadratureDivergence,
+    SlowContourDecay,
     StripViolation,
     bose_function,
     forward_mellin,
@@ -28,7 +30,7 @@ from mellinium import (
     infer_strip,
     inverse_mellin,
 )
-from mellinium.mellin_core import _gamma, _rgamma
+from mellinium.mellin_core import _BLOCK_POINTS, _gamma, _rgamma, _tanh_sinh
 
 from conftest import make_exp, make_rational
 from oracles import zeta_from_eta
@@ -303,6 +305,22 @@ class TestInferStrip:
         with pytest.raises(InconsistentDeclaration):
             infer_strip(wrong, self.GRID)
 
+    def test_faster_than_any_power(self):
+        # slopes beyond +-35 read as infinite orders, at either edge
+        est = infer_strip(lambda x: np.minimum(x, 1.0) ** 50, self.GRID)
+        assert est.a == -math.inf and est.b == pytest.approx(0.0, abs=0.1)
+        est = infer_strip(lambda x: 1.0 / (1.0 + x**50), self.GRID)
+        assert est.a == pytest.approx(0.0, abs=0.1) and est.b == math.inf
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [(make_exp(1.0), 0.0, 5.0), (make_rational(), -1.0, math.inf)],
+        ids=["finite-declared-infinite-fitted", "infinite-declared-finite-fitted"],
+    )
+    def test_finite_and_infinite_orders_disagree(self, f, a, b):
+        with pytest.raises(InconsistentDeclaration):
+            infer_strip(MellinFunction(f.eval, a, b), self.GRID)
+
     def test_insufficient_decay(self):
         def osc(x):
             arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -328,6 +346,11 @@ class TestInverseMellin:
     def test_positive_x_required(self):
         with pytest.raises(ValueError):
             inverse_mellin(lambda a: 1.0 / (a + 1.0) ** 3, c=1.0, x=-1.0)
+
+    def test_slow_decay_on_the_line_raises(self):
+        # |1/(1 + it)| is still 1/64 at the end of the scan
+        with pytest.raises(SlowContourDecay):
+            inverse_mellin(lambda a: 1.0 / a, 1.0, 2.0)
 
 
 class TestHankelMellin:
@@ -362,6 +385,11 @@ class TestHankelMellin:
     def test_pole_at_one(self):
         with pytest.raises(NormalizationPole):
             hankel_mellin(bose_function(), 1.0)
+
+    def test_undecayed_ray_raises(self):
+        # e^(-x/10) x^(alpha-1) is still about 0.1 at the rays' end x = 40
+        with pytest.raises(QuadratureDivergence):
+            hankel_mellin(make_exp(0.1), 0.5 + 0.5j)
 
     def test_contour_spec_validation(self):
         for radius in (0.0, 40.0):
@@ -409,3 +437,42 @@ class TestHankelMellin:
         bad = MellinFunction(ev, 0.0, math.inf, label="nonanalytic")
         with pytest.raises(ContourDependence):
             hankel_mellin(bad, 0.5)
+
+
+class TestTanhSinh:
+    @staticmethod
+    def peaks(centers):
+        """Rows of 1/(1e-2 + (x - c)^2), with the sizes of the calls g gets."""
+        sizes = []
+
+        def g(x, rows):
+            sizes.append(x.size)
+            c = np.repeat(centers[rows], x.size // rows.size)
+            return 1.0 / (1e-2 + (x - c) ** 2)
+
+        return g, sizes
+
+    def test_block_split_matches_one_row_calls(self):
+        centers = np.linspace(-0.5, 0.5, 20_000)
+        g, sizes = self.peaks(centers)
+        n = centers.size
+        vals, errs = _tanh_sinh(g, np.full(n, -1.0), np.full(n, 1.0))
+        # a level of more than _BLOCK_POINTS nodes went to g in blocks of rows
+        assert max(sizes) == _BLOCK_POINTS and len(sizes) > 9
+        for i in range(0, n, 997):
+            one, _ = self.peaks(centers[i : i + 1])
+            v, e = _tanh_sinh(one, [-1.0], [1.0])
+            assert (v[0], e[0]) == (vals[i], errs[i])
+
+    def test_max_levels_exit(self):
+        g, _ = self.peaks(np.zeros(1))
+        exact = 20.0 * math.atan(10.0)
+        # unsettled after max_levels but within 50 tolerances: the value
+        # comes back with its estimate
+        cfg = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-300, max_levels=5)
+        (v,), (e,) = _tanh_sinh(g, [-1.0], [1.0], cfg)
+        assert abs(v - exact) <= e < 0.2
+        # further off: the interval is named
+        cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-300, max_levels=5)
+        with pytest.raises(QuadratureDivergence, match=r"\[-1, 1\]"):
+            _tanh_sinh(g, [-1.0], [1.0], cfg)

@@ -32,6 +32,8 @@ from mellinium import (
     spectral_zeta,
 )
 
+from mellinium.operator_calculus import _functional_log
+
 from conftest import make_exp
 from oracles import spectrum_zeta_direct
 
@@ -182,6 +184,23 @@ class TestFunctionalLog:
         got = functional_log(op)
         assert got[0, 0] == pytest.approx(-math.log(2.0), abs=1e-7)
         assert got[1, 1] == pytest.approx(-math.log(3.0), abs=1e-7)
+
+    def test_estimate_bounds_error_on_random_operators(self):
+        # dense operators with eigenvalues 0.05-80, read back on their
+        # eigenvectors as the CLI reads them
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(1000):
+            d = int(rng.integers(2, 9))
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            h = (q * np.exp(rng.uniform(math.log(0.05), math.log(80.0), d))) @ q.conj().T
+            op = OperatorSpec.from_matrix((h + h.conj().T) / 2.0)
+            log, est = _functional_log(op)
+            eigs, vecs = op.eigensystem()
+            got = np.diag(vecs.conj().T @ log @ vecs)
+            worst = max(worst, float(np.max(np.abs(got + np.log(eigs)) / est)))
+            assert est.max() < 1e-8
+        assert worst <= 1.0
 
 
 class TestFunctionalDeterminant:

@@ -28,6 +28,7 @@ from mellinium import (
     Primitive,
     Scale,
     SideConditionViolation,
+    SlowContourDecay,
     StripViolation,
     TransformedPair,
     apply_rule,
@@ -43,7 +44,7 @@ from mellinium import (
 
 from mellinium.mellin_core import DEFAULT_CONFIG, _widened_config
 
-from conftest import make_exp, make_self_involutive
+from conftest import make_exp, make_power_cutoff, make_self_involutive
 from oracles import zeta_from_eta
 
 
@@ -275,6 +276,12 @@ class TestParseval:
     def test_line_outside_strip(self):
         with pytest.raises(StripViolation):
             parseval_pair(make_exp(1.0), make_exp(1.0), 2.0, -1.0)
+
+    def test_slow_decay_on_the_line_raises(self):
+        # x^(1/2) on (0, 1]: both transforms fall off only like 1/t
+        p = make_power_cutoff(0.5, 0)
+        with pytest.raises(SlowContourDecay):
+            parseval_pair(p, p, 0.2, 0.1)
 
 
 def counted(f: MellinFunction) -> tuple[MellinFunction, list[int]]:
