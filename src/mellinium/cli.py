@@ -227,6 +227,8 @@ def _read_matrix(path: str) -> np.ndarray:
     if not tokens:
         raise ValueError(f"empty matrix file {path}")
     d = int(tokens[0])
+    if d < 1:
+        raise ValueError(f"matrix file {path}: dimension {d} must be at least 1")
     need = d * d
     entries = tokens[1:]
     if len(entries) != need:

@@ -277,8 +277,8 @@ class FundamentalStrip:
 class MellinFunction:
     """A function on (0, inf) together with its declared decay orders.
 
-    ``eval`` should accept numpy arrays (scalars and complex arguments
-    are also fine for functions meant to be used on Hankel contours).
+    ``eval`` must map a numpy array to an array of the same shape (of
+    complex arguments too, for functions used on Hankel contours).
     ``order_at_zero`` is a with f = O(x^-a) at 0+, ``order_at_infinity``
     is b with f = O(x^-b) at infinity, so the fundamental strip is
     <a, b>. ``atom_weight`` carries a point mass at x = 1 (the identity
@@ -719,7 +719,10 @@ def _wrap_eval(core: Callable[[np.ndarray], np.ndarray], dtype=None) -> Callable
 
 
 def _eval_vector(func: Callable, x: np.ndarray) -> np.ndarray:
-    """Call func on an array, falling back to a scalar loop."""
+    """func on an array, by a scalar loop when func takes scalars only.
+
+    For transform sides and probes; a MellinFunction's eval is called directly.
+    """
     arr = np.asarray(x)
     try:
         out = np.asarray(func(arr))
@@ -845,7 +848,10 @@ def _haar_transforms(
     shared = len(res) < alphas.size
 
     def f_at(u: np.ndarray) -> np.ndarray:
-        return _eval_vector(f.eval, u.ravel()).reshape(u.shape)
+        fu = np.asarray(f.eval(u.ravel()))
+        if fu.shape != (u.size,):
+            raise ValueError(f"eval of {f.label or 'f'} gave shape {fu.shape} for {u.size} points")
+        return fu.reshape(u.shape)
 
     def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         t = x.reshape(rows.size, -1)
@@ -1149,12 +1155,12 @@ def _hankel_direct(
         logz = np.empty(u.shape, dtype=complex)
         if ray.any():
             xs = np.exp(u[ray])
-            fz[ray] = _eval_vector(f.eval, xs.ravel()).reshape(xs.shape) * xs
+            fz[ray] = np.asarray(f.eval(xs.ravel())).reshape(xs.shape) * xs
             logz[ray] = u[ray]
         if arc.any():
             r = radii[seg[arc], None]
             z = r * np.exp(1j * u[arc])
-            fz[arc] = _eval_vector(f.eval, z.ravel()).reshape(z.shape) * (1j * z)
+            fz[arc] = np.asarray(f.eval(z.ravel())).reshape(z.shape) * (1j * z)
             logz[arc] = np.log(r) + 1j * u[arc]
         return fz[run] * np.exp(am1[rows] * logz[run])
 

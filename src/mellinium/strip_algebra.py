@@ -27,8 +27,9 @@ grid in t = log x, and each is a finite sum of scaled copies of one
 kernel, c0 k(x) + sum_j w_j k(x e^(-t_j)). By the Scale rule its
 transform is exactly K(alpha) (c0 + sum_j w_j e^(alpha t_j)), which
 forward_mellin uses: only the kernel's own transform is a quadrature.
-Functions derived from them (rules, the involution) are transformed by
-quadrature of their pointwise values, as any other function.
+Functions derived from them (rules, the involution, Parseval's pointwise
+product) are transformed by quadrature of their pointwise values, as any
+other function, within the grid span they carry (_derived).
 """
 
 from __future__ import annotations
@@ -215,8 +216,7 @@ def _dt_derivative(f: MellinFunction, n: int) -> Callable[[np.ndarray], np.ndarr
 
     def dF(t: np.ndarray) -> np.ndarray:
         pts = t[..., None] + offs * h
-        vals = _eval_vector(f.eval, np.exp(pts))
-        return vals @ coeffs / h**n
+        return f.eval(np.exp(pts)) @ coeffs / h**n
 
     return dF
 
@@ -237,63 +237,64 @@ def _check_no_atom(f: MellinFunction, what: str) -> None:
         raise ValueError(f"{what} does not support functions carrying a point mass")
 
 
-def _mapped_span(f: MellinFunction, move: Callable[[float], float]):
-    """Grid span of f, moved to a function whose value at e^move(s) is made from f(e^s)."""
-    if f.grid_span is None:
-        return None
-    return tuple(sorted(move(s) for s in f.grid_span))
+def _derived(
+    f: MellinFunction, core: Callable, a: float, b: float, tag: str, move=None, other=None
+) -> MellinFunction:
+    """The function core on <a, b>, made from f's values and labelled tag[f.label].
+
+    A grid-built f is trusted on its grid span only. The result's value
+    at e^move(s) is made from f(e^s), so its span is f's moved; with no
+    move its value at x is made from f(x), and a product with ``other``
+    is trusted where both factors are.
+    """
+    spans = [g.grid_span for g in (f, other) if g is not None and g.grid_span is not None]
+    span = (max(s[0] for s in spans), min(s[1] for s in spans)) if spans else None
+    if span is not None and move is not None:
+        span = tuple(sorted(map(move, span)))
+    return MellinFunction(_wrap_eval(core), a, b, label=f"{tag}[{f.label}]", grid_span=span)
 
 
 def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
     """Apply a transform rule to a pair, producing the mapped pair.
 
-    Raises SideConditionViolation for out-of-domain rule parameters and
-    EmptyResultStrip when the mapped strip is empty.
+    Each rule gives the function side's values (core), the transform
+    side, the mapped strip <lo, hi>, the change of variable of the grid
+    span and the label tag. Raises SideConditionViolation for
+    out-of-domain rule parameters and EmptyResultStrip when the mapped
+    strip is empty.
     """
     f = pair.function_side
     _check_no_atom(f, "apply_rule")
     T = pair.transform_side
     a, b = pair.strip.a, pair.strip.b
+    lo, hi, move = a, b, None
 
     if isinstance(rule, Scale):
         c = float(rule.c)
         if c <= 0:
             raise SideConditionViolation(f"Scale needs c > 0, got {c}")
-        fn = _wrap_eval(lambda xs: _eval_vector(f.eval, c * xs))
-        span = _mapped_span(f, lambda s: s - math.log(c))
-        new_f = MellinFunction(fn, a, b, label=f"scale({c:g})[{f.label}]", grid_span=span)
+        core = lambda xs: f.eval(c * xs)
         new_T = lambda al: c ** (-complex(al)) * complex(T(al))
-        return TransformedPair(new_f, new_T, FundamentalStrip(a, b), label=new_f.label)
+        move, tag = (lambda s: s - math.log(c)), f"scale({c:g})"
 
-    if isinstance(rule, PowerShift):
+    elif isinstance(rule, PowerShift):
         d = float(rule.d)
-        fn = _wrap_eval(lambda xs: xs**d * _eval_vector(f.eval, xs))
-        new_f = MellinFunction(
-            fn, a - d, b - d, label=f"shift({d:g})[{f.label}]", grid_span=f.grid_span
-        )
+        core = lambda xs: xs**d * f.eval(xs)
         new_T = lambda al: complex(T(complex(al) + d))
-        return TransformedPair(new_f, new_T, FundamentalStrip(a - d, b - d), label=new_f.label)
+        lo, hi, tag = a - d, b - d, f"shift({d:g})"
 
-    if isinstance(rule, PowerSubstitute):
+    elif isinstance(rule, PowerSubstitute):
         r = float(rule.r)
         if r == 0:
             raise SideConditionViolation("PowerSubstitute needs r != 0")
-        fn = _wrap_eval(lambda xs: _eval_vector(f.eval, xs**r))
-        lo, hi = sorted((r * a, r * b))
-        span = _mapped_span(f, lambda s: s / r)
-        new_f = MellinFunction(fn, lo, hi, label=f"subst({r:g})[{f.label}]", grid_span=span)
+        core = lambda xs: f.eval(xs**r)
         new_T = lambda al: complex(T(complex(al) / r)) / abs(r)
-        return TransformedPair(new_f, new_T, FundamentalStrip(lo, hi), label=new_f.label)
+        lo, hi = sorted((r * a, r * b))
+        move, tag = (lambda s: s / r), f"subst({r:g})"
 
-    if isinstance(rule, LogMultiply):
+    elif isinstance(rule, LogMultiply):
         n = _require_positive_int(rule.n, "LogMultiply")
-
-        def fn_core(xs: np.ndarray) -> np.ndarray:
-            return np.log(xs) ** n * _eval_vector(f.eval, xs)
-
-        new_f = MellinFunction(
-            _wrap_eval(fn_core), a, b, label=f"log^{n}[{f.label}]", grid_span=f.grid_span
-        )
+        core = lambda xs: np.log(xs) ** n * f.eval(xs)
 
         def new_T(al: complex) -> complex:
             al = complex(al)
@@ -307,39 +308,29 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
             mode, _ = _circle_mode(_eval_vector(T, _circle(al, rho, 32)), n)
             return complex(math.factorial(n) / rho**n * mode)
 
-        return TransformedPair(new_f, new_T, FundamentalStrip(a, b), label=new_f.label)
+        tag = f"log^{n}"
 
-    if isinstance(rule, EulerDerivative):
+    elif isinstance(rule, EulerDerivative):
         n = _require_positive_int(rule.n, "EulerDerivative")
         dF = _dt_derivative(f, n)
-
-        def fn_core(xs: np.ndarray) -> np.ndarray:
-            return dF(np.log(xs))
-
-        new_f = MellinFunction(
-            _wrap_eval(fn_core), a, b, label=f"euler^{n}[{f.label}]", grid_span=f.grid_span
-        )
+        core = lambda xs: dF(np.log(xs))
         new_T = lambda al: (-complex(al)) ** n * complex(T(al))
-        return TransformedPair(new_f, new_T, FundamentalStrip(a, b), label=new_f.label)
+        tag = f"euler^{n}"
 
-    if isinstance(rule, Derivative):
+    elif isinstance(rule, Derivative):
         n = _require_positive_int(rule.n, "Derivative")
         # d^n/dx^n = x^-n (E)(E-1)...(E-n+1) with E = x d/dx = d/dt
         poly = np.poly(np.arange(n, dtype=float))  # monic, roots 0..n-1
         ks = np.arange(n, 0, -1)  # degree of each non-constant coefficient
         dFs = {int(k): _dt_derivative(f, int(k)) for k in ks}
 
-        def fn_core(xs: np.ndarray) -> np.ndarray:
+        def core(xs: np.ndarray) -> np.ndarray:
             t = np.log(xs)
             acc = np.zeros(t.shape, dtype=complex)
             for coef, k in zip(poly[:-1], ks):
                 acc = acc + coef * dFs[int(k)](t)
             # poly[-1] is the z^0 coefficient, zero since 0 is a root
             return acc * xs ** (-float(n))
-
-        new_f = MellinFunction(
-            _wrap_eval(fn_core), a + n, b + n, label=f"d^{n}[{f.label}]", grid_span=f.grid_span
-        )
 
         def new_T(al: complex) -> complex:
             al = complex(al)
@@ -348,12 +339,12 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
                 fac *= al - j
             return (-1.0) ** n * fac * complex(T(al - n))
 
-        return TransformedPair(new_f, new_T, FundamentalStrip(a + n, b + n), label=new_f.label)
+        lo, hi, tag = a + n, b + n, f"d^{n}"
 
-    if isinstance(rule, Primitive):
+    elif isinstance(rule, Primitive):
         n = _require_positive_int(rule.n, "Primitive")
-        new_a, new_b = a - n, min(b, 1.0) - n
-        if not new_a < new_b:
+        lo, hi = a - n, min(b, 1.0) - n
+        if not lo < hi:
             raise EmptyResultStrip(
                 f"Primitive({n}) on strip {pair.strip} yields an empty strip"
             )
@@ -370,36 +361,28 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         rate = max(1.0 - a, 0.02) if math.isfinite(a) else math.inf
         window = max(15.0, 38.0 / rate)
 
-        def fn_core(xs: np.ndarray) -> np.ndarray:
+        def core(xs: np.ndarray) -> np.ndarray:
             out = np.zeros(xs.shape, dtype=complex)
             pos = np.flatnonzero(xs > 0.0)
             x = xs.ravel()[pos]
             top = np.log(np.minimum(x, 1e290))
-            lo, hi, owner = _panels(np.minimum(top, 0.0) - window, top)
+            plo, phi, owner = _panels(np.minimum(top, 0.0) - window, top)
 
             def gs(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
                 s = s.reshape(rows.size, -1)
                 u = np.exp(s)
-                core = _eval_vector(f.eval, u.ravel()).reshape(s.shape) * u
+                fu = np.asarray(f.eval(u.ravel())).reshape(s.shape) * u
                 if n > 1:
-                    core = core * (x[owner[rows], None] - u) ** (n - 1)
-                return core
+                    fu = fu * (x[owner[rows], None] - u) ** (n - 1)
+                return fu
 
-            vals, _ = _tanh_sinh(gs, lo, hi, icfg)
+            vals, _ = _tanh_sinh(gs, plo, phi, icfg)
             total = np.zeros(x.size, dtype=complex)
             np.add.at(total, owner, vals)  # panel by panel, in order
             # real and imaginary parts apart: the quotient of a complex
             # scalar by a float
             out.ravel()[pos] = total.real / fact + 1j * (total.imag / fact)
             return out
-
-        new_f = MellinFunction(
-            _wrap_eval(fn_core),
-            new_a,
-            new_b,
-            label=f"prim^{n}[{f.label}]",
-            grid_span=f.grid_span,
-        )
 
         def new_T(al: complex) -> complex:
             al = complex(al)
@@ -408,9 +391,13 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
                 fac *= al + j
             return (-1.0) ** n * complex(T(al + n)) / fac
 
-        return TransformedPair(new_f, new_T, FundamentalStrip(new_a, new_b), label=new_f.label)
+        tag = f"prim^{n}"
 
-    raise TypeError(f"unknown rule {rule!r}")
+    else:
+        raise TypeError(f"unknown rule {rule!r}")
+
+    new_f = _derived(f, core, lo, hi, tag, move)
+    return TransformedPair(new_f, new_T, new_f.strip, label=new_f.label)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +429,17 @@ def _induced_strip(
     return f.strip.intersect(h.strip)
 
 
+def _grid_values(values: Callable[[], np.ndarray]) -> np.ndarray:
+    """values() with every non-finite entry set to 0.
+
+    Points past a float's range overflow or underflow, and so may a
+    function's values there: floating-point warnings are off, and such
+    terms carry no weight.
+    """
+    with np.errstate(all="ignore"):
+        return np.nan_to_num(values(), nan=0.0, posinf=0.0, neginf=0.0)
+
+
 def _chunked_kernel_sum(
     weights: np.ndarray, grid_factors: np.ndarray, kernel: Callable, xs: np.ndarray
 ) -> np.ndarray:
@@ -457,9 +455,7 @@ def _chunked_kernel_sum(
     res = out.ravel()
     for k in range(0, len(flat), step):
         block = flat[k : k + step]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            vals = _eval_vector(kernel, block[:, None] * grid_factors[None, :])
-            vals = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
+        vals = _grid_values(lambda: kernel(block[:, None] * grid_factors[None, :]))
         res[k : k + step] = np.einsum("ij,j->i", vals, weights)
     return out
 
@@ -486,7 +482,7 @@ def _kernel_sum_function(
     def core(xs: np.ndarray) -> np.ndarray:
         out = _chunked_kernel_sum(weights, factors, kernel, xs) if weights.size else 0.0
         if ks.c0:
-            out = ks.c0 * np.asarray(_eval_vector(kernel, xs), dtype=complex) + out
+            out = ks.c0 * np.asarray(kernel(xs), dtype=complex) + out
         return out
 
     f = MellinFunction(
@@ -517,9 +513,7 @@ def mult_convolve(
             f"strips {f.strip} and {h.strip} do not intersect"
         )
     t, span = _log_grid(cfg)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        fw = _eval_vector(f.eval, np.exp(t)) * _GRID_STEP
-    fw = np.nan_to_num(fw, nan=0.0, posinf=0.0, neginf=0.0)
+    fw = _grid_values(lambda: f.eval(np.exp(t)) * _GRID_STEP)
     return _kernel_sum_function(
         _KernelSum(h, t, fw, 0.0, f.strip),
         strip,
@@ -553,12 +547,8 @@ def star_convolve(
             f"strip {f.strip} does not meet the reflected strip of {h.strip}"
         )
     t, span = _log_grid(cfg)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        fac = np.exp(t)
-        hw = _eval_vector(h.eval, fac) * fac * _GRID_STEP
-        hw = np.nan_to_num(hw, nan=0.0, posinf=0.0, neginf=0.0)
-    # past t = 709 the grid factor e^t overflows: those points carry no weight
-    hw = np.where(np.isfinite(fac), hw, 0.0)
+    # past t = 709 the factor e^t overflows, and the term is dropped
+    hw = _grid_values(lambda: h.eval(np.exp(t)) * np.exp(t) * _GRID_STEP)
     reflected = FundamentalStrip(1.0 - h.order_at_infinity, 1.0 - h.order_at_zero)
     return _kernel_sum_function(
         _KernelSum(f, -t, hw, 0.0, reflected),
@@ -574,16 +564,25 @@ def involution(f: MellinFunction) -> MellinFunction:
     Transform side: M[f*; alpha] = conj(M[f; 1 - conj(alpha)]).
     """
     _check_no_atom(f, "involution")
-
-    def core(xs: np.ndarray) -> np.ndarray:
-        return np.conj(_eval_vector(f.eval, 1.0 / xs)) / xs
-
-    return MellinFunction(
-        _wrap_eval(core),
+    return _derived(
+        f,
+        lambda xs: np.conj(f.eval(1.0 / xs)) / xs,
         1.0 - f.order_at_infinity,
         1.0 - f.order_at_zero,
-        label=f"invol[{f.label}]",
-        grid_span=_mapped_span(f, lambda t: -t),
+        "invol",
+        lambda t: -t,
+    )
+
+
+def _product(g: MellinFunction, h: MellinFunction) -> MellinFunction:
+    """The pointwise product g h, on the sum of the strips' orders."""
+    return _derived(
+        g,
+        lambda xs: g.eval(xs) * h.eval(xs),
+        g.order_at_zero + h.order_at_zero,
+        g.order_at_infinity + h.order_at_infinity,
+        f"times({h.label})",
+        other=h,
     )
 
 
@@ -612,16 +611,7 @@ def parseval_pair(
             f"alpha - c = {alpha - c} outside h strip {h.strip}"
         )
 
-    def product(xs: np.ndarray) -> np.ndarray:
-        return _eval_vector(g.eval, xs) * _eval_vector(h.eval, xs)
-
-    prod = MellinFunction(
-        _wrap_eval(product),
-        g.order_at_zero + h.order_at_zero,
-        g.order_at_infinity + h.order_at_infinity,
-        label="g*h pointwise",
-    )
-    lhs = forward_mellin(prod, alpha, cfg=cfg).value
+    lhs = forward_mellin(_product(g, h), alpha, cfg=cfg).value
 
     def line_term(ts: np.ndarray) -> np.ndarray:
         # every node of an outer level in one transform call for g and one for h
@@ -670,11 +660,9 @@ def convolution_exp(
 
     t, span = _log_grid(cfg)
     n_grid = len(t)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        h_grid = np.nan_to_num(_eval_vector(h.eval, np.exp(t)), nan=0.0, posinf=0.0, neginf=0.0)
-        m = np.arange(-(n_grid - 1), n_grid, dtype=float)
-        kernel = _eval_vector(h.eval, np.exp(m * _GRID_STEP))
-        kernel = np.nan_to_num(kernel, nan=0.0, posinf=0.0, neginf=0.0)
+    h_grid = _grid_values(lambda: h.eval(np.exp(t)))
+    m = np.arange(-(n_grid - 1), n_grid, dtype=float)
+    kernel = _grid_values(lambda: h.eval(np.exp(m * _GRID_STEP)))
 
     alpha_probe = complex(FundamentalStrip(a, b).midpoint())
     probe_w = np.exp(alpha_probe * t) * _GRID_STEP

@@ -143,6 +143,10 @@ class TestZetaRoutes:
         with pytest.raises(ValueError):
             zeta_value(2.0, route="borel")
 
+    def test_hankel_needs_positive_real_part(self):
+        with pytest.raises(StripViolation):
+            zeta_value(-0.5 + 1j, route="hankel")
+
 
 class TestEta:
     def test_special_values(self):

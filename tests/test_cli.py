@@ -133,6 +133,30 @@ class TestSubcommands:
         assert code == 0
         assert recs[0]["value"][0] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
+    def test_det_regulator_file(self, capsys, tmp_path):
+        path = tmp_path / "reg.txt"
+        path.write_text("2\n1 0\n0 1\n")
+        code, recs = run_lines(
+            capsys, ["det", "--spectrum", "2,3", "--regulator", str(path), "--alpha", "1"]
+        )
+        assert code == 0 and len(recs) == 1
+        assert recs[0]["inputs"]["regulator"] == str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "--fn", "exp_decay", "--alpha", "1.5", "--norm", "gamma-p:0.5"],
+            ["transform", "--fn", "exp_decay", "--alpha", "1.5", "--rel-tol", "1e-8", "--abs-tol", "1e-10"],
+            ["zeta", "--route", "hankel", "--alpha", "0.5", "--radius", "0.25"],
+        ],
+        ids=["gamma-p", "tolerances", "hankel-radius"],
+    )
+    def test_single_record(self, capsys, argv):
+        code, recs = run_lines(capsys, argv)
+        assert code == 0 and len(recs) == 1
+        if argv[0] == "zeta":
+            assert recs[0]["inputs"]["radius"] == "0.25"
+
     def test_power_emits_one_record_per_eigenvalue(self, capsys):
         code, recs = run_lines(capsys, ["power", "--spectrum", "2,3", "--alpha", "0.5"])
         assert len(recs) == 2
@@ -360,6 +384,46 @@ class TestExitCodes:
         path.write_text("2\n2 0\n0 3\n7 7 7\n")
         assert run([a.format(path) for a in argv]) == 1
         assert "expected 4 entries, got 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["det", "--matrix", "{}", "--alpha", "1"], ["det", "--spectrum", "2,3", "--regulator", "{}", "--alpha", "1"]],
+        ids=["matrix", "regulator"],
+    )
+    @pytest.mark.parametrize("text, d", [("0\n", 0), ("-2\n1 0\n0 1\n", -2)], ids=["zero", "negative"])
+    def test_dimension_below_one_rejected(self, capsys, tmp_path, argv, text, d):
+        path = tmp_path / "dim.txt"
+        path.write_text(text)
+        assert run([a.format(path) for a in argv]) == 1
+        assert f"dimension {d} must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["transform", "--fn", "exp_decay", "--alpha", "1,2,3"], "expected re[,im]"),
+            (["transform", "--fn", "exp_decay", "--alpha", "1", "--norm", "gamma-q"], "unknown normalization"),
+            (["det", "--spectrum", "2,x", "--alpha", "1"], "bad spectrum list"),
+            (["det", "--spectrum", ",", "--alpha", "1"], "empty spectrum list"),
+            (["sweep", "transform", "--fn", "exp_decay", "--alpha-grid"], "needs a value"),
+            (["sweep", "transform", "--fn", "exp_decay"], "sweep requires --alpha-grid"),
+            (["sweep", "transform", "--fn", "exp_decay", "--alpha-grid", "1:2:0"], "grid count must be >= 1"),
+            (["sweep", "log", "--spectrum", "2,3", "--alpha-grid", "1:2:2"], "cannot be swept"),
+            (["asymptotic", "--fn", "exp_decay", "--x", "0.1", "--terms", "0"], "--terms must be >= 1"),
+            (["asymptotic", "--fn", "heat_kernel", "--x", "0.1"], "no pole map"),
+            (["key-check", "--spectrum", "1", "--alpha", "2", "--terms", "-1"], "--terms must be >= 0"),
+            (["convolve", "--kind", "mult", "--fn", "exp_decay", "--alpha", "1"], "requires --fn2"),
+            (["invert", "--fn", "exp_decay", "--x", "1", "--c", "-1"], "lies outside"),
+            (["invert", "--fn", "bose", "--x", "1", "--c", "2"], "no closed transform"),
+        ],
+        ids=[
+            "alpha-parts", "norm", "spectrum-entry", "spectrum-empty", "grid-bare", "grid-missing",
+            "grid-count", "sweep-log", "asymptotic-terms", "asymptotic-fn", "key-check-terms",
+            "convolve-fn2", "invert-c", "invert-fn",
+        ],
+    )
+    def test_usage_error_message(self, capsys, argv, message):
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestSweep:

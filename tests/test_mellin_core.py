@@ -118,6 +118,11 @@ class TestNormalization:
         with pytest.raises(ValueError):
             Normalization("lebesgue")
 
+    def test_transform_at_a_multiplier_pole(self):
+        # gamma-contour multiplies by Gamma(1 - alpha), a pole at alpha = 2
+        with pytest.raises(NormalizationPole):
+            forward_mellin(make_exp(1.0), 2.0, Normalization.gamma_contour())
+
 
 def _random_points(seed: int, re: tuple[float, float], im: float, n: int) -> list[complex]:
     rng = random.Random(seed)
@@ -190,6 +195,8 @@ class TestQuadratureConfig:
             QuadratureConfig(rel_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureConfig(truncation_bounds=(3.0, -3.0))
+        with pytest.raises(ValueError):
+            QuadratureConfig(max_levels=0)
 
     def test_defaults(self):
         assert DEFAULT_CONFIG.rel_tol == 1e-10
@@ -197,6 +204,13 @@ class TestQuadratureConfig:
 
 
 class TestForwardMellin:
+    def test_eval_must_keep_the_shape(self):
+        # a number broadcast over the nodes would make the call fail later,
+        # as a tanh-sinh divergence that names the wrong cause
+        const = MellinFunction(lambda x: 1.0, 0.0, 1.0, label="const")
+        with pytest.raises(ValueError, match="shape"):
+            forward_mellin(const, 0.5)
+
     def test_gamma_values(self):
         f = make_exp(1.0)
         for alpha in (0.5, 1.0, 1.5, 2.0, 3.0):
@@ -329,6 +343,11 @@ class TestInferStrip:
 
         with pytest.raises(InsufficientDecay):
             infer_strip(osc, self.GRID)
+
+    def test_growth_at_both_ends(self):
+        # x^2 + x^-2 fits the empty strip <2, -2>
+        with pytest.raises(InsufficientDecay, match="a=2, b=-2"):
+            infer_strip(lambda x: x**2 + x**-2.0, self.GRID)
 
 
 class TestInverseMellin:

@@ -16,6 +16,7 @@ from mellinium import (
     AnalyticityFailure,
     Derivative,
     DivergentStage,
+    EmptyResultStrip,
     EmptyStripIntersection,
     EulerDerivative,
     FundamentalStrip,
@@ -26,6 +27,7 @@ from mellinium import (
     PowerShift,
     PowerSubstitute,
     Primitive,
+    QuadratureDivergence,
     Scale,
     SideConditionViolation,
     SlowContourDecay,
@@ -43,6 +45,7 @@ from mellinium import (
 )
 
 from mellinium.mellin_core import DEFAULT_CONFIG, _widened_config
+from mellinium.strip_algebra import _product
 
 from conftest import make_exp, make_power_cutoff, make_self_involutive
 from oracles import zeta_from_eta
@@ -96,6 +99,18 @@ class TestRuleTable:
     def test_scale_requires_positive_factor(self):
         with pytest.raises(SideConditionViolation):
             apply_rule(Scale(-1.0), exp_pair())
+
+    def test_primitive_of_a_strip_right_of_one_is_empty(self):
+        # <a - n, min(b, 1) - n> is empty once a >= 1
+        pair = TransformedPair(
+            make_exp(1.0), lambda a: complex(sc_gamma(a)), FundamentalStrip(1.5, math.inf), verify=False
+        )
+        with pytest.raises(EmptyResultStrip):
+            apply_rule(Primitive(1), pair)
+
+    def test_euler_derivative_order_beyond_the_stencils(self):
+        with pytest.raises(SideConditionViolation):
+            apply_rule(EulerDerivative(5), exp_pair())
 
     def test_power_shift(self):
         out = apply_rule(PowerShift(0.5), exp_pair())
@@ -255,6 +270,34 @@ class TestGridSpan:
         assert involution(conv).grid_span == (-t1, -t0)
         assert dataclasses.replace(conv, label="copy").grid_span == (t0, t1)
 
+    def test_parseval_product_carries_the_span(self):
+        g = mult_convolve(make_exp(1.0), make_exp(2.0))
+        h = make_exp(1.0)
+        assert _product(g, h).grid_span == g.grid_span
+        assert _product(h, g).grid_span == g.grid_span
+        scaled = dataclasses.replace(g, grid_span=(-30.0, 50.0))
+        assert _product(g, scaled).grid_span == (-30.0, 40.0)
+        assert _product(h, h).grid_span is None
+
+    def test_parseval_product_past_the_grid_raises(self):
+        # without the span the window ran past the grid: the transform at
+        # 0.3 came back 4.9e-5 off against an estimate of 4.1e-14
+        g = mult_convolve(make_exp(1.0), make_exp(2.0))
+        with pytest.raises(QuadratureDivergence):
+            forward_mellin(_product(g, make_exp(1.0)), 0.3)
+
+
+class TestPointMass:
+    @pytest.mark.parametrize(
+        "build",
+        [involution, lambda f: mult_convolve(f, make_exp(1.0))],
+        ids=["involution", "mult_convolve"],
+    )
+    def test_atom_rejected(self, build):
+        f = dataclasses.replace(make_exp(1.0), atom_weight=1.0)
+        with pytest.raises(ValueError, match="point mass"):
+            build(f)
+
 
 class TestParseval:
     def test_exponential_pair(self):
@@ -276,6 +319,10 @@ class TestParseval:
     def test_line_outside_strip(self):
         with pytest.raises(StripViolation):
             parseval_pair(make_exp(1.0), make_exp(1.0), 2.0, -1.0)
+
+    def test_alpha_minus_c_outside_h_strip(self):
+        with pytest.raises(StripViolation, match="outside h strip"):
+            parseval_pair(make_exp(1.0), make_exp(1.0), 0.2, 0.5)
 
     def test_slow_decay_on_the_line_raises(self):
         # x^(1/2) on (0, 1]: both transforms fall off only like 1/t
