@@ -51,7 +51,7 @@ def _params(ns, suffix: str = ""):
     params = {}
     for key, default in entry.defaults.items():
         given = getattr(ns, key + suffix, None)
-        params[key] = default if given is None else type(default)(given)
+        params[key] = default if given is None else given
     return entry, params
 
 
@@ -238,13 +238,11 @@ def _read_matrix(path: str) -> np.ndarray:
 
 
 def _add_fn_flags(sp, suffix: str = "") -> None:
+    """--fn{suffix}, and one flag per corpus parameter typed by its default."""
     sp.add_argument("--fn" + suffix, choices=tuple(CORPUS), required=(suffix == ""))
-    sp.add_argument("--beta" + suffix, type=float, default=None)
-    sp.add_argument("--eps" + suffix, type=float, default=None)
-    sp.add_argument("--k" + suffix, type=int, default=None)
-    if suffix == "":
-        sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--distance" + suffix, type=float, default=None)
+    params = {key: default for e in CORPUS.values() for key, default in e.defaults.items()}
+    for key, default in params.items():
+        sp.add_argument(f"--{key}{suffix}", type=type(default), default=None)
 
 
 def _add_common(sp, handler, declared=None, with_alpha=True, with_norm=False) -> None:

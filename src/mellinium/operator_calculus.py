@@ -139,14 +139,11 @@ class OperatorSpec:
 
     def heat_trace(self) -> MellinFunction:
         """Tr e^(-g op) as a MellinFunction on the strip <0, inf), real or complex g."""
-        core = _exp_sum(self._eigs, np.ones(self.dimension))
-        return MellinFunction(
-            _wrap_eval(core), 0.0, math.inf, label=f"heat-trace(d={self.dimension})"
-        )
+        return _exp_sum(self._eigs, np.ones(self.dimension), f"heat-trace(d={self.dimension})")
 
 
-def _exp_sum(eigs: np.ndarray, coeffs: np.ndarray):
-    """Array core of g -> sum_k coeffs[k] e^(-eigs[k] g), for real or complex g.
+def _exp_sum(eigs: np.ndarray, coeffs: np.ndarray, label: str) -> MellinFunction:
+    """g -> sum_k coeffs[k] e^(-eigs[k] g) on the strip <0, inf), for real or complex g.
 
     The terms are added one eigenvalue at a time, in order, so no
     len(g) by len(eigs) temporary is built; the result keeps g's shape,
@@ -167,13 +164,17 @@ def _exp_sum(eigs: np.ndarray, coeffs: np.ndarray):
                 out += term
         return out
 
-    return core
+    return MellinFunction(_wrap_eval(core), 0.0, math.inf, label=label)
 
 
 def _branch_power(values: np.ndarray, alpha: complex, winding: int) -> np.ndarray:
-    """values^-alpha on the principal branch shifted by the winding."""
+    """values^-alpha on the principal branch shifted by the winding; finite or raises."""
     logs = np.log(values.astype(complex)) + 2j * math.pi * winding
-    return np.exp(-complex(alpha) * logs)
+    with np.errstate(over="ignore"):
+        powered = np.exp(-complex(alpha) * logs)
+    if not np.isfinite(powered).all():
+        raise ConvergenceDomain(f"a power x^-alpha at alpha={alpha} leaves the float range")
+    return powered
 
 
 def complex_power(
@@ -241,9 +242,7 @@ def spectral_eta(
     """
     eigs = op.spectrum
     signs = np.array([(-1.0) ** i for i in range(len(eigs))])
-    alt = MellinFunction(
-        _wrap_eval(_exp_sum(eigs, signs)), 0.0, math.inf, label=f"alt-heat-trace(d={len(eigs)})"
-    )
+    alt = _exp_sum(eigs, signs, f"alt-heat-trace(d={len(eigs)})")
     tv = forward_mellin(alt, alpha, Normalization.gamma(), cfg=cfg)
     direct = complex(np.sum(signs * _branch_power(eigs, alpha, 0)))
     if abs(tv.value - direct) > max(1e-8, 1e-6 * abs(direct)):
@@ -285,10 +284,18 @@ def _functional_log(op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_det(matrix: np.ndarray) -> complex:
-    d = complex(np.linalg.det(matrix))
-    if abs(d) < 1e-280:
-        raise ZeroDeterminant("determinant vanishes to working precision")
-    return cmath.log(d)
+    """log|det| + i Arg det from LU factors, finite also where det is not."""
+    sign, log_abs = np.linalg.slogdet(matrix)
+    if sign == 0:
+        raise ZeroDeterminant("determinant vanishes: the matrix is singular")
+    return complex(log_abs, cmath.phase(sign))
+
+
+def _exp(z: complex) -> complex:
+    try:
+        return cmath.exp(z)
+    except OverflowError:
+        raise ConvergenceDomain(f"exp({z}) leaves the float range") from None
 
 
 def functional_determinant(
@@ -299,20 +306,18 @@ def functional_determinant(
 ) -> complex:
     """Determinant raised to the complex power: exp(alpha Log det op^-1).
 
-    With a regulator R the value is the regularized ratio
-    exp(alpha (Log det op^-1 - Log det R^-1)); for R = op this is 1 for
-    every alpha. The winding adds alpha * 2 pi i per turn.
+    With a regulator R the value is the ratio exp(alpha (Log det op^-1 - Log det R^-1));
+    for R = op this is 1 for every alpha. The winding adds alpha * 2 pi i per turn.
+    Log det is finite for any nonsingular matrix; ConvergenceDomain if the value is not.
     """
     conv = convention or PhaseConvention()
-    alpha = complex(alpha)
-    log_det_op = _log_det(op.as_matrix())
-    exponent = -log_det_op + 2j * math.pi * conv.winding
+    exponent = 2j * math.pi * conv.winding - _log_det(op.as_matrix())
     if regulator is not None:
         r = np.asarray(regulator.matrix, dtype=complex)
         if r.shape != (op.dimension, op.dimension):
             raise ValueError("regulator shape does not match the operator")
         exponent += _log_det(r)
-    return cmath.exp(alpha * exponent)
+    return _exp(complex(alpha) * exponent)
 
 
 def anomaly_phase(
@@ -330,23 +335,17 @@ def anomaly_phase(
         Arg det op1 + Arg det op2 - Arg det(op1 op2)
 
     survives; it is an integer multiple of 2 pi by construction and is
-    snapped to one. Real positive-definite pairs give exactly 1.
-    Accepts scalars or square matrices.
+    snapped to one. Each Arg comes from a log-determinant, so det may pass the float
+    range. Real positive-definite pairs give exactly 1. Accepts scalars or square matrices.
     """
     conv = convention or PhaseConvention()
     m1 = np.atleast_2d(np.asarray(op1, dtype=complex))
     m2 = np.atleast_2d(np.asarray(op2, dtype=complex))
     if m1.shape != m2.shape or m1.shape[0] != m1.shape[1]:
         raise ValueError("operands must be square matrices of equal shape")
-    d1 = complex(np.linalg.det(m1))
-    d2 = complex(np.linalg.det(m2))
-    d12 = complex(np.linalg.det(m1 @ m2))
-    for d in (d1, d2, d12):
-        if abs(d) < 1e-280:
-            raise ZeroDeterminant("determinant vanishes to working precision")
-    theta = cmath.phase(d1) + cmath.phase(d2) - cmath.phase(d12)
+    theta = (_log_det(m1) + _log_det(m2) - _log_det(m1 @ m2)).imag
     k = round(theta / (2.0 * math.pi))
-    return cmath.exp(-2j * math.pi * complex(alpha) * (k + conv.winding))
+    return _exp(-2j * math.pi * complex(alpha) * (k + conv.winding))
 
 
 def key_identity_check(
@@ -366,7 +365,7 @@ def key_identity_check(
     """
     cfg = cfg or DEFAULT_CONFIG
     alpha = complex(alpha)
-    lhs = cmath.exp(-spectral_zeta(op, alpha, "direct"))
+    lhs = _exp(-spectral_zeta(op, alpha, "direct"))
     h = op.heat_trace()
     # the convolution grid must span the outer transform's window
     wcfg = _widened_config(cfg, 0.0, math.inf, alpha)

@@ -284,6 +284,13 @@ class TestCorpus:
         assert float(recs[0]["inputs"]["exponent"]) == 0.3
         assert recs[0]["inputs"]["log_power"] == "2"
 
+    def test_second_function_takes_every_corpus_flag(self, capsys):
+        argv = ["convolve", "--kind", "mult", "--fn", "exp_decay", "--fn2", "heat_kernel"]
+        code, recs = run_lines(capsys, argv + ["--n2", "4", "--alpha", "1"])
+        assert code == 0 and recs[0]["inputs"]["n2"] == "4"
+        # Gamma(1) for e^-x times pi^(1 - n/2) Gamma(n/2 - 1) for the heat kernel
+        assert abs(recs[0]["value"][0] - 1.0 / math.pi) <= 1e-12
+
 
 class TestErrorEstimates:
     @pytest.mark.parametrize(
@@ -353,6 +360,10 @@ class TestExitCodes:
     def test_numerical_failure(self, capsys):
         assert run(["transform", "--fn", "exp_decay", "--alpha", "-1"]) == 2
         capsys.readouterr()
+
+    def test_overflowing_power(self, capsys):
+        assert run(["power", "--spectrum", "0.001,2", "--alpha", "200"]) == 2
+        assert "ConvergenceDomain" in capsys.readouterr().err
 
     def test_missing_matrix_file(self, capsys):
         assert run(["det", "--matrix", "/no/such/file", "--alpha", "1"]) == 1
@@ -467,6 +478,14 @@ class TestSweep:
         assert recs[0]["inputs"]["skipped_error"] == "StripViolation"
         assert recs[0]["inputs"]["beta"] == "1"
         assert recs[1]["skipped"] is False
+
+    def test_overflowing_power_is_skipped(self, capsys):
+        argv = ["sweep", "power", "--spectrum", "0.001,2", "--alpha-grid", "1:200:2"]
+        code, recs = run_lines(capsys, argv)
+        assert code == 0 and len(recs) == 3
+        assert [r["alpha"][0] for r in recs] == [1, 1, 200]
+        assert [r["skipped"] for r in recs] == [False, False, True]
+        assert recs[2]["inputs"]["skipped_error"] == "ConvergenceDomain"
 
     def test_imaginary_offset_grid(self, capsys):
         code, recs = run_lines(

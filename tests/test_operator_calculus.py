@@ -145,6 +145,15 @@ class TestComplexPower:
         turned = complex_power(op, alpha, PhaseConvention(winding=1))[0, 0]
         assert turned == pytest.approx(base * cmath.exp(-2j * math.pi * alpha))
 
+    def test_overflowing_power_raises(self):
+        # 0.001^-200 overflows; rebuilding the matrix from it turned every
+        # entry, 2^-200 included, into nan
+        op = OperatorSpec.from_spectrum((0.001, 2.0))
+        with pytest.raises(ConvergenceDomain):
+            complex_power(op, 200)
+        with pytest.raises(ConvergenceDomain):
+            spectral_zeta(op, 200, route="direct")
+
 
 class TestResolvent:
     def test_zero_shift_equals_complex_power(self):
@@ -233,6 +242,24 @@ class TestFunctionalDeterminant:
         val = functional_determinant(op, 0.7, regulator=Regulator(np.diag([2.0, 5.0])))
         assert val == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("eig", [10.0, 0.1])
+    def test_determinant_past_the_float_range(self, eig):
+        # det = eig^400 is 1e400 or 1e-400; det^-alpha is a float
+        alpha = 0.5 + 0.1j
+        val = functional_determinant(OperatorSpec.from_spectrum([eig] * 400), alpha)
+        want = cmath.exp(-alpha * 400 * math.log(eig))
+        assert abs(val - want) <= 1e-10 * abs(want)
+
+    def test_regulator_past_the_float_range(self):
+        op = OperatorSpec.from_spectrum([0.1] * 400)
+        val = functional_determinant(op, 0.7, regulator=Regulator(0.1 * np.eye(400)))
+        assert abs(val - 1.0) <= 1e-12
+
+    def test_overflowing_value_raises(self):
+        # det^-1 = 1e1200
+        with pytest.raises(ConvergenceDomain):
+            functional_determinant(OperatorSpec.from_spectrum([0.001] * 400), 1.0)
+
     def test_regulator_shape_checked(self):
         op = OperatorSpec.from_spectrum((2.0,))
         with pytest.raises(ValueError):
@@ -268,6 +295,18 @@ class TestAnomalyPhase:
         m2 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         v = anomaly_phase(m1, m2, 0.37)
         assert abs(abs(v) - 1.0) < 1e-12
+
+    def test_scaled_pair_past_the_float_range(self):
+        # det(1e-4 m1) is about 7e-307, near the bottom of the float range
+        rng = np.random.default_rng(0)
+        m1 = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
+        m2 = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
+        assert anomaly_phase(1e-4 * m1, m2, 0.37) == anomaly_phase(m1, m2, 0.37)
+
+    def test_overflowing_phase_raises(self):
+        z = cmath.exp(2j * math.pi / 3)
+        with pytest.raises(ConvergenceDomain):
+            anomaly_phase([[z]], [[z]], 0.3 + 200j)
 
 
 class TestSpectralZeta:
@@ -317,3 +356,9 @@ class TestKeyIdentity:
             devs.append(abs(lhs - rhs))
             assert devs[-1] <= bound
         assert devs[2] < devs[0]
+
+    def test_overflowing_lhs_raises(self):
+        # zeta = 2^(10 - i pi / log 2) = -1024, so exp(-zeta) overflows
+        op = OperatorSpec.from_spectrum((2.0,))
+        with pytest.raises(ConvergenceDomain):
+            key_identity_check(op, complex(-10.0, math.pi / math.log(2.0)), cfg=self.CFG)

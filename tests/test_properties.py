@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma as sgamma
 
 from mellinium import (
     AsymptoticSeries,
@@ -99,7 +100,6 @@ class TestNormalization:
 
 def exp_pair():
     from mellinium import TransformedPair
-    from scipy.special import gamma as sgamma
 
     return TransformedPair(
         make_exp(1.0),
