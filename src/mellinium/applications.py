@@ -23,14 +23,12 @@ from .errors import (
     StripViolation,
 )
 from .mellin_core import (
-    DEFAULT_CONFIG,
     HankelContourSpec,
     MellinFunction,
     Normalization,
     QuadratureConfig,
     TransformValue,
     _gamma,
-    _widened_config,
     _wrap_eval,
     forward_mellin,
     hankel_mellin,
@@ -310,17 +308,13 @@ def gamma_reflection(
     lhs: Haar transform of the star convolution of two exponentials
     (pointwise 1/(1+x)); rhs: pi / sin(pi alpha).
     """
-    cfg = cfg or DEFAULT_CONFIG
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 1.0:
         raise StripViolation("reflection identity lives on 0 < Re(alpha) < 1")
     f = _exp_function(1.0)
-    # The convolution grid must cover the same window as the outer
-    # transform: near the strip edges the integrand decays slowly and
-    # draws on x far outside the default grid span.
-    wcfg = _widened_config(cfg, 0.0, 1.0, alpha)
-    conv = star_convolve(f, f, wcfg)
-    lhs = forward_mellin(conv, alpha, cfg=wcfg).value
+    # transformed as Gamma(alpha) Gamma(1 - alpha): any grid serves
+    conv = star_convolve(f, f, cfg)
+    lhs = forward_mellin(conv, alpha, cfg=cfg).value
     rhs = complex(math.pi) / np.sin(math.pi * alpha)
     return lhs, complex(rhs)
 

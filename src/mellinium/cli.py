@@ -31,7 +31,7 @@ import numpy as np
 from .applications import CORPUS, HeatKernelProblem, _eta, _greens, _zeta, gamma_reflection
 from .asymptotics import SingularExpansion, asymptotic_from_singular, residue_asymptotics
 from .errors import MelliniumError
-from .mellin_core import DEFAULT_CONFIG, HankelContourSpec, Normalization, _widened_config
+from .mellin_core import DEFAULT_CONFIG, HankelContourSpec, Normalization
 from .mellin_core import forward_mellin, infer_strip, inverse_mellin
 from .operator_calculus import OperatorSpec, PhaseConvention, Regulator, complex_power
 from .operator_calculus import _functional_log, functional_determinant, key_identity_check, resolvent
@@ -45,9 +45,17 @@ __all__ = ["run", "main"]
 # ---------------------------------------------------------------------------
 
 
+# every corpus parameter, with the default that types its flag
+_CORPUS_PARAMS = {key: default for e in CORPUS.values() for key, default in e.defaults.items()}
+
+
 def _params(ns, suffix: str = ""):
-    """The --fn{suffix} corpus entry and its parameters, defaults filled in."""
-    entry = CORPUS[getattr(ns, "fn" + suffix)]
+    """The --fn{suffix} corpus entry and its parameters; a flag it does not take is a ValueError."""
+    name = getattr(ns, "fn" + suffix)
+    entry = CORPUS[name]
+    for key in _CORPUS_PARAMS:
+        if key not in entry.defaults and getattr(ns, key + suffix, None) is not None:
+            raise ValueError(f"--{key}{suffix} does not apply to --fn{suffix} {name}")
     params = {}
     for key, default in entry.defaults.items():
         given = getattr(ns, key + suffix, None)
@@ -240,8 +248,7 @@ def _read_matrix(path: str) -> np.ndarray:
 def _add_fn_flags(sp, suffix: str = "") -> None:
     """--fn{suffix}, and one flag per corpus parameter typed by its default."""
     sp.add_argument("--fn" + suffix, choices=tuple(CORPUS), required=(suffix == ""))
-    params = {key: default for e in CORPUS.values() for key, default in e.defaults.items()}
-    for key, default in params.items():
+    for key, default in _CORPUS_PARAMS.items():
         sp.add_argument(f"--{key}{suffix}", type=type(default), default=None)
 
 
@@ -367,6 +374,7 @@ def _operator(ns) -> tuple[OperatorSpec, dict]:
 def _do_transform(ns) -> list[dict]:
     alpha = ns.alpha
     f, inputs = _function(ns)
+    ns.inputs = inputs
     tv = forward_mellin(f, alpha, ns.norm, cfg=_cfg(ns))
     return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
 
@@ -393,39 +401,39 @@ def _do_convolve(ns) -> list[dict]:
     if ns.fn2 is None:
         raise ValueError("convolve requires --fn2")
     h, inputs2 = _function(ns, "2")
-    # the convolution grid must span the window of the outer transform
-    (a, b), _ = _declared(ns)
-    cfg = _widened_config(_cfg(ns), a, b, alpha)
+    ns.inputs = inputs = {"kind": ns.kind, **inputs1, **inputs2}
+    cfg = _cfg(ns)
     build = mult_convolve if ns.kind == "mult" else star_convolve
     tv = forward_mellin(build(f, h, cfg), alpha, ns.norm, cfg=cfg)
-    inputs = {"kind": ns.kind, **inputs1, **inputs2}
     return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
 
 
 def _do_zeta(ns) -> list[dict]:
     alpha = ns.alpha
     contour = HankelContourSpec(radius=ns.radius) if ns.radius is not None else None
-    tv = _zeta(alpha, ns.route, _cfg(ns), contour)
-    inputs = {"route": ns.route}
+    ns.inputs = inputs = {"route": ns.route}
     if ns.radius is not None:
         inputs["radius"] = _g(ns.radius)
+    tv = _zeta(alpha, ns.route, _cfg(ns), contour)
     return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
 
 
 def _do_eta(ns) -> list[dict]:
     alpha = ns.alpha
+    ns.inputs = inputs = {"route": "fermi"}
     tv = _eta(alpha, _cfg(ns))
-    return _records(ns, [({"route": "fermi"}, alpha, tv.value, tv.abs_error_estimate)])
+    return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
 
 
 def _do_det(ns) -> list[dict]:
     alpha = ns.alpha
     op, inputs = _operator(ns)
     reg = Regulator(_read_matrix(ns.regulator)) if ns.regulator is not None else None
-    value = functional_determinant(op, alpha, PhaseConvention(ns.winding), reg)
     inputs["winding"] = str(ns.winding)
     if ns.regulator is not None:
         inputs["regulator"] = ns.regulator
+    ns.inputs = inputs
+    value = functional_determinant(op, alpha, PhaseConvention(ns.winding), reg)
     return _records(ns, [(inputs, alpha, value, 0.0)])
 
 
@@ -448,6 +456,7 @@ def _do_power(ns) -> list[dict]:
     alpha = ns.alpha
     op, inputs = _operator(ns)
     inputs["winding"] = str(ns.winding)
+    ns.inputs = inputs
     power = complex_power(op, alpha, PhaseConvention(ns.winding))
     return _per_eigenvalue(ns, op, inputs, power, alpha)
 
@@ -456,9 +465,10 @@ def _do_resolvent(ns) -> list[dict]:
     alpha = ns.alpha
     op, inputs = _operator(ns)
     z = complex(ns.z)
-    shifted = resolvent(op, z, alpha, PhaseConvention(ns.winding))
     inputs["winding"] = str(ns.winding)
     inputs["z"] = _g(z.real) + "," + _g(z.imag)
+    ns.inputs = inputs
+    shifted = resolvent(op, z, alpha, PhaseConvention(ns.winding))
     return _per_eigenvalue(ns, op, inputs, shifted, alpha)
 
 
@@ -509,8 +519,9 @@ def _do_key_check(ns) -> list[dict]:
     op, inputs = _operator(ns)
     if ns.terms < 0:
         raise ValueError("--terms must be >= 0")
-    lhs, rhs, bound = key_identity_check(op, alpha, ns.terms, _cfg(ns))
     inputs["terms"] = str(ns.terms)
+    ns.inputs = inputs
+    lhs, rhs, bound = key_identity_check(op, alpha, ns.terms, _cfg(ns))
     inputs["lhs"] = _g(lhs.real) + "," + _g(lhs.imag)
     inputs["deviation"] = _g(abs(lhs - rhs))
     return _records(ns, [(inputs, alpha, rhs, bound)])
@@ -522,16 +533,12 @@ def _do_key_check(ns) -> list[dict]:
 
 
 def _sweep_point(ns, alpha: complex) -> list[dict]:
-    ns.alpha = alpha
+    """One sweep point's records, or a skipped record with the inputs the handler set in ns.inputs."""
+    ns.alpha, ns.inputs = alpha, {}
     try:
         return ns.handler(ns)
     except MelliniumError as exc:
-        inputs = {"skipped_error": type(exc).__name__}
-        for suffix in ("", "2"):
-            if getattr(ns, "fn" + suffix, None):
-                inputs.update(_function(ns, suffix)[1])
-        if getattr(ns, "spectrum", None):
-            inputs["spectrum"] = ",".join(_g(e) for e in ns.spectrum)
+        inputs = {"skipped_error": type(exc).__name__, **ns.inputs}
         return _records(ns, [(inputs, alpha, None, 0.0)], skipped=True)
 
 

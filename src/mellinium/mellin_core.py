@@ -291,11 +291,12 @@ class MellinFunction:
     through their change of variable, and forward_mellin never
     integrates beyond it.
 
-    The convolution builders also record how ``eval`` is made: a finite
-    sum of scaled copies of one kernel (``_KernelSum``), whose transform
-    is exact given the kernel's. The record is not a constructor
-    argument, so ``dataclasses.replace`` and every function derived from
-    a grid-built one drop it: their ``eval`` is no longer that sum.
+    The convolution builders also record how ``eval`` is made, a finite
+    sum of scaled copies of one kernel, together with the transform the
+    algebra gives the convolution from its factors' transforms
+    (``_KernelSum``). The record is not a constructor argument, so
+    ``dataclasses.replace`` and every function derived from a grid-built
+    one drop it: their ``eval`` is no longer that convolution.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -318,17 +319,18 @@ class MellinFunction:
 class _KernelSum:
     """eval(x) = c0 k(x) + sum_j w_j k(x e^(-tau_j)), k the kernel.
 
-    By the Scale rule the Haar transform of such a function is exactly
-    K(alpha) (c0 + sum_j w_j e^(alpha tau_j)), K the kernel's transform.
-    The factor sum discretizes a transform convergent on ``strip``, whose
-    edges give the rates at which its terms decay past the grid's ends.
+    The sum is a grid discretization of a convolution and serves its
+    pointwise values only. ``transform(alphas, cfg)`` gives the
+    convolution's Haar transforms (values, estimates) from its factors'
+    transforms, as the algebra states it, so it does not depend on the
+    grid.
     """
 
     kernel: MellinFunction
     tau: np.ndarray
     weights: np.ndarray
     c0: float
-    strip: FundamentalStrip
+    transform: Callable[[np.ndarray, QuadratureConfig], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -747,65 +749,25 @@ def _require_mellin_function(f) -> MellinFunction:
     return f
 
 
-def _checked_tail(g_ends, alpha: complex, strip, scale: float, total: complex, window, cfg) -> float:
+def _checked_tail(g_ends, alpha: complex, strip, total: complex, window, cfg) -> float:
     """Bound on a transform's tails past the window (t0, t1), checked.
 
     Past the window the integrand decays at least like e^(-rate |t|),
     rate the distance of Re(alpha) to the strip edge (faster than any
     rate for infinite edges), so the integrand's size g_ends at each end
     over max(rate, 0.05) bounds that side's tail. Raises
-    QuadratureDivergence when scale times the bound dwarfs the tolerance
-    of the transform ``total``.
+    QuadratureDivergence when the bound dwarfs the tolerance of the
+    transform ``total``.
     """
     rate_l = alpha.real - strip.a if math.isfinite(strip.a) else 1.0
     rate_r = strip.b - alpha.real if math.isfinite(strip.b) else 1.0
     tail = g_ends[0] / max(rate_l, 0.05) + g_ends[1] / max(rate_r, 0.05)
-    if scale * tail > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    if tail > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         raise QuadratureDivergence(
-            f"integrand tail {scale * tail:.3e} fails to decay within the window "
+            f"integrand tail {tail:.3e} fails to decay within the window "
             f"({window[0]:g}, {window[1]:g}) for alpha={alpha}"
         )
     return tail
-
-
-def _kernel_sum_transforms(
-    ks: _KernelSum, alphas: np.ndarray, cfg: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Haar transforms K(alpha) (c0 + S(alpha)) of a kernel sum: (values, estimates).
-
-    S(alpha) = sum_j w_j e^(alpha tau_j) is summed exactly rounded, real
-    and imaginary parts apart, over the terms of nonzero weight only, so
-    an underflowed weight never meets an overflowed exponential. The
-    estimate adds to the kernel's, scaled by |c0 + S|, the rounding of
-    the terms and the factor's tail past the grid's ends, bounded as
-    _haar_transforms bounds a window's tail. A term that is not finite,
-    or a tail that dwarfs the tolerance, raises QuadratureDivergence.
-    """
-    k_vals, k_errs = _haar_transforms(ks.kernel, alphas, cfg)
-    live = ks.weights != 0
-    tau, w = ks.tau[live], ks.weights[live]
-    if ks.tau.size > 1:
-        step = abs(float(ks.tau[1] - ks.tau[0]))
-        ends = [ks.tau.argmin(), ks.tau.argmax()]
-        t_ends, w_ends = ks.tau[ends], ks.weights[ends] / step
-    else:
-        t_ends, w_ends = np.zeros(2), np.zeros(2)
-    grid = t_ends.tolist()
-    values = np.empty(alphas.size, dtype=complex)
-    ests = np.empty(alphas.size)
-    for i, (alpha, k, k_err) in enumerate(zip(alphas.tolist(), k_vals.tolist(), k_errs.tolist())):
-        with np.errstate(all="ignore"):
-            terms = w * np.exp(alpha * tau)
-            g_ends = _cabs(np.where(w_ends != 0, w_ends * np.exp(alpha * t_ends), 0.0)).tolist()
-        size = float(np.add.reduce(_cabs(terms)))
-        s = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) + ks.c0
-        total = k * s
-        if not (math.isfinite(size) and cmath.isfinite(total)):
-            raise QuadratureDivergence(f"kernel-sum terms not finite for alpha={alpha}")
-        tail = _checked_tail(g_ends, alpha, ks.strip, abs(k), total, grid, cfg)
-        values[i] = total
-        ests[i] = abs(s) * k_err + abs(k) * (tail + 4.0 * _EPS * (size + abs(ks.c0)))
-    return values, ests
 
 
 def _haar_transforms(
@@ -813,18 +775,18 @@ def _haar_transforms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Haar transforms of f at many alpha in its strip: (values, estimates).
 
-    A grid-built f that records its kernel sum is transformed exactly
-    from its kernel's transforms (_kernel_sum_transforms). For any other
-    f, one kernel call integrates every panel of every alpha's window as a
-    row. Alpha with the same real part share a window, and f is
-    evaluated once per node of a panel however many alpha use it. Each
-    value and estimate is forward_mellin's for that alpha alone, before
-    the normalization multiplier.
+    A grid-built f that records its kernel sum is transformed by the
+    algebra's formula on its factors' transforms (``_KernelSum.transform``).
+    For any other f, one kernel call integrates every panel of every
+    alpha's window as a row. Alpha with the same real part share a
+    window, and f is evaluated once per node of a panel however many
+    alpha use it. Each value and estimate is forward_mellin's for that
+    alpha alone, before the normalization multiplier.
     """
     cfg = cfg or DEFAULT_CONFIG
     alphas = np.asarray(alphas, dtype=complex).ravel()
     if f._kernel_sum is not None:
-        total, err = _kernel_sum_transforms(f._kernel_sum, alphas, cfg)
+        total, err = f._kernel_sum.transform(alphas, cfg)
         return total + complex(f.atom_weight), err
     strip = f.strip
     res = sorted(set(alphas.real.tolist()))
@@ -877,7 +839,7 @@ def _haar_transforms(
     with np.errstate(all="ignore"):
         g_ends = _cabs(f_at(np.exp(ends))[:, win] * np.exp(alphas * ends[:, win]))
     tail = [
-        _checked_tail(g, alpha, strip, 1.0, t, windows[j], cfg)
+        _checked_tail(g, alpha, strip, t, windows[j], cfg)
         for g, alpha, t, j in zip(g_ends.T.tolist(), alphas.tolist(), total.tolist(), win.tolist())
     ]
     return total, err[:, 0] + err[:, 1] + tail
@@ -902,12 +864,12 @@ def forward_mellin(
     a bad value.
 
     The functions mult_convolve, star_convolve and convolution_exp return
-    are finite sums of scaled copies of one kernel, and are transformed
-    exactly: the kernel's transform times a sum of O(grid) weights, with
-    no quadrature over the sum itself. The tail of that weight sum past
-    the grid is bounded and checked the same way. A function derived
-    from one of them (by a rule, the involution or dataclasses.replace)
-    takes the quadrature route above.
+    are transformed by the algebra's formula on their factors'
+    transforms (F H, F H(1 - alpha) and the exponential series in H),
+    each factor taken as above, so their sampling grid plays no part and
+    needs no widening. A function derived from one of them (by a rule,
+    the involution or dataclasses.replace) takes the quadrature route
+    above, within its grid span.
     """
     f = _require_mellin_function(f)
     alpha = complex(alpha)
@@ -1183,10 +1145,10 @@ def _hankel_direct(
         values, ests = [], []
         for alpha, jump, i_ray, i_arc, e_ray, e_arc, end in zip(alphas, jumps, *v2, *e2, ends_c):
             loop = jump * i_ray + i_arc
-            tail = _checked_tail((0.0, end), alpha, strip, abs(jump), loop, window, cfg)
+            tail = _checked_tail((0.0, abs(jump) * end), alpha, strip, loop, window, cfg)
             mult = norm.multiplier(alpha)
             phase = cmath.exp(-1j * math.pi * alpha)
-            err = abs(mult * phase) * (abs(jump) * (e_ray + tail) + e_arc)
+            err = abs(mult * phase) * (abs(jump) * e_ray + tail + e_arc)
             values.append(mult * phase * loop)
             ests.append(err + abs(phase * loop) * norm.roundoff(alpha, mult))
         out.append((values, ests))

@@ -30,14 +30,12 @@ from .errors import (
     ZeroDeterminant,
 )
 from .mellin_core import (
-    DEFAULT_CONFIG,
     MellinFunction,
     Normalization,
     QuadratureConfig,
     _EPS,
     _circle,
     _circle_mode,
-    _widened_config,
     _wrap_eval,
     forward_mellin,
 )
@@ -363,15 +361,12 @@ def key_identity_check(
     pinned points alpha = 1, 2). Returns (lhs, rhs, bound) with bound
     covering series truncation and quadrature error.
     """
-    cfg = cfg or DEFAULT_CONFIG
     alpha = complex(alpha)
     lhs = _exp(-spectral_zeta(op, alpha, "direct"))
     h = op.heat_trace()
-    # the convolution grid must span the outer transform's window
-    wcfg = _widened_config(cfg, 0.0, math.inf, alpha)
-    ce = convolution_exp(h, terms, wcfg)
-    tv = forward_mellin(ce, alpha, cfg=wcfg)
-    h_alpha = forward_mellin(h, alpha, cfg=wcfg)
+    ce = convolution_exp(h, terms, cfg)
+    tv = forward_mellin(ce, alpha, cfg=cfg)
+    h_alpha = forward_mellin(h, alpha, cfg=cfg)
     mag = abs(h_alpha.value)
     truncation = mag ** (terms + 1) / math.factorial(terms + 1) * math.exp(mag)
     bound = truncation + 10.0 * (tv.abs_error_estimate + h_alpha.abs_error_estimate)

@@ -22,14 +22,16 @@ with induced strips the intersection, respectively the intersection of
 derivative-like rules are realized by 4th-order central stencils in
 t = log x; transform sides of LogMultiply by Cauchy-circle quadrature.
 
-The convolutions and the convolution exponential are built on a uniform
-grid in t = log x, and each is a finite sum of scaled copies of one
-kernel, c0 k(x) + sum_j w_j k(x e^(-t_j)). By the Scale rule its
-transform is exactly K(alpha) (c0 + sum_j w_j e^(alpha t_j)), which
-forward_mellin uses: only the kernel's own transform is a quadrature.
+The convolutions and the convolution exponential record their
+transforms as the algebra states them, on their factors' transforms:
+F(alpha) H(alpha), F(alpha) H(1 - alpha), and
+sum_{n=1}^{terms} (-H(alpha))^n / n! plus the point mass. forward_mellin
+uses that formula, each factor taken by its own quadrature. Their
+pointwise values come from a uniform grid in t = log x, as a finite sum
+of scaled copies of one kernel, c0 k(x) + sum_j w_j k(x e^(-t_j)).
 Functions derived from them (rules, the involution, Parseval's pointwise
-product) are transformed by quadrature of their pointwise values, as any
-other function, within the grid span they carry (_derived).
+product) are transformed by quadrature of those values, as any other
+function, within the grid span they carry (_derived).
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ from .mellin_core import (
     FundamentalStrip,
     MellinFunction,
     QuadratureConfig,
+    _EPS,
     _KernelSum,
+    _cabs,
     _circle,
     _circle_mode,
     _eval_vector,
@@ -460,6 +464,39 @@ def _chunked_kernel_sum(
     return out
 
 
+def _product_transform(f: MellinFunction, h: MellinFunction, star: bool) -> Callable:
+    """F(alpha) H(alpha), or F(alpha) H(1 - alpha) when star; estimate |F| e_H + |H| e_F + rounding."""
+
+    def transform(alphas: np.ndarray, cfg: QuadratureConfig):
+        fv, fe = _haar_transforms(f, alphas, cfg)
+        hv, he = _haar_transforms(h, 1.0 - alphas if star else alphas, cfg)
+        # each product rounded as Python rounds it, whatever the batch
+        value = np.array([a * b for a, b in zip(fv.tolist(), hv.tolist())], dtype=complex)
+        return value, _cabs(fv) * he + _cabs(hv) * fe + 4.0 * _EPS * _cabs(value)
+
+    return transform
+
+
+def _series_transform(h: MellinFunction, terms: int) -> Callable:
+    """P(H) = sum_{n=1}^{terms} (-H)^n / n!, H = H(alpha); estimate |P'(H)| e_H + rounding."""
+
+    def transform(alphas: np.ndarray, cfg: QuadratureConfig):
+        hv, he = _haar_transforms(h, alphas, cfg)
+        values, ests = [], []
+        for H, e in zip(hv.tolist(), he.tolist()):
+            term, p, dp, size = 1.0 + 0j, 0j, 0j, 0.0
+            for n in range(1, terms + 1):
+                dp -= term
+                term = term * -H / n
+                p += term
+                size += n * abs(term)
+            values.append(p)
+            ests.append(abs(dp) * e + 4.0 * _EPS * size)
+        return np.array(values, dtype=complex), np.array(ests)
+
+    return transform
+
+
 def _kernel_sum_function(
     ks: _KernelSum,
     strip: FundamentalStrip,
@@ -497,12 +534,12 @@ def mult_convolve(
 ) -> MellinFunction:
     """Multiplicative convolution (f * h)(x) = int f(x') h(x/x') dx'/x'.
 
-    The first factor is sampled on a uniform grid in log x spanning the
-    truncation bounds; the second is evaluated at the shifted arguments,
-    so convolving an already-gridded result with a plain kernel never
-    nests quadratures. The induced strip is the intersection. The result
-    is sum_j w_j h(x e^(-t_j)), so its transform is H(alpha) times
-    sum_j w_j e^(alpha t_j), exactly.
+    Its transform is F(alpha) H(alpha), each factor transformed on its
+    own. For pointwise values the first factor is sampled on a uniform
+    grid in log x spanning the truncation bounds, and the second is
+    evaluated at the shifted arguments, so convolving an already-gridded
+    result with a plain kernel never nests quadratures. The induced
+    strip is the intersection.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(f, "mult_convolve")
@@ -515,7 +552,7 @@ def mult_convolve(
     t, span = _log_grid(cfg)
     fw = _grid_values(lambda: f.eval(np.exp(t)) * _GRID_STEP)
     return _kernel_sum_function(
-        _KernelSum(h, t, fw, 0.0, f.strip),
+        _KernelSum(h, t, fw, 0.0, _product_transform(f, h, star=False)),
         strip,
         f"({f.label or 'f'} * {h.label or 'h'})",
         span,
@@ -530,9 +567,8 @@ def star_convolve(
     Transform side F(alpha) H(1 - alpha); the induced strip intersects
     <a_f, b_f> with the reflected <1 - b_h, 1 - a_h>. The pointwise
     integral additionally needs a_f + a_h < 1 < b_f + b_h
-    (SideConditionViolation otherwise). The result is
-    sum_j w_j f(x e^(t_j)), so its transform is F(alpha) times
-    sum_j w_j e^(-alpha t_j), exactly.
+    (SideConditionViolation otherwise). Pointwise values are the grid
+    sum sum_j w_j f(x e^(t_j)).
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(f, "star_convolve")
@@ -549,9 +585,8 @@ def star_convolve(
     t, span = _log_grid(cfg)
     # past t = 709 the factor e^t overflows, and the term is dropped
     hw = _grid_values(lambda: h.eval(np.exp(t)) * np.exp(t) * _GRID_STEP)
-    reflected = FundamentalStrip(1.0 - h.order_at_infinity, 1.0 - h.order_at_zero)
     return _kernel_sum_function(
-        _KernelSum(f, -t, hw, 0.0, reflected),
+        _KernelSum(f, -t, hw, 0.0, _product_transform(f, h, star=True)),
         strip,
         f"({f.label or 'f'} ** {h.label or 'h'})",
         span,
@@ -645,9 +680,9 @@ def convolution_exp(
     direct discrete convolution (the grid is geometric in x), in h's
     dtype: real stages and real weights for a real h, complex ones
     otherwise. A stage whose probe transform exceeds the magnitude
-    guard raises DivergentStage.
-    The result is 1 (the atom) - h(x) + sum_j w_j h(x e^(-t_j)), so its
-    transform is 1 + H(alpha) (-1 + sum_j w_j e^(alpha t_j)), exactly.
+    guard raises DivergentStage. Pointwise values are
+    -h(x) + sum_j w_j h(x e^(-t_j)) besides the atom; the transform is
+    1 + sum_{n=1}^{terms} (-H(alpha))^n / n!.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(h, "convolution_exp")
@@ -687,7 +722,7 @@ def convolution_exp(
     # with one term there is nothing to sum: eval(x) = -h(x)
     grid = slice(None) if terms > 1 else slice(0)
     return _kernel_sum_function(
-        _KernelSum(h, t[grid], combined[grid] * _GRID_STEP, -1.0, h.strip),
+        _KernelSum(h, t[grid], combined[grid] * _GRID_STEP, -1.0, _series_transform(h, terms)),
         h.strip,
         f"conv-exp({terms} terms)[{h.label}]",
         span,

@@ -331,6 +331,15 @@ class TestErrorEstimates:
             assert abs(complex(*rec["value"]) + math.log(lam)) <= rec["error_estimate"]
 
 
+    def test_convolution_with_a_jump_within_estimate(self, capsys):
+        # x^(1/2) on (0, 1], zero beyond, times e^-x: transform 2/3 at alpha 1
+        argv = ["convolve", "--kind", "mult", "--fn", "power_log", "--k", "0",
+                "--fn2", "exp_decay", "--alpha", "1"]
+        code, recs = run_lines(capsys, argv)
+        assert code == 0
+        assert abs(complex(*recs[0]["value"]) - 2.0 / 3.0) <= recs[0]["error_estimate"]
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
         # importing scipy.special alone cost about 0.25 s of every CLI start
@@ -356,6 +365,10 @@ class TestExitCodes:
     def test_unknown_corpus_function(self, capsys):
         assert run(["transform", "--fn", "gauss", "--alpha", "1"]) == 1
         capsys.readouterr()
+
+    def test_flag_the_function_does_not_take(self, capsys):
+        assert run(["transform", "--fn", "exp_decay", "--k", "3", "--alpha", "1"]) == 1
+        assert "--k " in capsys.readouterr().err
 
     def test_numerical_failure(self, capsys):
         assert run(["transform", "--fn", "exp_decay", "--alpha", "-1"]) == 2
@@ -486,6 +499,21 @@ class TestSweep:
         assert [r["alpha"][0] for r in recs] == [1, 1, 200]
         assert [r["skipped"] for r in recs] == [False, False, True]
         assert recs[2]["inputs"]["skipped_error"] == "ConvergenceDomain"
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["zeta", "--route", "hankel", "--alpha-grid", "0.5:1.0:2"], ["route"]),
+            (["power", "--spectrum", "0.001,2", "--alpha-grid", "1:200:2"], ["source", "winding"]),
+        ],
+        ids=["zeta", "power"],
+    )
+    def test_skipped_record_carries_inputs(self, capsys, argv, keys):
+        code, recs = run_lines(capsys, ["sweep", *argv])
+        assert code == 0
+        skipped = [r["inputs"] for r in recs if r["skipped"]]
+        assert len(skipped) == 1
+        assert all(key in skipped[0] for key in keys)
 
     def test_imaginary_offset_grid(self, capsys):
         code, recs = run_lines(
