@@ -57,8 +57,7 @@ def bose_function() -> MellinFunction:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if np.iscomplexobj(arr):
                 return 1.0 / (np.exp(arr) - 1.0)
-            out = 1.0 / np.expm1(arr)
-        return np.where(np.isfinite(out), out, 0.0)
+            return 1.0 / np.expm1(arr)
 
     return MellinFunction(_wrap_eval(core), 1.0, math.inf, label="bose")
 

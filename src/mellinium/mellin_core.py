@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -288,8 +288,8 @@ class MellinFunction:
     ``grid_span`` is the (t_min, t_max) range in t = log x that a
     sampling grid behind ``eval`` covers, None when there is no grid.
     The convolution builders set it, functions derived from one carry it
-    through their change of variable, and forward_mellin never
-    integrates beyond it.
+    through their change of variable, and forward_mellin's window rule
+    cuts the window to it, as it cuts it to the float range.
 
     The convolution builders also record how ``eval`` is made, a finite
     sum of scaled copies of one kernel, together with the transform the
@@ -506,20 +506,26 @@ _BLOCK_POINTS = 2_000_000
 _FEW_ROWS = 8
 
 
-def _level_sums(g, mid, hw, t, w, rows) -> tuple[np.ndarray, np.ndarray]:
-    """One level's weighted sum and absolute sum for each of the rows."""
+def _level_sums(g, mid, hw, t, w, rows, weigh: bool):
+    """One level's weighted sum, absolute sum and x-weighted absolute sum (0 unless weigh) per row."""
     x = mid + hw * t
     terms = np.asarray(g(x.ravel(), rows)).reshape(x.shape) * w
-    return np.add.reduce(terms, axis=1), np.add.reduce(np.abs(terms), axis=1)
+    size = np.abs(terms)
+    moments = np.add.reduce(size * x, axis=1) if weigh else np.zeros(rows.size)
+    return np.add.reduce(terms, axis=1), np.add.reduce(size, axis=1), moments
 
 
-def _advance_rows(level, h, sums, sizes, hw, prev, mass, err, cfg, test) -> list[int]:
+def _estimate(err, mass, moment, slope):
+    """Row estimates: the level difference, or the roundoff floor where larger (see _tanh_sinh)."""
+    return np.maximum(np.maximum(err, 4.0 * _EPS * mass), _EPS * slope * np.abs(moment))
+
+
+def _advance_rows(level, h, sums, sizes, moments, hw, prev, mass, moment, err, cfg, test) -> list[int]:
     """One level's bookkeeping on Python scalars, row by row.
 
-    prev, mass and err are lists, updated in place (prev to the level's
-    total); returns the rows that met their tolerance when ``test``. The
-    arithmetic is the array form's in _tanh_sinh, one row at a time, so
-    the values are the same to the bit.
+    prev, mass, moment and err are lists, updated in place (prev to the level's
+    total); returns the rows that met their tolerance when ``test``. The arithmetic
+    is the array form's in _tanh_sinh, one row at a time: the same to the bit.
     """
     done = []
     for i, (s, z, w) in enumerate(zip(sums, sizes, hw)):
@@ -529,6 +535,7 @@ def _advance_rows(level, h, sums, sizes, hw, prev, mass, err, cfg, test) -> list
             err[i] = abs(t - prev[i])
         prev[i] = t
         mass[i] += z * w
+        moment[i] += moments[i] * w
         if test and err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(t)):
             done.append(i)
     return done
@@ -539,6 +546,7 @@ def _tanh_sinh(
     lo,
     hi,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
+    slope: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate k rows at once, row i over [lo[i], hi[i]].
 
@@ -548,13 +556,15 @@ def _tanh_sinh(
     layout. Each row is refined until it meets its own tolerance and is
     then frozen, from level 2 on, so its value and estimate are those it
     would get alone. A level whose active rows hold more than
-    _BLOCK_POINTS nodes is handed to g in blocks of rows. Returns (values, error estimates);
-    a row with hi <= lo is 0 with estimate 0. Raises
-    QuadratureDivergence, naming the row's interval, when the integrand
-    is not finite at a node or the level refinement fails to converge.
+    _BLOCK_POINTS nodes is handed to g in blocks of rows. ``slope[i]``
+    (|alpha| for e^(alpha t)) is how fast row i's exponent moves with x,
+    for the estimate's floor below; such a row lies on one side of x = 0.
+    Returns (values, error estimates); a row with hi <= lo is 0 with
+    estimate 0. Raises QuadratureDivergence, naming the row's interval,
+    when the integrand is not finite at a node or the level refinement
+    fails to converge.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     value = np.zeros(lo.shape, dtype=complex)
     est = np.zeros(lo.shape)
     # state of the active rows only, compacted as rows are frozen
@@ -563,11 +573,13 @@ def _tanh_sinh(
     hw = (0.5 * (hi - lo))[active, None]
     prev = np.zeros(active.size, dtype=complex)
     err = np.full(active.size, math.inf)
-    # The estimate's roundoff floor is 4 eps times hw * h * sum |terms|
-    # over the levels summed: it follows the integrand's absolute size
-    # however much the terms cancel, and the factor 4 covers the rounding
-    # of each term's own evaluation (exp(alpha t) at large |alpha t|).
-    mass = np.zeros(active.size)
+    # The estimate's roundoff floor, 4 eps times the mass hw * h * sum |terms| over the
+    # levels summed, follows the integrand's size however much the terms cancel (4 covers
+    # each term's own rounding). With a slope it is eps slope |moment| where larger, the
+    # moment summing |terms| x alike (sum |terms x| on one side of x = 0): the exponent's
+    # rounding where the mass lies.
+    weigh, slope = slope is not None, np.zeros(lo.shape) if slope is None else slope
+    mass, moment = np.zeros(active.size), np.zeros(active.size)
     with np.errstate(all="ignore"):
         for level in range(cfg.max_levels + 1):
             if not active.size:
@@ -575,41 +587,40 @@ def _tanh_sinh(
             t, w = _ts_nodes(level)
             step = max(1, _BLOCK_POINTS // t.size)
             if active.size <= step:
-                sums, sizes = _level_sums(g, mid, hw, t, w, active)
+                sums, sizes, moments = _level_sums(g, mid, hw, t, w, active, weigh)
             else:
                 parts = [
-                    _level_sums(g, mid[j : j + step], hw[j : j + step], t, w, active[j : j + step])
+                    _level_sums(g, mid[j : j + step], hw[j : j + step], t, w, active[j : j + step], weigh)
                     for j in range(0, active.size, step)
                 ]
-                sums, sizes = map(np.concatenate, zip(*parts))
+                sums, sizes, moments = map(np.concatenate, zip(*parts))
             # a row's size is not finite iff some term is not; max keeps a nan
             if not math.isfinite(np.maximum.reduce(sizes)):
                 r = active[np.argmin(np.isfinite(sizes))]
-                raise QuadratureDivergence(
-                    f"integrand not finite inside [{lo[r]:g}, {hi[r]:g}]"
-                )
+                raise QuadratureDivergence(f"integrand not finite inside [{lo[r]:g}, {hi[r]:g}]")
             h = 2.0 ** (-level) if level else 1.0
             if active.size <= _FEW_ROWS:
                 # few rows: the state moves to Python lists for good
                 if not isinstance(prev, list):
-                    prev, mass, err = prev.tolist(), mass.tolist(), err.tolist()
+                    prev, mass, moment, err = prev.tolist(), mass.tolist(), moment.tolist(), err.tolist()
                 done = _advance_rows(
-                    level, h, sums.tolist(), sizes.tolist(), hw[:, 0].tolist(),
-                    prev, mass, err, cfg, level >= 2,
+                    level, h, sums.tolist(), sizes.tolist(), moments.tolist(), hw[:, 0].tolist(),
+                    prev, mass, moment, err, cfg, level >= 2,
                 )
                 if done:
-                    for i in done:
-                        value[active[i]] = prev[i]
-                        est[active[i]] = max(err[i], 4.0 * _EPS * mass[i])
+                    for i, r in zip(done, active[done]):
+                        value[r] = prev[i]
+                        est[r] = max(err[i], 4.0 * _EPS * mass[i], _EPS * slope[r] * abs(moment[i]))
                     keep = [i for i in range(len(prev)) if i not in done]
                     active, mid, hw = active[keep], mid[keep], hw[keep]
-                    prev, mass, err = ([a[i] for i in keep] for a in (prev, mass, err))
+                    prev, mass, moment, err = ([a[i] for i in keep] for a in (prev, mass, moment, err))
                 continue
             # (sums * hw) * h: scaling by the power of two h is exact
             wh = hw[:, 0] * h
             partial = sums * wh
             total = partial if level == 0 else prev / 2.0 + partial
             mass = mass + sizes * wh
+            moment = moment + moments * wh
             if level:
                 err = _cabs(total - prev)
             if level >= 2:
@@ -617,13 +628,13 @@ def _tanh_sinh(
                 if np.count_nonzero(done):
                     rows = active[done]
                     value[rows] = total[done]
-                    est[rows] = np.maximum(err[done], 4.0 * _EPS * mass[done])
+                    est[rows] = _estimate(err[done], mass[done], moment[done], slope[rows])
                     keep = ~done
-                    active, mid, hw, total, err, mass = (
-                        a[keep] for a in (active, mid, hw, total, err, mass)
+                    active, mid, hw, total, err, mass, moment = (
+                        a[keep] for a in (active, mid, hw, total, err, mass, moment)
                     )
             prev = total
-    prev, mass, err = np.array(prev, dtype=complex), np.array(mass), np.array(err)
+    prev, mass, moment, err = np.array(prev, dtype=complex), np.array(mass), np.array(moment), np.array(err)
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(prev))
     # close but not fully settled: return with the honest estimate
     unsettled = err > 50.0 * tol
@@ -634,7 +645,7 @@ def _tanh_sinh(
             f"(last delta {err[i]:.3e})"
         )
     value[active] = prev
-    est[active] = np.maximum(err, 4.0 * _EPS * mass)
+    est[active] = _estimate(err, mass, moment, slope[active])
     return value, est
 
 
@@ -683,29 +694,6 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(new), np.cumsum(new) - 1
 
 
-def _widened_config(
-    cfg: QuadratureConfig, a: float, b: float, alpha: complex
-) -> QuadratureConfig:
-    """Extend truncation bounds so the edge-rate tails clear abs_tol.
-
-    The integrand decays like e^(-rate |t|) with rate the distance of
-    Re(alpha) to the strip edge; the default window is kept whenever it
-    is already wide enough.
-    """
-    re = complex(alpha).real
-    tb0, tb1 = cfg.truncation_bounds
-    need = -math.log(cfg.abs_tol) + 9.0
-    if math.isfinite(a):
-        tb0 = min(tb0, -need / max(re - a, 0.02))
-    if math.isfinite(b):
-        tb1 = max(tb1, need / max(b - re, 0.02))
-    tb0 = max(tb0, -2400.0)
-    tb1 = min(tb1, 2400.0)
-    if (tb0, tb1) == cfg.truncation_bounds:
-        return cfg
-    return replace(cfg, truncation_bounds=(tb0, tb1))
-
-
 def _wrap_eval(core: Callable[[np.ndarray], np.ndarray], dtype=None) -> Callable:
     """Lift an array function to one taking a scalar or an array.
 
@@ -743,25 +731,49 @@ def _eval_vector(func: Callable, x: np.ndarray) -> np.ndarray:
 
 def _require_mellin_function(f) -> MellinFunction:
     if not isinstance(f, MellinFunction):
-        raise TypeError(
-            "expected a MellinFunction (a callable with declared decay orders)"
-        )
+        raise TypeError("expected a MellinFunction (a callable with declared decay orders)")
     return f
 
 
-def _checked_tail(g_ends, alpha: complex, strip, total: complex, window, cfg) -> float:
+def _window(
+    strip: FundamentalStrip, re: float, cfg: QuadratureConfig, span: tuple[float, float] | None = None
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The window (t0, t1) in t = log x at Re(alpha) = re, and its edge rates.
+
+    Past the window the integrand f(e^t) e^(alpha t) decays at least like
+    e^(-rate |t|), rate the distance of re to that strip edge (1 for an
+    infinite edge). The window is cfg.truncation_bounds, widened so that
+    tails at max(rate, 0.02) clear abs_tol, within +-2400; cut to ``span``,
+    the t-range of f's grid; and cut to |t| <= 700 / g on each side, g the
+    fastest growth there of e^(alpha t) (-re, re) or of f(e^t) ~ x^-a, x^-b
+    (|a|, |b|, at least 1 for x itself; none for an edge at 0 or infinite).
+    Inside, no factor leaves the float range: the tail bound sees all cut.
+    """
+    a, b = strip.a, strip.b
+    rates = (re - a if math.isfinite(a) else 1.0, b - re if math.isfinite(b) else 1.0)
+    need = -math.log(cfg.abs_tol) + 9.0
+    t0, t1 = cfg.truncation_bounds
+    if math.isfinite(a):
+        t0 = min(t0, -need / max(rates[0], 0.02))
+    if math.isfinite(b):
+        t1 = max(t1, need / max(rates[1], 0.02))
+    t0, t1 = max(t0, -2400.0), min(t1, 2400.0)
+    t0, t1 = (t0, t1) if span is None else (max(t0, span[0]), min(t1, span[1]))
+    g0, g1 = (max(1.0, abs(e)) if math.isfinite(e) and e != 0.0 else 0.0 for e in (a, b))
+    g0, g1 = max(g0, -re), max(g1, re)
+    t0 = max(t0, -700.0 / g0) if g0 > 0.0 else t0
+    t1 = min(t1, 700.0 / g1) if g1 > 0.0 else t1
+    return (t0, t1), rates
+
+
+def _checked_tail(g_ends, rates, alpha: complex, total: complex, window, cfg) -> float:
     """Bound on a transform's tails past the window (t0, t1), checked.
 
-    Past the window the integrand decays at least like e^(-rate |t|),
-    rate the distance of Re(alpha) to the strip edge (faster than any
-    rate for infinite edges), so the integrand's size g_ends at each end
-    over max(rate, 0.05) bounds that side's tail. Raises
-    QuadratureDivergence when the bound dwarfs the tolerance of the
-    transform ``total``.
+    The integrand's size g_ends at each end over that side's edge rate
+    (_window's; one at or below 0 bounds nothing) bounds its tail. Raises
+    QuadratureDivergence when the bound dwarfs the tolerance of ``total``.
     """
-    rate_l = alpha.real - strip.a if math.isfinite(strip.a) else 1.0
-    rate_r = strip.b - alpha.real if math.isfinite(strip.b) else 1.0
-    tail = g_ends[0] / max(rate_l, 0.05) + g_ends[1] / max(rate_r, 0.05)
+    tail = sum(g / r if r > 0.0 else math.inf for g, r in zip(g_ends, rates))
     if tail > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         raise QuadratureDivergence(
             f"integrand tail {tail:.3e} fails to decay within the window "
@@ -788,15 +800,9 @@ def _haar_transforms(
     if f._kernel_sum is not None:
         total, err = f._kernel_sum.transform(alphas, cfg)
         return total + complex(f.atom_weight), err
-    strip = f.strip
     res = sorted(set(alphas.real.tolist()))
     win = np.searchsorted(res, alphas.real)
-    windows = [_widened_config(cfg, strip.a, strip.b, r).truncation_bounds for r in res]
-    if f.grid_span is not None:
-        # past the grid the function is not sampled; the tail check below
-        # raises when the part of the window cut off here matters
-        g0, g1 = f.grid_span
-        windows = [(max(t0, g0), min(t1, g1)) for t0, t1 in windows]
+    windows, rates = zip(*(_window(f.strip, r, cfg, f.grid_span) for r in res))
     # the panels of each window's halves [tmin, 0] and [0, tmax]; half is
     # 2 * (window index) + (1 on the right half)
     plo, phi, half = (
@@ -826,7 +832,7 @@ def _haar_transforms(
         ra = row_alpha if rows.size == row_alpha.shape[0] else row_alpha[rows]
         return fx * np.exp(ra * t)
 
-    vals, errs = _tanh_sinh(g, plo[row_panel], phi[row_panel], cfg)
+    vals, errs = _tanh_sinh(g, plo[row_panel], phi[row_panel], cfg, np.abs(alphas)[row_of])
     # each half's panels summed in order, then left + right
     side = (row_of, half[row_panel] % 2)
     halves = np.zeros((alphas.size, 2), dtype=complex)
@@ -839,7 +845,7 @@ def _haar_transforms(
     with np.errstate(all="ignore"):
         g_ends = _cabs(f_at(np.exp(ends))[:, win] * np.exp(alphas * ends[:, win]))
     tail = [
-        _checked_tail(g, alpha, strip, t, windows[j], cfg)
+        _checked_tail(g, rates[j], alpha, t, windows[j], cfg)
         for g, alpha, t, j in zip(g_ends.T.tolist(), alphas.tolist(), total.tolist(), win.tolist())
     ]
     return total, err[:, 0] + err[:, 1] + tail
@@ -854,22 +860,18 @@ def forward_mellin(
     """Transform f at alpha against the chosen normalized measure.
 
     alpha must lie inside the fundamental strip declared by f
-    (StripViolation otherwise). The integration window in t = log x is
-    cfg.truncation_bounds (DEFAULT_CONFIG's when cfg is omitted), always
-    widened so that the tails at the declared edge rates clear abs_tol:
-    the bounds are the minimum window. A function built on a convolution
-    grid caps the window at the grid's span (``grid_span``). A truncation
-    tail estimated from the declared decay orders that dwarfs the
-    tolerance raises QuadratureDivergence rather than silently returning
-    a bad value.
+    (StripViolation otherwise). One rule (_window) sets the window in
+    t = log x: cfg.truncation_bounds (DEFAULT_CONFIG's when cfg is
+    omitted) widened so the tails at the declared edge rates clear
+    abs_tol, cut to f's ``grid_span`` and to where f(e^t) and e^(alpha t)
+    stay in the float range. The tail past it is bounded from the
+    integrand at its ends and the edge rates; when that dwarfs the
+    tolerance, QuadratureDivergence is raised, not a bad value returned.
 
-    The functions mult_convolve, star_convolve and convolution_exp return
-    are transformed by the algebra's formula on their factors'
-    transforms (F H, F H(1 - alpha) and the exponential series in H),
-    each factor taken as above, so their sampling grid plays no part and
-    needs no widening. A function derived from one of them (by a rule,
-    the involution or dataclasses.replace) takes the quadrature route
-    above, within its grid span.
+    The results of mult_convolve, star_convolve and convolution_exp are
+    transformed by the algebra's formula on their factors' transforms,
+    each taken as above, so their sampling grid plays no part. A function
+    derived from one of them takes the quadrature route, within its span.
     """
     f = _require_mellin_function(f)
     alpha = complex(alpha)
@@ -1145,7 +1147,8 @@ def _hankel_direct(
         values, ests = [], []
         for alpha, jump, i_ray, i_arc, e_ray, e_arc, end in zip(alphas, jumps, *v2, *e2, ends_c):
             loop = jump * i_ray + i_arc
-            tail = _checked_tail((0.0, abs(jump) * end), alpha, strip, loop, window, cfg)
+            rates = _window(strip, alpha.real, cfg)[1]
+            tail = _checked_tail((0.0, abs(jump) * end), rates, alpha, loop, window, cfg)
             mult = norm.multiplier(alpha)
             phase = cmath.exp(-1j * math.pi * alpha)
             err = abs(mult * phase) * (abs(jump) * e_ray + tail + e_arc)

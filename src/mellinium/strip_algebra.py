@@ -66,6 +66,7 @@ from .mellin_core import (
     _line_integral,
     _panels,
     _tanh_sinh,
+    _window,
     _wrap_eval,
     forward_mellin,
 )
@@ -302,12 +303,8 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
 
         def new_T(al: complex) -> complex:
             al = complex(al)
-            dist = min(
-                al.real - a if math.isfinite(a) else 1.0,
-                b - al.real if math.isfinite(b) else 1.0,
-                1.0,
-            )
-            rho = 0.5 * dist
+            # half the distance to the strip's edges, at most 1/2
+            rho = 0.5 * min(*_window(pair.strip, al.real, DEFAULT_CONFIG)[1], 1.0)
             # Cauchy derivative on the circle: n-th Fourier mode
             mode, _ = _circle_mode(_eval_vector(T, _circle(al, rho, 32)), n)
             return complex(math.factorial(n) / rho**n * mode)
@@ -362,15 +359,15 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         # over the outer window and must stay relatively accurate throughout.
         icfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-280, max_levels=10)
         fact = float(math.factorial(n - 1))
-        rate = max(1.0 - a, 0.02) if math.isfinite(a) else math.inf
-        window = max(15.0, 38.0 / rate)
+        # the integrand f(u) u at u << x is the transform's at alpha = 1
+        (reach, _), _ = _window(pair.strip, 1.0, DEFAULT_CONFIG)
 
         def core(xs: np.ndarray) -> np.ndarray:
             out = np.zeros(xs.shape, dtype=complex)
             pos = np.flatnonzero(xs > 0.0)
             x = xs.ravel()[pos]
             top = np.log(np.minimum(x, 1e290))
-            plo, phi, owner = _panels(np.minimum(top, 0.0) - window, top)
+            plo, phi, owner = _panels(np.minimum(top, 0.0) + reach, top)
 
             def gs(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
                 s = s.reshape(rows.size, -1)

@@ -18,6 +18,7 @@ from mellinium import (
     InconsistentDeclaration,
     InsufficientDecay,
     MellinFunction,
+    MelliniumError,
     Normalization,
     NormalizationPole,
     QuadratureConfig,
@@ -290,6 +291,60 @@ class TestForwardMellin:
         )
         tv = forward_mellin(zero, 1.3)
         assert tv.value == pytest.approx(2.5)
+
+
+def _reciprocal_power(p: float) -> MellinFunction:
+    """(1 + x)^-p, strip <0, p>, transform B(alpha, p - alpha)."""
+    return MellinFunction(lambda x: (1.0 + np.asarray(x)) ** -p, 0.0, p, label=f"recip^{p:g}")
+
+
+_EDGE_OFFSETS = (0.005, 0.01, 0.02, 0.03, 0.05)
+
+
+def _calibration_cases():
+    """(function, alpha, normalization, mpmath reference) near strip edges and at large Re(alpha)."""
+    cases = []
+    for d in _EDGE_OFFSETS:
+        cases.append((make_exp(1.0), d, None, lambda a: mp.gamma(a)))
+        for p in (1.0, 0.5):
+            # at 1/2 the window's float-range cut counts x itself: x^-1/2
+            # alone would keep the window up to t = 1400, where e^t overflows
+            for alpha in (d, p - d):
+                cases.append((_reciprocal_power(p), alpha, None, lambda a, p=p: mp.beta(a, p - a)))
+    for d in _EDGE_OFFSETS + (0.04,):
+        cases.append((bose_function(), 1.0 + d, Normalization.gamma(), lambda a: mp.zeta(a)))
+    for alpha in (20.0, 40.0, 60.0, 60.0 + 3.0j, 100.0):
+        cases.append((make_exp(1.0), alpha, None, lambda a: mp.gamma(a)))
+    return cases
+
+
+class TestCalibration:
+    """Each case is within its estimate of mpmath, or raises."""
+
+    @pytest.mark.parametrize("case", _calibration_cases(), ids=lambda c: f"{c[0].label}@{c[1]}")
+    def test_within_estimate_or_raises(self, case):
+        f, alpha, norm, ref = case
+        try:
+            tv = forward_mellin(f, alpha, norm)
+        except MelliniumError:
+            return
+        with mp.workdps(30):
+            want = complex(ref(mp.mpc(alpha)))
+        assert abs(tv.value - want) <= tv.abs_error_estimate
+
+    @pytest.mark.parametrize("alpha", [20.0, 60.0 + 3.0j, 100.0])
+    def test_large_alpha_is_computed(self, alpha):
+        # the window stops where e^(alpha t) would overflow; past it
+        # e^(-x) is exactly 0, and the tail check sees nothing cut
+        tv = forward_mellin(make_exp(1.0), alpha)
+        assert abs(tv.value - complex(mp.gamma(alpha))) <= tv.abs_error_estimate
+
+    @pytest.mark.parametrize("alpha", [0.96, 0.97])
+    def test_float_range_is_not_left(self, alpha):
+        # the widened right edge, 36.6 / (1 - alpha), lies past t = 709,
+        # where e^t overflows; the window stops at t = 700 instead
+        tv = forward_mellin(_reciprocal_power(1.0), alpha)
+        assert abs(tv.value - math.pi / math.sin(math.pi * alpha)) <= tv.abs_error_estimate
 
 
 class TestInferStrip:

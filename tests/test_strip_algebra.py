@@ -44,11 +44,17 @@ from mellinium import (
     star_convolve,
 )
 
-from mellinium.mellin_core import DEFAULT_CONFIG, _widened_config
+from mellinium.mellin_core import DEFAULT_CONFIG, QuadratureConfig, _window
 from mellinium.strip_algebra import _product
 
 from conftest import make_exp, make_power_cutoff, make_self_involutive
 from oracles import zeta_from_eta
+
+
+def widened(strip: tuple[float, float], alpha: complex) -> QuadratureConfig:
+    """The default config on the window forward_mellin takes at alpha."""
+    window, _ = _window(FundamentalStrip(*strip), complex(alpha).real, DEFAULT_CONFIG)
+    return dataclasses.replace(DEFAULT_CONFIG, truncation_bounds=window)
 
 
 def exp_pair() -> TransformedPair:
@@ -448,9 +454,7 @@ BUILDERS = {
     "star": (
         # on <0, 1> the window of every alpha reaches past +-40: the grid
         # spans the widest of the three
-        lambda: star_convolve(
-            make_exp(1.0), make_exp(2.0), _widened_config(DEFAULT_CONFIG, 0.0, 1.0, 0.3)
-        ),
+        lambda: star_convolve(make_exp(1.0), make_exp(2.0), widened((0.0, 1.0), 0.3)),
         (0.3, 0.5 - 0.4j, 0.6),
     ),
     "conv_exp": (
@@ -509,9 +513,7 @@ class TestExactTransform:
         # a grid built for alpha = 0.03 reaches t = 1220, where e^(2 t)
         # overflows and the weights have underflowed to 0: such terms are
         # left out, not summed as 0 * inf
-        conv = mult_convolve(
-            make_exp(1.0), make_exp(2.0), _widened_config(DEFAULT_CONFIG, 0.0, math.inf, 0.03)
-        )
+        conv = mult_convolve(make_exp(1.0), make_exp(2.0), widened((0.0, math.inf), 0.03))
         tv = forward_mellin(conv, 2.0)
         assert abs(tv.value - 0.25) <= tv.abs_error_estimate
 
@@ -534,7 +536,7 @@ class TestExactTransform:
                     mp.gamma(alpha) * mp.gamma(1 - alpha)
                     * mp.mpf(b1) ** (-alpha) * mp.mpf(b2) ** (alpha - 1)
                 )
-            cfg = _widened_config(DEFAULT_CONFIG, *strip, alpha)
+            cfg = widened(strip, alpha)
             tv = forward_mellin(build(make_exp(b1), make_exp(b2), cfg), alpha, cfg=cfg)
             if not abs(tv.value - complex(want)) <= tv.abs_error_estimate:
                 misses.append(alpha)
@@ -572,7 +574,7 @@ class TestExactTransform:
                 value, _ = gamma_reflection(alpha)
             else:
                 strip = (0.0, math.inf) if kind == "mult" else (0.0, 1.0)
-                cfg = _widened_config(DEFAULT_CONFIG, *strip, alpha)
+                cfg = widened(strip, alpha)
                 build = mult_convolve if kind == "mult" else star_convolve
                 tv = forward_mellin(build(make_exp(1.3), make_exp(0.7), cfg), alpha, cfg=cfg)
                 value = tv.value
