@@ -11,7 +11,7 @@ Gamma-normalized exponential transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -23,6 +23,7 @@ from .errors import (
     StripViolation,
 )
 from .mellin_core import (
+    FundamentalStrip,
     HankelContourSpec,
     MellinFunction,
     Normalization,
@@ -218,29 +219,26 @@ def greens_function(
     problem: HeatKernelProblem,
     route: str = "closed",
     cfg: QuadratureConfig | None = None,
-) -> float:
-    """Static Green's function from the heat kernel.
+) -> TransformValue:
+    """Static Green's function from the heat kernel, with a real value.
 
     Closed form: -2 log|dx| in n = 2, else
-    pi^(1 - n/2) Gamma(n/2 - 1) |dx|^(2 - n). The quadrature route
-    integrates the heat kernel e^(-pi |dx|^2 / g) g^(-n/2) against Haar
-    measure at alpha = 1, which lies inside the strip <-inf, n/2> only
-    for n >= 3 (DivergentRoute below that).
+    pi^(1 - n/2) Gamma(n/2 - 1) |dx|^(2 - n), with estimate 0. The
+    quadrature route integrates the heat kernel e^(-pi |dx|^2 / g) g^(-n/2)
+    against Haar measure at alpha = 1, which lies inside the strip
+    <-inf, n/2> only for n >= 3 (DivergentRoute below that). Either
+    route reports alpha = 1, that strip and Haar normalization.
     """
-    return _greens(problem, route, cfg)[0]
-
-
-def _greens(
-    problem: HeatKernelProblem, route: str, cfg: QuadratureConfig | None
-) -> tuple[float, float]:
-    """greens_function's value with its absolute error estimate."""
     r = problem.separation()
     n = problem.n
     key = route.replace("-", "_").lower()
     if key in ("closed", "closed_form"):
         if n == 2:
-            return -2.0 * math.log(r), 0.0
-        return float(math.pi ** (1.0 - 0.5 * n) * _gamma(0.5 * n - 1.0) * r ** (2.0 - n)), 0.0
+            value = -2.0 * math.log(r)
+        else:
+            value = float(math.pi ** (1.0 - 0.5 * n) * _gamma(0.5 * n - 1.0) * r ** (2.0 - n))
+        strip = FundamentalStrip(-math.inf, 0.5 * n)
+        return TransformValue(value, 1.0 + 0j, strip, Normalization.haar(), 0.0)
     if key != "quadrature":
         raise ValueError(f"unknown route {route!r}")
     if n <= 2:
@@ -248,7 +246,7 @@ def _greens(
             f"quadrature route diverges for n = {n}: alpha = 1 is outside <-inf, n/2>"
         )
     tv = forward_mellin(_heat_kernel_function(n, r), 1.0, cfg=cfg)
-    return float(tv.value.real), tv.abs_error_estimate
+    return replace(tv, value=float(tv.value.real))
 
 
 def zeta_value(
@@ -256,24 +254,14 @@ def zeta_value(
     route: str = "realline",
     cfg: QuadratureConfig | None = None,
     contour: HankelContourSpec | None = None,
-) -> complex:
-    """Riemann zeta through the Bose distribution.
+) -> TransformValue:
+    """Riemann zeta through the Bose distribution, as its route's TransformValue.
 
     realline: Gamma-normalized transform on <1, inf), needs
     Re(alpha) > 1. hankel: contour-normalized loop transform, valid for
     Re(alpha) > 0 except the pole at 1. PoleAtOne wins over strip
     checks.
     """
-    return _zeta(alpha, route, cfg, contour).value
-
-
-def _zeta(
-    alpha: complex,
-    route: str,
-    cfg: QuadratureConfig | None,
-    contour: HankelContourSpec | None,
-) -> TransformValue:
-    """zeta_value as the TransformValue its route computed."""
     alpha = complex(alpha)
     key = route.replace("-", "_").lower()
     if key == "realline":
@@ -289,13 +277,8 @@ def _zeta(
     raise ValueError(f"unknown route {route!r}")
 
 
-def eta_value(alpha: complex, cfg: QuadratureConfig | None = None) -> complex:
+def eta_value(alpha: complex, cfg: QuadratureConfig | None = None) -> TransformValue:
     """Dirichlet eta as the Gamma-normalized Fermi transform on <0, inf)."""
-    return _eta(alpha, cfg).value
-
-
-def _eta(alpha: complex, cfg: QuadratureConfig | None) -> TransformValue:
-    """eta_value as the TransformValue of the Fermi transform."""
     return forward_mellin(fermi_function(), alpha, Normalization.gamma(), cfg=cfg)
 
 
@@ -320,7 +303,7 @@ def gamma_reflection(
 
 def subtracted_exponential_transform(
     beta: float, alpha: complex, cfg: QuadratureConfig | None = None
-) -> complex:
+) -> TransformValue:
     """Haar transform of e^(-beta g) - e^(-g) on the strip <-1, inf).
 
     The subtraction extends the exponential transform one unit past the
@@ -339,12 +322,12 @@ def subtracted_exponential_transform(
             return np.where(np.isfinite(out), out, 0.0)
 
     f = MellinFunction(_wrap_eval(core, float), -1.0, math.inf, label=f"subtracted-exp({beta:g})")
-    return forward_mellin(f, alpha, cfg=cfg).value
+    return forward_mellin(f, alpha, cfg=cfg)
 
 
 def gamma_p_extension(
     beta: float, alpha: complex, p: float, cfg: QuadratureConfig | None = None
-) -> complex:
+) -> TransformValue:
     """Weighted extension of the exponential transform to <-p, inf).
 
     Integrates (beta g)^p e^(-beta g) against Haar measure with the
@@ -362,4 +345,4 @@ def gamma_p_extension(
         return np.where(np.isfinite(out), out, 0.0)
 
     f = MellinFunction(_wrap_eval(core, float), -p, math.inf, label=f"gamma-p({p:g}) weight")
-    return forward_mellin(f, alpha, Normalization.gamma_p(p), cfg=cfg).value
+    return forward_mellin(f, alpha, Normalization.gamma_p(p), cfg=cfg)

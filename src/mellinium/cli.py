@@ -28,13 +28,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .applications import CORPUS, HeatKernelProblem, _eta, _greens, _zeta, gamma_reflection
+from .applications import CORPUS, HeatKernelProblem, eta_value, gamma_reflection, greens_function, zeta_value
 from .asymptotics import SingularExpansion, asymptotic_from_singular, residue_asymptotics
 from .errors import MelliniumError
 from .mellin_core import DEFAULT_CONFIG, HankelContourSpec, Normalization
 from .mellin_core import forward_mellin, infer_strip, inverse_mellin
 from .operator_calculus import OperatorSpec, PhaseConvention, Regulator, complex_power
-from .operator_calculus import _functional_log, functional_determinant, key_identity_check, resolvent
+from .operator_calculus import functional_determinant, functional_log, key_identity_check, resolvent
 from .strip_algebra import _induced_strip, mult_convolve, star_convolve
 
 __all__ = ["run", "main"]
@@ -252,26 +252,29 @@ def _add_fn_flags(sp, suffix: str = "") -> None:
         sp.add_argument(f"--{key}{suffix}", type=type(default), default=None)
 
 
-def _add_common(sp, handler, declared=None, with_alpha=True, with_norm=False) -> None:
+def _add_common(sp, handler, declared=None, with_alpha=True, with_norm=False, with_tol=True) -> None:
     """The command's handler, its fixed (strip, normalization) if any, and common flags.
 
-    A command that takes --alpha can be swept.
+    A command that takes --alpha can be swept; one that runs no
+    quadrature takes no --rel-tol or --abs-tol.
     """
     sp.set_defaults(handler=handler, declared=declared)
     if with_alpha:
         sp.add_argument("--alpha", type=_parse_complex, default=None, help="re[,im]")
     if with_norm:
         sp.add_argument("--norm", type=_parse_norm, default=Normalization.haar())
-    sp.add_argument("--rel-tol", type=float, default=None)
-    sp.add_argument("--abs-tol", type=float, default=None)
+    if with_tol:
+        sp.add_argument("--rel-tol", type=float, default=None)
+        sp.add_argument("--abs-tol", type=float, default=None)
     sp.add_argument("--out", default="-")
     sp.add_argument("--format", choices=("jsonl", "csv"), default=None)
 
 
-def _add_operator_flags(sp) -> None:
+def _add_operator_flags(sp, with_winding=True) -> None:
     sp.add_argument("--matrix", default=None, help="path: first line d, then d rows of d complex entries")
     sp.add_argument("--spectrum", type=_parse_spectrum, default=None, help="e1,e2,...")
-    sp.add_argument("--winding", type=int, default=0)
+    if with_winding:
+        sp.add_argument("--winding", type=int, default=0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("strip", help="infer the fundamental strip empirically")
     _add_fn_flags(sp)
-    _add_common(sp, _do_strip, with_alpha=False)
+    _add_common(sp, _do_strip, with_alpha=False, with_tol=False)
 
     sp = sub.add_parser("convolve", help="transform of a convolution of two corpus functions")
     sp.add_argument("--kind", choices=("mult", "star"), required=True)
@@ -309,20 +312,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("det", help="functional determinant of an operator")
     _add_operator_flags(sp)
     sp.add_argument("--regulator", default=None, help="matrix file for the regulator")
-    _add_common(sp, _do_det, (_WHOLE, "gamma"))
+    _add_common(sp, _do_det, (_WHOLE, "gamma"), with_tol=False)
 
     sp = sub.add_parser("power", help="complex power, one record per eigenvalue")
     _add_operator_flags(sp)
-    _add_common(sp, _do_power, (_WHOLE, "gamma"))
+    _add_common(sp, _do_power, (_WHOLE, "gamma"), with_tol=False)
 
     sp = sub.add_parser("resolvent", help="shifted complex power, one record per eigenvalue")
     _add_operator_flags(sp)
     sp.add_argument("--z", type=_parse_complex, required=True, help="re[,im]")
-    _add_common(sp, _do_resolvent, (_WHOLE, "gamma"))
+    _add_common(sp, _do_resolvent, (_WHOLE, "gamma"), with_tol=False)
 
     sp = sub.add_parser("log", help="functional logarithm, one record per eigenvalue")
-    _add_operator_flags(sp)
-    _add_common(sp, _do_log, (_WHOLE, "gamma"), with_alpha=False)
+    _add_operator_flags(sp, with_winding=False)
+    _add_common(sp, _do_log, (_WHOLE, "gamma"), with_alpha=False, with_tol=False)
 
     sp = sub.add_parser("greens", help="free Green's function from the heat kernel")
     sp.add_argument("--n", type=int, required=True)
@@ -334,13 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fn_flags(sp)
     sp.add_argument("--x", type=float, default=None, help="evaluate the residue sum at x")
     sp.add_argument("--terms", type=int, default=6)
-    _add_common(sp, _do_asymptotic, with_alpha=False)
+    _add_common(sp, _do_asymptotic, with_alpha=False, with_tol=False)
 
     sp = sub.add_parser("reflection", help="both sides of the reflection identity")
     _add_common(sp, _do_reflection, ((0.0, 1.0), "haar"))
 
     sp = sub.add_parser("key-check", help="zeta exponential vs convolution exponential")
-    _add_operator_flags(sp)
+    _add_operator_flags(sp, with_winding=False)
     sp.add_argument("--terms", type=int, default=12)
     _add_common(sp, _do_key_check, ((0.0, math.inf), "haar"))
 
@@ -414,14 +417,14 @@ def _do_zeta(ns) -> list[dict]:
     ns.inputs = inputs = {"route": ns.route}
     if ns.radius is not None:
         inputs["radius"] = _g(ns.radius)
-    tv = _zeta(alpha, ns.route, _cfg(ns), contour)
+    tv = zeta_value(alpha, ns.route, _cfg(ns), contour)
     return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
 
 
 def _do_eta(ns) -> list[dict]:
     alpha = ns.alpha
     ns.inputs = inputs = {"route": "fermi"}
-    tv = _eta(alpha, _cfg(ns))
+    tv = eta_value(alpha, _cfg(ns))
     return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
 
 
@@ -474,15 +477,15 @@ def _do_resolvent(ns) -> list[dict]:
 
 def _do_log(ns) -> list[dict]:
     op, inputs = _operator(ns)
-    log, errs = _functional_log(op)
+    log, errs = functional_log(op)
     return _per_eigenvalue(ns, op, inputs, log, None, errs)
 
 
 def _do_greens(ns) -> list[dict]:
     problem = HeatKernelProblem(ns.n, (0.0,), (ns.distance,))
-    value, err = _greens(problem, ns.route, _cfg(ns))
+    tv = greens_function(problem, ns.route, _cfg(ns))
     inputs = {"n": str(ns.n), "distance": _g(ns.distance), "route": ns.route}
-    return _records(ns, [(inputs, None, complex(value), err)])
+    return _records(ns, [(inputs, None, tv.value, tv.abs_error_estimate)])
 
 
 def _do_asymptotic(ns) -> list[dict]:

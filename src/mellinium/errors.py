@@ -99,7 +99,7 @@ class SpectrumCollision(MelliniumError):
 
 
 class ConvergenceDomain(MelliniumError):
-    """Parameters leave the convergence domain of an operator formula."""
+    """Parameters leave the convergence domain of a formula, or its value the float range."""
 
 
 class ZeroDeterminant(MelliniumError):

@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import (
     ContourDependence,
+    ConvergenceDomain,
     GammaPole,
     InconsistentDeclaration,
     InsufficientDecay,
@@ -146,31 +147,6 @@ def _lanczos(z: complex, reciprocal: bool) -> complex:
     return math.pi * cmath.exp(-e - k) / (_SQRT_2PI * x * s)
 
 
-def _lanczos_array(z: np.ndarray) -> np.ndarray:
-    """Gamma over a complex array: _lanczos vectorized."""
-    left = z.real < 0.5
-    n = np.round(z.real)
-    if np.any(left & (z.imag == 0) & (z.real == n)):
-        raise GammaPole("Gamma has a pole at a non-positive integer")
-    zz = np.where(left, 1.0 - z, z)
-    w = zz - 1.0
-    x = np.full(z.shape, _LANCZOS_C[0], dtype=complex)
-    for j in range(1, len(_LANCZOS_C)):
-        x += _LANCZOS_C[j] / (w + j)
-    t = w + (_LANCZOS_G + 0.5)
-    e = (w + 0.5) * np.log(t) - t
-    # sin(pi z) = s e^k as in _sinpi
-    r = np.pi * (z.real - n)
-    k = np.pi * np.abs(z.imag)
-    cosh = 0.5 * (1.0 + np.exp(-2.0 * k))
-    sinh = 0.5 * np.copysign(-np.expm1(-2.0 * k), z.imag)
-    s = np.where(n % 2 == 0, 1.0, -1.0) * (np.sin(r) * cosh + 1j * np.cos(r) * sinh)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        right = _SQRT_2PI * x * np.exp(e)
-        reflected = math.pi * np.exp(-e - k) / (_SQRT_2PI * x * s)
-    return np.where(left, reflected, right)
-
-
 def _gamma_roundoff(z: complex) -> float:
     """Relative rounding error bound of _lanczos at z, either way round.
 
@@ -199,16 +175,21 @@ def _gamma(z):
     Real values, complex ones with a zero imaginary part included, go to
     math.gamma, which is about ten times more accurate than the Lanczos
     sum; other complex scalars go to a pure-Python Lanczos. An array
-    keeps its shape, and its dtype when real or complex. Raises
-    GammaPole at 0, -1, -2, ...; 1/Gamma, which is entire, is ``_rgamma``.
+    goes through the scalar path entry by entry and keeps its shape,
+    and its dtype when real or complex. Raises
+    GammaPole at 0, -1, -2, ..., and ConvergenceDomain where Gamma leaves
+    the float range; 1/Gamma, which is entire, is ``_rgamma``.
     """
-    if isinstance(z, (int, float)):
-        return _real_gamma(z)
-    if np.ndim(z) == 0:
-        z = complex(z)
-        return complex(_real_gamma(z.real)) if z.imag == 0 else _lanczos(z, False)
+    try:
+        if isinstance(z, (int, float)):
+            return _real_gamma(z)
+        if np.ndim(z) == 0:
+            z = complex(z)
+            return complex(_real_gamma(z.real)) if z.imag == 0 else _lanczos(z, False)
+    except OverflowError:
+        raise ConvergenceDomain(f"Gamma({z}) leaves the float range") from None
     arr = np.asarray(z)
-    out = _lanczos_array(arr.astype(complex))
+    out = np.array([_gamma(complex(v)) for v in arr.flat], dtype=complex).reshape(arr.shape)
     if arr.dtype.kind == "c":
         return out.astype(arr.dtype, copy=False)
     return out.real.astype(arr.dtype if arr.dtype.kind == "f" else float, copy=False)
@@ -469,6 +450,9 @@ class TransformValue:
     normalization: Normalization
     abs_error_estimate: float
     continued: bool = False
+
+    def __complex__(self) -> complex:
+        return complex(self.value)
 
 
 # ---------------------------------------------------------------------------

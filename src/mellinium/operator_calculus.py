@@ -30,9 +30,11 @@ from .errors import (
     ZeroDeterminant,
 )
 from .mellin_core import (
+    FundamentalStrip,
     MellinFunction,
     Normalization,
     QuadratureConfig,
+    TransformValue,
     _EPS,
     _circle,
     _circle_mode,
@@ -215,24 +217,27 @@ def spectral_zeta(
     alpha: complex,
     route: str = "direct",
     cfg: QuadratureConfig | None = None,
-) -> complex:
+) -> TransformValue:
     """Operator zeta, by direct summation or the heat-trace Mellin route.
 
     The direct route sums e_i^-alpha (convergent for any alpha on a
-    finite spectrum). The Mellin route computes the Gamma-normalized
-    transform of the heat trace on <0, inf), so it needs Re(alpha) > 0.
+    finite spectrum), with estimate 0 on the whole plane. The Mellin
+    route computes the Gamma-normalized transform of the heat trace on
+    <0, inf), so it needs Re(alpha) > 0.
     """
     key = route.replace("-", "_").lower()
     if key == "direct":
-        return complex(np.sum(_branch_power(op.spectrum, alpha, 0)))
+        value = complex(np.sum(_branch_power(op.spectrum, alpha, 0)))
+        strip = FundamentalStrip(-math.inf, math.inf)
+        return TransformValue(value, complex(alpha), strip, Normalization.gamma(), 0.0)
     if key in ("heat_trace_mellin", "mellin"):
-        return forward_mellin(op.heat_trace(), alpha, Normalization.gamma(), cfg=cfg).value
+        return forward_mellin(op.heat_trace(), alpha, Normalization.gamma(), cfg=cfg)
     raise ValueError(f"unknown route {route!r}")
 
 
 def spectral_eta(
     op: OperatorSpec, alpha: complex, cfg: QuadratureConfig | None = None
-) -> complex:
+) -> TransformValue:
     """Alternating zeta of the spectrum via the alternating heat trace.
 
     The Mellin value is cross-checked against the direct alternating
@@ -247,27 +252,20 @@ def spectral_eta(
         raise QuadratureDivergence(
             f"eta routes disagree: mellin {tv.value} vs direct {direct}"
         )
-    return tv.value
+    return tv
 
 
-def functional_log(op: OperatorSpec) -> np.ndarray:
-    """Derivative of alpha -> op^(-alpha) at 0, i.e. -log(op).
+def functional_log(op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(-log(op), error estimates): the derivative of alpha -> op^(-alpha) at 0.
 
-    The Cauchy derivative on a circle about alpha = 0, taken on each
-    eigenvalue: no step to choose, and the error is at rounding level.
-    """
-    return _functional_log(op)[0]
-
-
-def _functional_log(op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """functional_log with an error estimate for each eigenvalue of op.
-
-    On eigenvalue e, -log e is mode 1 of e^(-alpha log e) on the circle
-    |alpha| = rho, over rho; rho = min(1, 2 / max |log e|) keeps every
-    |alpha log e| <= 2, so 32 points are exact to rounding. The estimate
-    is the aliasing estimate over rho, plus 4 eps times the mean term
-    over rho (the circle sum's rounding) and 4 d eps max |log e| (the
-    rounding of rebuilding the d x d matrix and reading it back).
+    The estimates hold one per eigenvalue, in the order of
+    op.eigensystem(). On eigenvalue e, -log e is mode 1 of
+    e^(-alpha log e) on the circle |alpha| = rho, over rho;
+    rho = min(1, 2 / max |log e|) keeps every |alpha log e| <= 2, so 32
+    points are exact to rounding. The estimate is the aliasing estimate
+    over rho, plus 4 eps times the mean term over rho (the circle sum's
+    rounding) and 4 d eps max |log e| (the rounding of rebuilding the
+    d x d matrix and reading it back).
     """
     eigs, vecs = op.eigensystem()
     logs = np.log(eigs)
@@ -362,7 +360,7 @@ def key_identity_check(
     covering series truncation and quadrature error.
     """
     alpha = complex(alpha)
-    lhs = _exp(-spectral_zeta(op, alpha, "direct"))
+    lhs = _exp(-spectral_zeta(op, alpha, "direct").value)
     h = op.heat_trace()
     ce = convolution_exp(h, terms, cfg)
     tv = forward_mellin(ce, alpha, cfg=cfg)

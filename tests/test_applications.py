@@ -14,16 +14,20 @@ from mellinium import (
     DivergentRoute,
     HeatKernelProblem,
     Normalization,
+    OperatorSpec,
     PoleAtOne,
     StripViolation,
     bose_function,
     eta_value,
     fermi_function,
     forward_mellin,
+    functional_log,
     gamma_p_extension,
     gamma_reflection,
     greens_function,
     hankel_mellin,
+    spectral_eta,
+    spectral_zeta,
     subtracted_exponential_transform,
     zeta_value,
 )
@@ -76,26 +80,26 @@ class TestDistributions:
 class TestGreensFunction:
     def test_three_dimensions_unit_distance(self):
         p = HeatKernelProblem(n=3, x_a=(0.0, 0.0, 0.0), x_a_prime=(1.0, 0.0, 0.0))
-        assert greens_function(p, route="closed") == pytest.approx(1.0)
-        assert greens_function(p, route="quadrature") == pytest.approx(1.0, abs=1e-9)
+        assert greens_function(p, route="closed").value == pytest.approx(1.0)
+        assert greens_function(p, route="quadrature").value == pytest.approx(1.0, abs=1e-9)
 
     def test_two_dimensions_log(self):
         p = HeatKernelProblem(n=2, x_a=(0.0, 0.0), x_a_prime=(math.e, 0.0))
-        assert greens_function(p, route="closed") == pytest.approx(-2.0)
+        assert greens_function(p, route="closed").value == pytest.approx(-2.0)
 
     def test_five_dimensions_routes_agree(self):
         p = HeatKernelProblem(n=5, x_a=(0.0,) * 5, x_a_prime=(1.3,) + (0.0,) * 4)
-        closed = greens_function(p, route="closed")
-        quad = greens_function(p, route="quadrature")
+        closed = greens_function(p, route="closed").value
+        quad = greens_function(p, route="quadrature").value
         assert abs(quad - closed) < 1e-8 * abs(closed)
 
     def test_doubling_scaling_law(self):
         for n in (3, 4, 5, 7):
             near = HeatKernelProblem(n=n, x_a=(0.0,) * n, x_a_prime=(0.7,) + (0.0,) * (n - 1))
             far = HeatKernelProblem(n=n, x_a=(0.0,) * n, x_a_prime=(1.4,) + (0.0,) * (n - 1))
-            ratio = greens_function(far, route="closed") / greens_function(
+            ratio = greens_function(far, route="closed").value / greens_function(
                 near, route="closed"
-            )
+            ).value
             assert ratio == 2.0 ** (2 - n)
 
     def test_coincident_points(self):
@@ -116,17 +120,17 @@ class TestGreensFunction:
 
 class TestZetaRoutes:
     def test_realline_even_values(self):
-        assert zeta_value(2.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-10)
-        assert zeta_value(4.0) == pytest.approx(math.pi**4 / 90.0, rel=1e-10)
+        assert zeta_value(2.0).value == pytest.approx(math.pi**2 / 6.0, rel=1e-10)
+        assert zeta_value(4.0).value == pytest.approx(math.pi**4 / 90.0, rel=1e-10)
 
     def test_realline_matches_series_oracle(self):
         for alpha in (1.5, 2.5, 3.0):
-            assert zeta_value(alpha) == pytest.approx(
+            assert zeta_value(alpha).value == pytest.approx(
                 zeta_from_eta(alpha).real, rel=1e-9
             )
 
     def test_hankel_left_of_strip(self):
-        got = zeta_value(0.5, route="hankel")
+        got = zeta_value(0.5, route="hankel").value
         assert abs(got - zeta_from_eta(0.5)) < 1e-9
 
     def test_pole_at_one(self):
@@ -150,12 +154,12 @@ class TestZetaRoutes:
 
 class TestEta:
     def test_special_values(self):
-        assert eta_value(1.0) == pytest.approx(math.log(2.0), rel=1e-10)
-        assert eta_value(2.0) == pytest.approx(math.pi**2 / 12.0, rel=1e-10)
+        assert eta_value(1.0).value == pytest.approx(math.log(2.0), rel=1e-10)
+        assert eta_value(2.0).value == pytest.approx(math.pi**2 / 12.0, rel=1e-10)
 
     def test_matches_alternating_oracle(self):
         for alpha in (0.25, 0.75, 1.5, 3.0):
-            assert eta_value(alpha) == pytest.approx(
+            assert eta_value(alpha).value == pytest.approx(
                 alternating_eta(alpha).real, rel=1e-9
             )
 
@@ -164,8 +168,8 @@ class TestEta:
         # with zeta from the route that converges at each point
         for alpha in (0.25, 0.5, 1.5, 2.0, 3.0):
             route = "realline" if alpha > 1.0 else "hankel"
-            lhs = eta_value(alpha)
-            rhs = (1.0 - 2.0 ** (1.0 - alpha)) * zeta_value(alpha, route=route)
+            lhs = eta_value(alpha).value
+            rhs = (1.0 - 2.0 ** (1.0 - alpha)) * zeta_value(alpha, route=route).value
             assert abs(lhs - rhs) < 1e-7 * max(1.0, abs(rhs))
 
     def test_gamma_eta_normalization_recovers_eta_from_bose(self):
@@ -197,24 +201,84 @@ class TestSubtractedExponential:
         # Gamma(alpha) (beta^-alpha - 1), including alpha < 0 where the
         # subtraction is what makes the integral converge
         for beta, alpha in ((2.0, 0.5), (0.5, 1.25), (3.0, -0.5)):
-            got = subtracted_exponential_transform(beta, alpha)
+            got = subtracted_exponential_transform(beta, alpha).value
             want = math.gamma(alpha) * (beta**-alpha - 1.0)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_zero_alpha_limit(self):
-        got = subtracted_exponential_transform(3.0, 0.0)
+        got = subtracted_exponential_transform(3.0, 0.0).value
         assert got == pytest.approx(-math.log(3.0), rel=1e-10)
 
     def test_beta_one_vanishes(self):
-        assert abs(subtracted_exponential_transform(1.0, 0.7)) < 1e-12
+        assert abs(subtracted_exponential_transform(1.0, 0.7).value) < 1e-12
 
 
 class TestGammaPExtension:
     def test_pure_power_recovered_left_of_zero(self):
         for beta, alpha, p in ((2.0, -0.5, 1.0), (0.5, -1.5, 2.0), (3.0, 0.5, 1.0)):
-            got = gamma_p_extension(beta, alpha, p)
+            got = gamma_p_extension(beta, alpha, p).value
             assert got == pytest.approx(beta**-alpha, rel=1e-9)
 
     def test_alpha_left_of_extended_strip(self):
         with pytest.raises(StripViolation):
             gamma_p_extension(2.0, -1.5, 1.0)
+
+
+def _within_estimate(tv, want):
+    assert abs(tv.value - complex(want)) <= tv.abs_error_estimate
+
+
+SPECTRUM = (0.7, 1.9, 3.3)
+
+
+class TestCalibration:
+    """Every public route's own estimate bounds its true error against mpmath."""
+
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        with mp.workdps(30):
+            yield
+
+    @pytest.mark.parametrize(
+        "route, alpha",
+        [("realline", a) for a in (1.5, 2.0, 3 + 2j, 4 - 5j, 1.2 + 0.3j)]
+        + [("hankel", a) for a in (0.3, 0.5 + 1j, 0.05 + 0.5j, 2.5, 0.7 - 2j)],
+    )
+    def test_zeta(self, route, alpha):
+        _within_estimate(zeta_value(alpha, route), mp.zeta(alpha))
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 2 + 3j, 0.5 + 5j, 3.5])
+    def test_eta(self, alpha):
+        _within_estimate(eta_value(alpha), mp.altzeta(alpha))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("r", [0.7, 1.3])
+    def test_greens_quadrature(self, n, r):
+        half = mp.mpf(n) / 2
+        want = mp.pi ** (1 - half) * mp.gamma(half - 1) * mp.mpf(r) ** (2 - n)
+        _within_estimate(greens_function(HeatKernelProblem(n, (0.0,), (r,)), "quadrature"), want)
+
+    @pytest.mark.parametrize("alpha", [0.5 + 0.5j, 2.0, 1.3 - 1.7j])
+    def test_spectral_zeta_and_eta(self, alpha):
+        op = OperatorSpec.from_spectrum(SPECTRUM)
+        powers = [mp.power(e, -mp.mpc(alpha)) for e in SPECTRUM]
+        _within_estimate(spectral_zeta(op, alpha, "mellin"), mp.fsum(powers))
+        _within_estimate(spectral_eta(op, alpha), mp.fsum((-1) ** i * t for i, t in enumerate(powers)))
+
+    def test_functional_log(self):
+        op = OperatorSpec.from_spectrum(SPECTRUM)
+        log, est = functional_log(op)
+        eigs, vecs = op.eigensystem()
+        got = np.diag(vecs.conj().T @ log @ vecs)
+        for g, e, bound in zip(got, eigs, est):
+            assert abs(g + complex(mp.log(e))) <= bound
+
+    @pytest.mark.parametrize("beta, alpha", [(3.0, 0.5), (0.5, -0.5 + 1j), (2.0, 1.5 - 2j), (3.0, 0.0)])
+    def test_subtracted_exponential(self, beta, alpha):
+        a = mp.mpc(alpha)
+        want = -mp.log(beta) if alpha == 0 else mp.gamma(a) * (mp.power(beta, -a) - 1)
+        _within_estimate(subtracted_exponential_transform(beta, alpha), want)
+
+    @pytest.mark.parametrize("beta, alpha, p", [(2.0, -0.5, 1.0), (0.7, 0.3 + 1j, 0.5), (1.5, -1.2 + 0.5j, 2.0)])
+    def test_gamma_p_extension(self, beta, alpha, p):
+        _within_estimate(gamma_p_extension(beta, alpha, p), mp.power(beta, -mp.mpc(alpha)))

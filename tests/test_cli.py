@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -340,6 +341,21 @@ class TestErrorEstimates:
         assert abs(complex(*recs[0]["value"]) - 2.0 / 3.0) <= recs[0]["error_estimate"]
 
 
+class TestLayering:
+    def test_cli_imports_no_private_library_name(self):
+        # the CLI formats what the library's public routes return
+        cli = Path(__file__).resolve().parents[1] / "src" / "mellinium" / "cli.py"
+        private = [
+            f"{node.module}.{alias.name}"
+            for node in ast.walk(ast.parse(cli.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").rpartition(".")[2] in ("applications", "operator_calculus")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
         # importing scipy.special alone cost about 0.25 s of every CLI start
@@ -370,9 +386,33 @@ class TestExitCodes:
         assert run(["transform", "--fn", "exp_decay", "--k", "3", "--alpha", "1"]) == 1
         assert "--k " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strip", "--fn", "bose", "--rel-tol", "1e-8"],
+            ["det", "--spectrum", "2,3", "--alpha", "1", "--abs-tol", "1e-10"],
+            ["power", "--spectrum", "2,3", "--alpha", "1", "--abs-tol", "-1"],
+            ["resolvent", "--spectrum", "2,3", "--z=-1,0", "--alpha", "1", "--rel-tol", "0"],
+            ["log", "--spectrum", "2,3", "--abs-tol", "1e-10"],
+            ["asymptotic", "--fn", "exp_decay", "--x", "0.1", "--rel-tol", "1e-8"],
+            ["log", "--spectrum", "2,3", "--winding", "1"],
+            ["key-check", "--spectrum", "1", "--alpha", "2", "--winding", "1"],
+        ],
+        ids=["strip", "det", "power", "resolvent", "log", "asymptotic", "log-winding", "key-check-winding"],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        # a flag the command would ignore is a usage error, not a silent no-op
+        assert run(argv) == 1
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
     def test_numerical_failure(self, capsys):
         assert run(["transform", "--fn", "exp_decay", "--alpha", "-1"]) == 2
         capsys.readouterr()
+
+    def test_overflowing_gamma_in_a_closed_transform(self, capsys):
+        # Gamma(200 + it) on the inversion line leaves the float range
+        assert run(["invert", "--fn", "exp_decay", "--x", "2", "--c", "200"]) == 2
+        assert "ConvergenceDomain" in capsys.readouterr().err
 
     def test_overflowing_power(self, capsys):
         assert run(["power", "--spectrum", "0.001,2", "--alpha", "200"]) == 2

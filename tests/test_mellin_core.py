@@ -12,6 +12,7 @@ import pytest
 from mellinium import (
     DEFAULT_CONFIG,
     ContourDependence,
+    ConvergenceDomain,
     FundamentalStrip,
     GammaPole,
     HankelContourSpec,
@@ -188,6 +189,13 @@ class TestGamma:
             assert abs(_gamma(z) - want) <= 1e-12 * abs(want)
             assert abs(_gamma(np.array([z]))[0] - want) <= 1e-12 * abs(want)
             assert abs(_rgamma(z) - rwant) <= 1e-12 * abs(rwant)
+
+
+@pytest.mark.parametrize("z", [200.0, 200 + 0j, 200 + 1j, np.array([1.5, 200.0]), np.array([200 + 1j])])
+def test_gamma_past_the_float_range_raises(z):
+    # the scalar path, and an array through it, name the overflow
+    with pytest.raises(ConvergenceDomain):
+        _gamma(z)
 
 
 class TestQuadratureConfig:
