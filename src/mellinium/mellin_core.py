@@ -199,13 +199,20 @@ def _rgamma(z: complex) -> complex:
     """1/Gamma of a complex scalar: entire, exactly 0 at 0, -1, -2, ...
 
     Real z goes to math.gamma as in _gamma, inside the range where
-    neither Gamma nor its reciprocal overflows.
+    neither Gamma nor its reciprocal overflows. Raises ConvergenceDomain
+    where 1/Gamma leaves the float range, as at -200.5.
     """
     z = complex(z)
-    if z.imag == 0 and abs(z.real) < 170.0:
+    if z.imag == 0:
         x = z.real
-        return 0j if x <= 0 and x == round(x) else complex(1.0 / math.gamma(x))
-    return _lanczos(z, True)
+        if x <= 0 and x == round(x):
+            return 0j
+        if abs(x) < 170.0:
+            return complex(1.0 / math.gamma(x))
+    try:
+        return _lanczos(z, True)
+    except OverflowError:
+        raise ConvergenceDomain(f"1/Gamma({z}) leaves the float range") from None
 
 
 def _fmt_edge(v: float) -> str:
@@ -1000,8 +1007,12 @@ def _line_integral(g, tol: float, cfg: QuadratureConfig) -> tuple[complex, float
 
     T runs through 1, 2, 4, ... up to max(64, the right truncation
     bound); SlowContourDecay if |g(T)| or |g(-T)| never falls below tol
-    there. [-T, 0] and [0, T] are two rows of one kernel call. Returns
-    (value, estimate); the discarded tails are the caller's to bound.
+    there. Each half-line is mapped to s in [0, 1) by |t| = T s / (1 - s),
+    so the kernel's nodes crowd at t = 0 and past T rather than at both
+    ends of [0, T]; nodes past T (s > 1/2) add 0 and never reach g. The
+    two half-lines are two rows of one kernel call, and g gets both rows'
+    nodes at once. Returns (value, estimate); the discarded tails are the
+    caller's to bound.
     """
     t_cap = max(64.0, cfg.truncation_bounds[1])
     T = 1.0
@@ -1013,7 +1024,20 @@ def _line_integral(g, tol: float, cfg: QuadratureConfig) -> tuple[complex, float
         T *= 2.0
         if T > t_cap:
             raise SlowContourDecay(f"line integrand never fell below {tol:g} for |t| <= {t_cap:g}")
-    vals, errs = _tanh_sinh(lambda t, rows: g(t), [-T, 0.0], [0.0, T], cfg)
+
+    def half_lines(s, rows):
+        # row 0 is t <= 0 and row 1 is t >= 0; both rows hold the same nodes
+        s = s[: s.size // rows.size]
+        cut = s <= 0.5
+        u = s[cut]
+        v = 1.0 - u
+        t = T * u / v
+        out = np.zeros((rows.size, s.size), dtype=complex)
+        vals = g(np.concatenate([t if r else -t for r in rows.tolist()]))
+        out[:, cut] = np.reshape(vals, (rows.size, -1)) * (T / (v * v))
+        return out.ravel()
+
+    vals, errs = _tanh_sinh(half_lines, [0.0, 0.0], [1.0, 1.0], cfg)
     (left, right), (e_left, e_right) = vals.tolist(), errs.tolist()
     return left + right, e_left + e_right
 

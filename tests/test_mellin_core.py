@@ -8,6 +8,7 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from mellinium import (
     DEFAULT_CONFIG,
@@ -196,6 +197,26 @@ def test_gamma_past_the_float_range_raises(z):
     # the scalar path, and an array through it, name the overflow
     with pytest.raises(ConvergenceDomain):
         _gamma(z)
+
+
+# 1/Gamma(z + p) as each reciprocal-Gamma route takes it, with its p
+RECIPROCALS = {
+    "rgamma": (_rgamma, 0.0),
+    "gamma": (Normalization.gamma().multiplier, 0.0),
+    "gamma_p": (Normalization.gamma_p(0.25).multiplier, 0.25),
+    "gamma_eta": (Normalization.gamma_eta().multiplier, 0.0),
+}
+
+
+@pytest.mark.parametrize("route", RECIPROCALS)
+@pytest.mark.parametrize("z", [-200.5, -200.5 + 1j])
+def test_reciprocal_gamma_past_the_float_range_raises(route, z):
+    # Gamma(-200.5) is below the smallest float, so 1/Gamma overflows
+    reciprocal, p = RECIPROCALS[route]
+    with pytest.raises(ConvergenceDomain):
+        reciprocal(z)
+    # while its zeros stay exact however far left
+    assert reciprocal(-200.0 - p) == 0
 
 
 class TestQuadratureConfig:
@@ -424,6 +445,25 @@ class TestInverseMellin:
             val, err = inverse_mellin(transform, c=1.0, x=x)
             assert abs(val - math.exp(-x)) < 1e-8
             assert err < 1e-6
+
+    # transform, the function it inverts to, and lines inside its strip
+    PAIRS = {
+        "gamma": (sp.gamma, lambda x: math.exp(-x), (0.2, 0.5, 1.0, 1.5, 2.5)),
+        "csc": (lambda a: np.pi / np.sin(np.pi * a), lambda x: 1.0 / (1.0 + x), (0.2, 0.5, 0.8)),
+        "gamma_squared": (
+            lambda a: sp.gamma(a) ** 2,
+            lambda x: 2.0 * sp.k0(2.0 * math.sqrt(x)),
+            (0.5, 1.0, 2.0),
+        ),
+    }
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_estimate_bounds_error(self, pair):
+        transform, f, lines = self.PAIRS[pair]
+        for c in lines:
+            for x in (0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 30.0):
+                val, err = inverse_mellin(transform, c, x)
+                assert abs(val - f(x)) <= err, (c, x)
 
     def test_positive_x_required(self):
         with pytest.raises(ValueError):

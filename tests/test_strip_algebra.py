@@ -45,6 +45,7 @@ from mellinium import (
 )
 
 from mellinium.mellin_core import DEFAULT_CONFIG, QuadratureConfig, _window
+from mellinium import strip_algebra
 from mellinium.strip_algebra import _product
 
 from conftest import make_exp, make_power_cutoff, make_self_involutive
@@ -366,6 +367,23 @@ class TestBatchedQuadrature:
         assert rhs == pytest.approx(0.25, abs=1e-9)
         assert len(calls) <= 900
         assert max(calls) <= 2_000_000
+
+    def test_parseval_line_nodes_stop_at_the_cut(self, monkeypatch):
+        # every line node costs one inner transform of g and one of h; the
+        # nodes past the scan's cut T add nothing and must not be paid for
+        alphas, transforms = [], strip_algebra._haar_transforms
+
+        def recorded(f, a, cfg):
+            alphas.append(np.asarray(a))
+            return transforms(f, a, cfg)
+
+        monkeypatch.setattr(strip_algebra, "_haar_transforms", recorded)
+        parseval_pair(make_exp(1.0), make_exp(1.0), 2.0, 1.0)
+        # |G H| = |Gamma(1 + it)|^2 = pi t / sinh(pi t): the scan's first power
+        # of two where it is below the line tolerance 1e-14
+        cut = next(T for T in (2.0**k for k in range(7)) if math.pi * T / math.sinh(math.pi * T) < 1e-14)
+        assert sum(a.size for a in alphas) < 600
+        assert max(np.max(np.abs(a.imag)) for a in alphas) <= cut
 
     def test_primitive_evaluations(self):
         base = exp_pair()
