@@ -35,7 +35,7 @@ from .mellin_core import DEFAULT_CONFIG, HankelContourSpec, Normalization
 from .mellin_core import forward_mellin, infer_strip, inverse_mellin
 from .operator_calculus import OperatorSpec, PhaseConvention, Regulator, complex_power
 from .operator_calculus import functional_determinant, functional_log, key_identity_check, resolvent
-from .strip_algebra import _induced_strip, mult_convolve, star_convolve
+from .strip_algebra import induced_strip, mult_convolve, star_convolve
 
 __all__ = ["run", "main"]
 
@@ -99,7 +99,7 @@ def _declared(ns) -> tuple[tuple[float, float], str]:
     f = _function(ns)[0]
     strip = f.strip
     if ns.command == "convolve":
-        strip = _induced_strip(f, _function(ns, "2")[0], star=ns.kind == "star")
+        strip = induced_strip(f, _function(ns, "2")[0], star=ns.kind == "star")
     norm = ns.norm.name() if hasattr(ns, "norm") else "haar"
     return ((strip.a, strip.b) if strip else _WHOLE), norm
 

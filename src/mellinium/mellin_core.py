@@ -276,15 +276,16 @@ class MellinFunction:
     ``grid_span`` is the (t_min, t_max) range in t = log x that a
     sampling grid behind ``eval`` covers, None when there is no grid.
     The convolution builders set it, functions derived from one carry it
-    through their change of variable, and forward_mellin's window rule
-    cuts the window to it, as it cuts it to the float range.
+    through their change of variable, and the quadrature route's window
+    rule cuts the window to it, as it cuts it to the float range.
 
-    The convolution builders also record how ``eval`` is made, a finite
-    sum of scaled copies of one kernel, together with the transform the
-    algebra gives the convolution from its factors' transforms
-    (``_KernelSum``). The record is not a constructor argument, so
-    ``dataclasses.replace`` and every function derived from a grid-built
-    one drop it: their ``eval`` is no longer that convolution.
+    ``_transform(alphas, cfg)``, when set, gives the Haar transforms
+    (values, estimates) without the atom, as the algebra states them, and
+    forward_mellin takes them in place of quadrature: the convolution
+    builders set it from their factors' transforms, and apply_rule and
+    involution from the parent's, when the parent has one. It is not a
+    constructor argument, so ``dataclasses.replace`` drops it: the copy's
+    ``eval`` may no longer be that function.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -293,7 +294,7 @@ class MellinFunction:
     label: str = ""
     atom_weight: complex = 0.0
     grid_span: tuple[float, float] | None = field(default=None, repr=False, compare=False)
-    _kernel_sum: _KernelSum | None = field(default=None, init=False, repr=False, compare=False)
+    _transform: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def strip(self) -> FundamentalStrip:
@@ -301,24 +302,6 @@ class MellinFunction:
 
     def __call__(self, x):
         return self.eval(x)
-
-
-@dataclass(frozen=True)
-class _KernelSum:
-    """eval(x) = c0 k(x) + sum_j w_j k(x e^(-tau_j)), k the kernel.
-
-    The sum is a grid discretization of a convolution and serves its
-    pointwise values only. ``transform(alphas, cfg)`` gives the
-    convolution's Haar transforms (values, estimates) from its factors'
-    transforms, as the algebra states it, so it does not depend on the
-    grid.
-    """
-
-    kernel: MellinFunction
-    tau: np.ndarray
-    weights: np.ndarray
-    c0: float
-    transform: Callable[[np.ndarray, QuadratureConfig], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -368,7 +351,13 @@ class Normalization:
             # for large |Im alpha|.
             return _gamma(1.0 - alpha) / (2.0j * math.pi)
         if self.kind == "gamma_eta":
-            return (1.0 - 2.0 ** (1.0 - alpha)) * _rgamma(alpha)
+            # 1/Gamma first: where 2^(1 - alpha) overflows, it is 0 or out of
+            # the float range itself
+            r = _rgamma(alpha)
+            m = (1.0 - 2.0 ** (1.0 - alpha)) * r if r else 0j
+            if not cmath.isfinite(m):
+                raise ConvergenceDomain(f"gamma-eta multiplier at {alpha} leaves the float range")
+            return m
         raise AssertionError(self.kind)
 
     def roundoff(self, alpha: complex, m: complex) -> float:
@@ -377,9 +366,10 @@ class Normalization:
             return 0.0
         z = 1.0 - alpha if self.kind == "gamma_contour" else alpha + self.p
         err = abs(m) * _gamma_roundoff(complex(z))
-        if self.kind == "gamma_eta":
-            two = abs(2.0 ** (1.0 - alpha))
-            err += abs(_rgamma(alpha)) * _EPS * two * (2.0 + abs(1.0 - alpha))
+        # where 1/Gamma is not 0, 2^(1 - alpha) is in the float range (multiplier)
+        r = _rgamma(alpha) if self.kind == "gamma_eta" else 0
+        if r:
+            err += abs(r) * _EPS * abs(2.0 ** (1.0 - alpha)) * (2.0 + abs(1.0 - alpha))
         return err
 
     def nearest_pole(self, alpha: complex) -> tuple[float, complex | None]:
@@ -532,6 +522,13 @@ def _advance_rows(level, h, sums, sizes, moments, hw, prev, mass, moment, err, c
     return done
 
 
+def _row_error(message: str, row) -> QuadratureDivergence:
+    """QuadratureDivergence with the failing row's index as ``row``."""
+    error = QuadratureDivergence(message)
+    error.row = int(row)
+    return error
+
+
 def _tanh_sinh(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo,
@@ -551,9 +548,9 @@ def _tanh_sinh(
     (|alpha| for e^(alpha t)) is how fast row i's exponent moves with x,
     for the estimate's floor below; such a row lies on one side of x = 0.
     Returns (values, error estimates); a row with hi <= lo is 0 with
-    estimate 0. Raises QuadratureDivergence, naming the row's interval,
-    when the integrand is not finite at a node or the level refinement
-    fails to converge.
+    estimate 0. Raises QuadratureDivergence, naming the row's interval
+    and holding the row's index as ``row``, when the integrand is not
+    finite at a node or the level refinement fails to converge.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     value = np.zeros(lo.shape, dtype=complex)
@@ -588,7 +585,7 @@ def _tanh_sinh(
             # a row's size is not finite iff some term is not; max keeps a nan
             if not math.isfinite(np.maximum.reduce(sizes)):
                 r = active[np.argmin(np.isfinite(sizes))]
-                raise QuadratureDivergence(f"integrand not finite inside [{lo[r]:g}, {hi[r]:g}]")
+                raise _row_error(f"integrand not finite inside [{lo[r]:g}, {hi[r]:g}]", r)
             h = 2.0 ** (-level) if level else 1.0
             if active.size <= _FEW_ROWS:
                 # few rows: the state moves to Python lists for good
@@ -631,9 +628,10 @@ def _tanh_sinh(
     unsettled = err > 50.0 * tol
     if unsettled.any():
         i = np.argmax(unsettled)
-        raise QuadratureDivergence(
+        raise _row_error(
             f"tanh-sinh failed to converge on [{lo[active[i]]:g}, {hi[active[i]]:g}] "
-            f"(last delta {err[i]:.3e})"
+            f"(last delta {err[i]:.3e})",
+            active[i],
         )
     value[active] = prev
     est[active] = _estimate(err, mass, moment, slope[active])
@@ -778,18 +776,18 @@ def _haar_transforms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Haar transforms of f at many alpha in its strip: (values, estimates).
 
-    A grid-built f that records its kernel sum is transformed by the
-    algebra's formula on its factors' transforms (``_KernelSum.transform``).
-    For any other f, one kernel call integrates every panel of every
-    alpha's window as a row. Alpha with the same real part share a
-    window, and f is evaluated once per node of a panel however many
-    alpha use it. Each value and estimate is forward_mellin's for that
-    alpha alone, before the normalization multiplier.
+    An f with a transform slot is transformed by the slot
+    (``MellinFunction._transform``). For any other f, one kernel call
+    integrates every panel of every alpha's window as a row. Alpha with
+    the same real part share a window, and f is evaluated once per node
+    of a panel however many alpha use it. Each value and estimate is
+    forward_mellin's for that alpha alone, before the normalization
+    multiplier.
     """
     cfg = cfg or DEFAULT_CONFIG
     alphas = np.asarray(alphas, dtype=complex).ravel()
-    if f._kernel_sum is not None:
-        total, err = f._kernel_sum.transform(alphas, cfg)
+    if f._transform is not None:
+        total, err = f._transform(alphas, cfg)
         return total + complex(f.atom_weight), err
     res = sorted(set(alphas.real.tolist()))
     win = np.searchsorted(res, alphas.real)
@@ -859,10 +857,10 @@ def forward_mellin(
     integrand at its ends and the edge rates; when that dwarfs the
     tolerance, QuadratureDivergence is raised, not a bad value returned.
 
-    The results of mult_convolve, star_convolve and convolution_exp are
-    transformed by the algebra's formula on their factors' transforms,
-    each taken as above, so their sampling grid plays no part. A function
-    derived from one of them takes the quadrature route, within its span.
+    The results of mult_convolve, star_convolve and convolution_exp, and
+    rule results and involutions of those, are transformed by the
+    algebra's formula on their factors' transforms, each taken as above,
+    so their sampling grid plays no part (``MellinFunction._transform``).
     """
     f = _require_mellin_function(f)
     alpha = complex(alpha)
@@ -1037,7 +1035,12 @@ def _line_integral(g, tol: float, cfg: QuadratureConfig) -> tuple[complex, float
         out[:, cut] = np.reshape(vals, (rows.size, -1)) * (T / (v * v))
         return out.ravel()
 
-    vals, errs = _tanh_sinh(half_lines, [0.0, 0.0], [1.0, 1.0], cfg)
+    try:
+        vals, errs = _tanh_sinh(half_lines, [0.0, 0.0], [1.0, 1.0], cfg)
+    except QuadratureDivergence as e:
+        # the kernel names the row's interval in s; name the half-line in t
+        line = f"[{-T:g}, 0]" if e.row == 0 else f"[0, {T:g}]"
+        raise QuadratureDivergence(str(e).replace("[0, 1]", line)) from None
     (left, right), (e_left, e_right) = vals.tolist(), errs.tolist()
     return left + right, e_left + e_right
 

@@ -22,23 +22,27 @@ with induced strips the intersection, respectively the intersection of
 derivative-like rules are realized by 4th-order central stencils in
 t = log x; transform sides of LogMultiply by Cauchy-circle quadrature.
 
-The convolutions and the convolution exponential record their
-transforms as the algebra states them, on their factors' transforms:
+The convolutions and the convolution exponential fill their transform
+slot as the algebra states it, on their factors' transforms:
 F(alpha) H(alpha), F(alpha) H(1 - alpha), and
 sum_{n=1}^{terms} (-H(alpha))^n / n! plus the point mass. forward_mellin
 uses that formula, each factor taken by its own quadrature. Their
 pointwise values come from a uniform grid in t = log x, as a finite sum
 of scaled copies of one kernel, c0 k(x) + sum_j w_j k(x e^(-t_j)).
-Functions derived from them (rules, the involution, Parseval's pointwise
-product) are transformed by quadrature of those values, as any other
-function, within the grid span they carry (_derived).
+Each rule states its transform once, as a lift of transforms: it makes
+the pair's new transform side from the claimed one, and the slot of a
+rule result or involution from its parent's slot, so these too are
+transformed through the factors' transforms. Parseval's pointwise
+product, which has no such formula, is transformed by quadrature of its
+values, as any other function, within the grid span it carries
+(_derived).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -57,7 +61,6 @@ from .mellin_core import (
     MellinFunction,
     QuadratureConfig,
     _EPS,
-    _KernelSum,
     _cabs,
     _circle,
     _circle_mode,
@@ -84,6 +87,7 @@ __all__ = [
     "apply_rule",
     "mult_convolve",
     "star_convolve",
+    "induced_strip",
     "involution",
     "parseval_pair",
     "convolution_exp",
@@ -160,10 +164,10 @@ def _spot_alphas(strip: FundamentalStrip) -> list[complex]:
 class TransformedPair:
     """A function side and its claimed transform on a common strip.
 
-    Construction spot-checks the claim by quadrature at three interior
-    points (loose tolerance, it is a smoke check); a mismatch raises
-    AnalyticityFailure because the claimed map is then not the analytic
-    continuation of the integral. Pass verify=False to skip.
+    Construction spot-checks the claim against the function's transform
+    at three interior points (loose tolerance, a smoke check); a mismatch
+    raises AnalyticityFailure because the claimed map is then not the
+    analytic continuation of the integral. Pass verify=False to skip.
     """
 
     function_side: MellinFunction
@@ -243,34 +247,54 @@ def _check_no_atom(f: MellinFunction, what: str) -> None:
 
 
 def _derived(
-    f: MellinFunction, core: Callable, a: float, b: float, tag: str, move=None, other=None
+    f: MellinFunction, core: Callable, a: float, b: float, tag: str, move=None, other=None, lift=None
 ) -> MellinFunction:
     """The function core on <a, b>, made from f's values and labelled tag[f.label].
 
     A grid-built f is trusted on its grid span only. The result's value
     at e^move(s) is made from f(e^s), so its span is f's moved; with no
     move its value at x is made from f(x), and a product with ``other``
-    is trusted where both factors are.
+    is trusted where both factors are. When f has a transform slot F, the
+    result's is alphas, cfg -> lift(F, alphas, cfg).
     """
     spans = [g.grid_span for g in (f, other) if g is not None and g.grid_span is not None]
     span = (max(s[0] for s in spans), min(s[1] for s in spans)) if spans else None
     if span is not None and move is not None:
         span = tuple(sorted(map(move, span)))
-    return MellinFunction(_wrap_eval(core), a, b, label=f"{tag}[{f.label}]", grid_span=span)
+    g = MellinFunction(_wrap_eval(core), a, b, label=f"{tag}[{f.label}]", grid_span=span)
+    if lift is not None and f._transform is not None:
+        g._transform = partial(lift, f._transform)
+    return g
+
+
+def _factor_lift(factor: Callable, arg: Callable) -> Callable:
+    """The lift F, alphas, cfg -> factor(alpha) F(arg(alpha)) and its estimates.
+
+    factor(alphas) gives the factor and a bound on its relative rounding;
+    the estimate is |factor| e_F plus that rounding and the product's.
+    """
+
+    def lift(F: Callable, alphas: np.ndarray, cfg: QuadratureConfig):
+        values, ests = F(arg(alphas), cfg)
+        fac, rounding = factor(alphas)
+        out = fac * values
+        return out, np.abs(fac) * ests + (rounding + _EPS) * _cabs(out)
+
+    return lift
 
 
 def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
     """Apply a transform rule to a pair, producing the mapped pair.
 
-    Each rule gives the function side's values (core), the transform
-    side, the mapped strip <lo, hi>, the change of variable of the grid
-    span and the label tag. Raises SideConditionViolation for
-    out-of-domain rule parameters and EmptyResultStrip when the mapped
-    strip is empty.
+    Each rule gives the function side's values (core), the lift of the
+    transform, the mapped strip <lo, hi>, the change of variable of the
+    grid span and the label tag. The lift makes the new transform side
+    from the claimed one, and the new slot from f's. Raises
+    SideConditionViolation for out-of-domain rule parameters and
+    EmptyResultStrip when the mapped strip is empty.
     """
     f = pair.function_side
     _check_no_atom(f, "apply_rule")
-    T = pair.transform_side
     a, b = pair.strip.a, pair.strip.b
     lo, hi, move = a, b, None
 
@@ -279,13 +303,15 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         if c <= 0:
             raise SideConditionViolation(f"Scale needs c > 0, got {c}")
         core = lambda xs: f.eval(c * xs)
-        new_T = lambda al: c ** (-complex(al)) * complex(T(al))
+        # c^-alpha = e^(-alpha log c), rounded with its exponent
+        factor = lambda al: (c**-al, _EPS * (1.0 + np.abs(al) * abs(math.log(c))))
+        lift = _factor_lift(factor, lambda al: al)
         move, tag = (lambda s: s - math.log(c)), f"scale({c:g})"
 
     elif isinstance(rule, PowerShift):
         d = float(rule.d)
         core = lambda xs: xs**d * f.eval(xs)
-        new_T = lambda al: complex(T(complex(al) + d))
+        lift = _factor_lift(lambda al: (1.0, 0.0), lambda al: al + d)
         lo, hi, tag = a - d, b - d, f"shift({d:g})"
 
     elif isinstance(rule, PowerSubstitute):
@@ -293,7 +319,7 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         if r == 0:
             raise SideConditionViolation("PowerSubstitute needs r != 0")
         core = lambda xs: f.eval(xs**r)
-        new_T = lambda al: complex(T(complex(al) / r)) / abs(r)
+        lift = _factor_lift(lambda al: (1.0 / abs(r), _EPS), lambda al: al / r)
         lo, hi = sorted((r * a, r * b))
         move, tag = (lambda s: s / r), f"subst({r:g})"
 
@@ -301,13 +327,19 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         n = _require_positive_int(rule.n, "LogMultiply")
         core = lambda xs: np.log(xs) ** n * f.eval(xs)
 
-        def new_T(al: complex) -> complex:
-            al = complex(al)
+        def lift(F: Callable, alphas: np.ndarray, cfg: QuadratureConfig):
             # half the distance to the strip's edges, at most 1/2
-            rho = 0.5 * min(*_window(pair.strip, al.real, DEFAULT_CONFIG)[1], 1.0)
+            rates = [_window(pair.strip, re, cfg)[1] for re in np.ravel(alphas.real).tolist()]
+            rho = 0.5 * np.minimum(np.min(rates, axis=1), 1.0).reshape(alphas.shape)
             # Cauchy derivative on the circle: n-th Fourier mode
-            mode, _ = _circle_mode(_eval_vector(T, _circle(al, rho, 32)), n)
-            return complex(math.factorial(n) / rho**n * mode)
+            points = _circle(alphas[..., None], rho[..., None], 32)
+            values, ests = (v.reshape(points.shape) for v in F(points.ravel(), cfg))
+            mode, alias = _circle_mode(values, n)
+            # the points' own estimates, and the mode's rounding: its 32
+            # terms' products and their sum, 8 eps |value| each at most
+            own = np.mean(ests + 8.0 * _EPS * _cabs(values), axis=-1)
+            scale = math.factorial(n) / rho**n
+            return scale * mode, scale * (alias + own)
 
         tag = f"log^{n}"
 
@@ -315,7 +347,7 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         n = _require_positive_int(rule.n, "EulerDerivative")
         dF = _dt_derivative(f, n)
         core = lambda xs: dF(np.log(xs))
-        new_T = lambda al: (-complex(al)) ** n * complex(T(al))
+        lift = _factor_lift(lambda al: ((-al) ** n, n * _EPS), lambda al: al)
         tag = f"euler^{n}"
 
     elif isinstance(rule, Derivative):
@@ -333,13 +365,9 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
             # poly[-1] is the z^0 coefficient, zero since 0 is a root
             return acc * xs ** (-float(n))
 
-        def new_T(al: complex) -> complex:
-            al = complex(al)
-            fac = 1.0 + 0.0j
-            for j in range(1, n + 1):
-                fac *= al - j
-            return (-1.0) ** n * fac * complex(T(al - n))
-
+        # (-1)^n (alpha - 1)...(alpha - n): n differences and n products
+        factor = lambda al: ((-1.0) ** n * np.prod([al - j for j in range(1, n + 1)], axis=0), 2 * n * _EPS)
+        lift = _factor_lift(factor, lambda al: al - n)
         lo, hi, tag = a + n, b + n, f"d^{n}"
 
     elif isinstance(rule, Primitive):
@@ -385,20 +413,23 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
             out.ravel()[pos] = total.real / fact + 1j * (total.imag / fact)
             return out
 
-        def new_T(al: complex) -> complex:
-            al = complex(al)
-            fac = 1.0 + 0.0j
-            for j in range(n):
-                fac *= al + j
-            return (-1.0) ** n * complex(T(al + n)) / fac
-
+        # (-1)^n / (alpha (alpha + 1)...(alpha + n - 1)): n - 1 sums,
+        # n - 1 products and the quotient
+        factor = lambda al: ((-1.0) ** n / np.prod([al + j for j in range(n)], axis=0), 2 * n * _EPS)
+        lift = _factor_lift(factor, lambda al: al + n)
         tag = f"prim^{n}"
 
     else:
         raise TypeError(f"unknown rule {rule!r}")
 
-    new_f = _derived(f, core, lo, hi, tag, move)
-    return TransformedPair(new_f, new_T, new_f.strip, label=new_f.label)
+    def claim(alphas: np.ndarray, cfg: QuadratureConfig):
+        # the claimed transform side at each alpha, with estimate 0
+        return _eval_vector(pair.transform_side, alphas), np.zeros(alphas.shape)
+
+    new_f = _derived(f, core, lo, hi, tag, move, lift=lift)
+    # a scalar alpha is lifted as a 0-d array, which the claim takes as a scalar
+    side = lambda al: complex(lift(claim, np.asarray(al, dtype=complex), DEFAULT_CONFIG)[0])
+    return TransformedPair(new_f, side, new_f.strip, label=new_f.label)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +450,7 @@ def _log_grid(cfg: QuadratureConfig) -> tuple[np.ndarray, tuple[float, float]]:
     return t0 + _GRID_STEP * np.arange(n), (t0, t1)
 
 
-def _induced_strip(
+def induced_strip(
     f: MellinFunction, h: MellinFunction, star: bool
 ) -> FundamentalStrip | None:
     """Strip of f * h, or of f ** h when star; None when it is empty."""
@@ -494,36 +525,26 @@ def _series_transform(h: MellinFunction, terms: int) -> Callable:
     return transform
 
 
-def _kernel_sum_function(
-    ks: _KernelSum,
-    strip: FundamentalStrip,
-    label: str,
-    span: tuple[float, float],
-    atom_weight: complex = 0.0,
-) -> MellinFunction:
-    """The function c0 k(x) + sum_j w_j k(x e^(-tau_j)) of ks, recording ks.
+def _kernel_sum_eval(kernel: MellinFunction, tau: np.ndarray, weights: np.ndarray, c0: float) -> Callable:
+    """The eval x -> c0 k(x) + sum_j w_j k(x e^(-tau_j)), k the kernel.
 
+    A grid discretization of a convolution, for its pointwise values.
     Terms of zero weight are dropped here, once: a grid weight that
     underflowed adds exactly 0, since non-finite kernel values are
     zeroed before they meet the weights.
     """
-    live = ks.weights != 0
-    weights = ks.weights[live]
+    live = weights != 0
+    weights = weights[live]
     with np.errstate(over="ignore"):
-        factors = np.exp(-ks.tau[live])
-    kernel = ks.kernel.eval
+        factors = np.exp(-tau[live])
 
     def core(xs: np.ndarray) -> np.ndarray:
-        out = _chunked_kernel_sum(weights, factors, kernel, xs) if weights.size else 0.0
-        if ks.c0:
-            out = ks.c0 * np.asarray(kernel(xs), dtype=complex) + out
+        out = _chunked_kernel_sum(weights, factors, kernel.eval, xs) if weights.size else 0.0
+        if c0:
+            out = c0 * np.asarray(kernel.eval(xs), dtype=complex) + out
         return out
 
-    f = MellinFunction(
-        _wrap_eval(core), strip.a, strip.b, label=label, atom_weight=atom_weight, grid_span=span
-    )
-    f._kernel_sum = ks
-    return f
+    return _wrap_eval(core)
 
 
 def mult_convolve(
@@ -541,19 +562,17 @@ def mult_convolve(
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(f, "mult_convolve")
     _check_no_atom(h, "mult_convolve")
-    strip = _induced_strip(f, h, star=False)
+    strip = induced_strip(f, h, star=False)
     if strip is None:
         raise EmptyStripIntersection(
             f"strips {f.strip} and {h.strip} do not intersect"
         )
     t, span = _log_grid(cfg)
     fw = _grid_values(lambda: f.eval(np.exp(t)) * _GRID_STEP)
-    return _kernel_sum_function(
-        _KernelSum(h, t, fw, 0.0, _product_transform(f, h, star=False)),
-        strip,
-        f"({f.label or 'f'} * {h.label or 'h'})",
-        span,
-    )
+    label = f"({f.label or 'f'} * {h.label or 'h'})"
+    conv = MellinFunction(_kernel_sum_eval(h, t, fw, 0.0), strip.a, strip.b, label, grid_span=span)
+    conv._transform = _product_transform(f, h, star=False)
+    return conv
 
 
 def star_convolve(
@@ -574,7 +593,7 @@ def star_convolve(
         raise SideConditionViolation(
             "star integral diverges pointwise: needs a_f + a_h < 1 < b_f + b_h"
         )
-    strip = _induced_strip(f, h, star=True)
+    strip = induced_strip(f, h, star=True)
     if strip is None:
         raise EmptyStripIntersection(
             f"strip {f.strip} does not meet the reflected strip of {h.strip}"
@@ -582,20 +601,24 @@ def star_convolve(
     t, span = _log_grid(cfg)
     # past t = 709 the factor e^t overflows, and the term is dropped
     hw = _grid_values(lambda: h.eval(np.exp(t)) * np.exp(t) * _GRID_STEP)
-    return _kernel_sum_function(
-        _KernelSum(f, -t, hw, 0.0, _product_transform(f, h, star=True)),
-        strip,
-        f"({f.label or 'f'} ** {h.label or 'h'})",
-        span,
-    )
+    label = f"({f.label or 'f'} ** {h.label or 'h'})"
+    conv = MellinFunction(_kernel_sum_eval(f, -t, hw, 0.0), strip.a, strip.b, label, grid_span=span)
+    conv._transform = _product_transform(f, h, star=True)
+    return conv
 
 
 def involution(f: MellinFunction) -> MellinFunction:
     """f*(x) = conj(f(1/x)) / x, the unitary involution of the algebra.
 
-    Transform side: M[f*; alpha] = conj(M[f; 1 - conj(alpha)]).
+    Transform side: M[f*; alpha] = conj(M[f; 1 - conj(alpha)]), which is
+    the result's transform slot when f has one.
     """
     _check_no_atom(f, "involution")
+
+    def lift(F: Callable, alphas: np.ndarray, cfg: QuadratureConfig):
+        values, ests = F(1.0 - np.conj(alphas), cfg)
+        return np.conj(values), ests
+
     return _derived(
         f,
         lambda xs: np.conj(f.eval(1.0 / xs)) / xs,
@@ -603,6 +626,7 @@ def involution(f: MellinFunction) -> MellinFunction:
         1.0 - f.order_at_zero,
         "invol",
         lambda t: -t,
+        lift=lift,
     )
 
 
@@ -718,10 +742,8 @@ def convolution_exp(
                 )
     # with one term there is nothing to sum: eval(x) = -h(x)
     grid = slice(None) if terms > 1 else slice(0)
-    return _kernel_sum_function(
-        _KernelSum(h, t[grid], combined[grid] * _GRID_STEP, -1.0, _series_transform(h, terms)),
-        h.strip,
-        f"conv-exp({terms} terms)[{h.label}]",
-        span,
-        atom_weight=1.0,
-    )
+    ev = _kernel_sum_eval(h, t[grid], combined[grid] * _GRID_STEP, -1.0)
+    label = f"conv-exp({terms} terms)[{h.label}]"
+    ce = MellinFunction(ev, a, b, label, atom_weight=1.0, grid_span=span)
+    ce._transform = _series_transform(h, terms)
+    return ce

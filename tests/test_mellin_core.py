@@ -209,14 +209,23 @@ RECIPROCALS = {
 
 
 @pytest.mark.parametrize("route", RECIPROCALS)
-@pytest.mark.parametrize("z", [-200.5, -200.5 + 1j])
+@pytest.mark.parametrize("z", [-200.5, -200.5 + 1j, -1030.5, -2000.5, -2000.5 + 1j])
 def test_reciprocal_gamma_past_the_float_range_raises(route, z):
-    # Gamma(-200.5) is below the smallest float, so 1/Gamma overflows
+    # Gamma(-200.5) is below the smallest float, so 1/Gamma overflows;
+    # past -1023 so does gamma-eta's 2^(1 - z)
     reciprocal, p = RECIPROCALS[route]
     with pytest.raises(ConvergenceDomain):
         reciprocal(z)
     # while its zeros stay exact however far left
     assert reciprocal(-200.0 - p) == 0
+    assert reciprocal(-1030.0 - p) == 0
+
+
+def test_gamma_eta_multiplier_past_the_float_range_raises():
+    # 1/Gamma(-170.5) is near the largest float, and 2^171.5 takes the
+    # product past it
+    with pytest.raises(ConvergenceDomain):
+        Normalization.gamma_eta().multiplier(-170.5)
 
 
 class TestQuadratureConfig:
@@ -473,6 +482,16 @@ class TestInverseMellin:
         # |1/(1 + it)| is still 1/64 at the end of the scan
         with pytest.raises(SlowContourDecay):
             inverse_mellin(lambda a: 1.0 / a, 1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "pole, message",
+        [(1.0, r"not finite inside \[-32, 0\]$"), (1.0 + 0.3j, r"failed to converge on \[0, 32\] ")],
+    )
+    def test_failure_names_the_half_line(self, pole, message):
+        # a pole on the line, and one next to it: the error names the
+        # half-line in t, not the interval the kernel maps it to
+        with pytest.raises(QuadratureDivergence, match=message):
+            inverse_mellin(lambda a: _gamma(a) / (a - pole), 1.0, 2.0)
 
 
 class TestHankelMellin:

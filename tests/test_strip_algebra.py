@@ -46,7 +46,7 @@ from mellinium import (
 
 from mellinium.mellin_core import DEFAULT_CONFIG, QuadratureConfig, _window
 from mellinium import strip_algebra
-from mellinium.strip_algebra import _product
+from mellinium.strip_algebra import _GRID_STEP, _log_grid, _product
 
 from conftest import make_exp, make_power_cutoff, make_self_involutive
 from oracles import zeta_from_eta
@@ -257,12 +257,19 @@ class TestInvolution:
 
 class TestGridSpan:
     def test_involution_of_a_grid_function_raises(self):
-        # the involution keeps the grid's span (mirrored); without it the
-        # window ran past the grid and the value came back 9.9e-5 off
-        # against an estimate of 4.4e-11
+        # the involution is transformed through the star convolution's
+        # slot: conj(F(1 - conj(alpha)) H(conj(alpha)))
         star = star_convolve(make_exp(1.0), make_exp(2.0))
+        alpha = 0.25 - 1.0j
+        tv = forward_mellin(involution(star), alpha)
+        beta = 1 - mp.conj(alpha)
+        want = complex(mp.conj(mp.gamma(beta) * mp.gamma(1 - beta) * mp.mpf(2) ** (beta - 1)))
+        assert abs(tv.value - want) <= tv.abs_error_estimate
+        # its pointwise copy takes the quadrature route, which keeps the
+        # grid's span (mirrored); without it the window ran past the grid
+        # and the value came back 9.9e-5 off against an estimate of 4.4e-11
         with pytest.raises(MelliniumError):
-            forward_mellin(involution(star), 0.25 - 1.0j)
+            forward_mellin(pointwise(involution(star)), alpha)
 
     def test_derived_functions_carry_the_span(self):
         f = make_self_involutive()
@@ -428,12 +435,22 @@ class TestConvolutionExp:
 class TestGridArithmetic:
     """Grid builders do only the arithmetic their inputs need."""
 
-    def test_real_h_gives_real_weights(self):
+    def test_real_h_gives_real_weights(self, monkeypatch):
         h = OperatorSpec.from_spectrum((1.0, 2.0)).heat_trace()
         h_complex = MellinFunction(lambda x: h.eval(x) + 0j, 0.0, math.inf, label="complex")
-        real, cplx = convolution_exp(h, 12), convolution_exp(h_complex, 12)
-        assert real._kernel_sum.weights.dtype == np.float64
-        assert cplx._kernel_sum.weights.dtype == np.complex128
+        # the dtypes of each stage and kernel convolved, whose sum the weights are
+        stages, convolve = [], np.convolve
+
+        def spy(stage, kernel, mode):
+            stages.append({stage.dtype, kernel.dtype})
+            return convolve(stage, kernel, mode=mode)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        real = convolution_exp(h, 12)
+        assert stages and all(d == {np.dtype(np.float64)} for d in stages)
+        stages.clear()
+        cplx = convolution_exp(h_complex, 12)
+        assert stages and all(d == {np.dtype(np.complex128)} for d in stages)
         xs = np.geomspace(1e-3, 40.0, 30)
         a, b = real.eval(xs), cplx.eval(xs)
         assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b))
@@ -446,14 +463,16 @@ class TestGridArithmetic:
         # e^-x underflows to exactly 0 past t = log 745, so a large share
         # of the grid weights is 0; the sum over the others must equal the
         # sum over every grid point
-        h = make_exp(2.0)
-        conv = mult_convolve(make_exp(1.0), h)
-        ks = conv._kernel_sum
-        assert np.mean(ks.weights == 0) > 0.3
+        f, h = make_exp(1.0), make_exp(2.0)
+        conv = mult_convolve(f, h)
+        # the grid weights as mult_convolve forms them
+        grid, _ = _log_grid(DEFAULT_CONFIG)
+        weights = f.eval(np.exp(grid)) * _GRID_STEP
+        assert np.mean(weights == 0) > 0.3
         for x in (1e-3, 0.2, 1.0, 3.7, 25.0):
             terms = [
                 w * complex(h.eval(x * math.exp(-t)))
-                for w, t in zip(ks.weights.tolist(), ks.tau.tolist())
+                for w, t in zip(weights.tolist(), grid.tolist())
             ]
             want = complex(math.fsum(v.real for v in terms), math.fsum(v.imag for v in terms))
             size = math.fsum(abs(v) for v in terms)
@@ -461,7 +480,7 @@ class TestGridArithmetic:
 
 
 def pointwise(f: MellinFunction) -> MellinFunction:
-    """f as a plain function: replace drops the kernel sum, so its
+    """f as a plain function: replace drops the transform slot, so its
     transform is a quadrature of the pointwise values."""
     return dataclasses.replace(f, eval=lambda x: f.eval(x))
 
@@ -502,7 +521,7 @@ class TestExactTransform:
         build, alphas = BUILDERS[name]
         f = build()
         plain = pointwise(f)
-        assert f._kernel_sum is not None and plain._kernel_sum is None
+        assert f._transform is not None and plain._transform is None
         for alpha in alphas:
             exact = forward_mellin(f, alpha)
             quad = forward_mellin(plain, alpha)
@@ -600,3 +619,99 @@ class TestExactTransform:
         except MelliniumError:
             return
         assert cmath.isfinite(value)
+
+
+# three convolutions with their transforms in mpmath: smooth factors, a
+# factor that jumps at x = 1, and a star convolution on <0, 1>
+SLOT_CONVOLUTIONS = {
+    "mult": (
+        lambda: mult_convolve(make_exp(0.8), make_exp(1.7)),
+        lambda a: mp.gamma(a) ** 2 * (mp.mpf(0.8) * mp.mpf(1.7)) ** (-a),
+    ),
+    "jump": (
+        lambda: mult_convolve(make_power_cutoff(0.5, 0), make_exp(1.0)),
+        lambda a: mp.gamma(a) / (a + mp.mpf(0.5)),
+    ),
+    "star": (
+        lambda: star_convolve(make_exp(0.8), make_exp(1.7)),
+        lambda a: mp.gamma(a) * mp.gamma(1 - a) * mp.mpf(0.8) ** (-a) * mp.mpf(1.7) ** (a - 1),
+    ),
+}
+
+SLOT_RULES = [
+    Scale(2.3),
+    PowerShift(0.4),
+    PowerSubstitute(1.5),
+    PowerSubstitute(-0.7),
+    LogMultiply(1),
+    LogMultiply(2),
+    EulerDerivative(2),
+    Derivative(1),
+    Derivative(2),
+    Primitive(1),
+    Primitive(2),
+]
+
+
+def rule_transform(rule, T):
+    """The transform of a rule's result, from the rule table, in mpmath."""
+    if isinstance(rule, Scale):
+        return lambda a: mp.mpf(rule.c) ** (-a) * T(a)
+    if isinstance(rule, PowerShift):
+        return lambda a: T(a + mp.mpf(rule.d))
+    if isinstance(rule, PowerSubstitute):
+        return lambda a: T(a / mp.mpf(rule.r)) / abs(mp.mpf(rule.r))
+    if isinstance(rule, LogMultiply):
+        return lambda a: mp.diff(T, a, rule.n)
+    if isinstance(rule, EulerDerivative):
+        return lambda a: (-a) ** rule.n * T(a)
+    if isinstance(rule, Derivative):
+        return lambda a: (-1) ** rule.n * mp.fprod(a - j for j in range(1, rule.n + 1)) * T(a - rule.n)
+    return lambda a: (-1) ** rule.n * T(a + rule.n) / mp.fprod(a + j for j in range(rule.n))
+
+
+def convolution_pair(name: str, factor: float = 1.0, verify: bool = True) -> TransformedPair:
+    """A convolution of SLOT_CONVOLUTIONS with its claimed transform, times factor."""
+    build, T = SLOT_CONVOLUTIONS[name]
+    conv = build()
+    return TransformedPair(conv, lambda a: factor * complex(T(mp.mpc(a))), conv.strip, name, verify)
+
+
+class TestTransformSlot:
+    """Rule results and involutions of convolutions: transformed through the slot."""
+
+    @pytest.mark.parametrize("lift", SLOT_RULES + ["involution"], ids=str)
+    def test_within_estimate(self, lift):
+        # built with the spot check on; two points inside each strip
+        for name, (build, T) in SLOT_CONVOLUTIONS.items():
+            if lift == "involution":
+                f = involution(build())
+                want = lambda a, T=T: mp.conj(T(1 - mp.conj(a)))
+            else:
+                f = apply_rule(lift, convolution_pair(name)).function_side
+                want = rule_transform(lift, T)
+            a, b = f.strip.a, f.strip.b
+            lo = a if math.isfinite(a) else b - 4.0
+            hi = b if math.isfinite(b) else lo + 4.0
+            for alpha in (complex(lo + 0.3 * (hi - lo), 0.5), complex(lo + 0.8 * (hi - lo), -1.5)):
+                tv = forward_mellin(f, alpha)
+                with mp.workdps(30):
+                    exact = complex(want(mp.mpc(alpha)))
+                assert abs(tv.value - exact) <= tv.abs_error_estimate, (name, alpha)
+
+    def test_involution_of_a_jump(self):
+        # through the grid's values the value was 4.5e-2 off, estimate 8.3e-9
+        tv = forward_mellin(involution(SLOT_CONVOLUTIONS["jump"][0]()), 0.5)
+        want = complex(SLOT_CONVOLUTIONS["jump"][1](mp.mpf(0.5)))
+        assert abs(tv.value - want) <= tv.abs_error_estimate
+
+    @pytest.mark.parametrize("rule", SLOT_RULES, ids=str)
+    def test_wrong_claim_raises_through_a_rule(self, rule):
+        # the check compares the lifted claim with the lifted convolution
+        with pytest.raises(AnalyticityFailure):
+            apply_rule(rule, convolution_pair("jump", 1.01, verify=False))
+
+    def test_replace_drops_the_slot(self):
+        f = apply_rule(Scale(2.3), convolution_pair("mult")).function_side
+        assert f._transform is not None
+        assert dataclasses.replace(f, label="copy")._transform is None
