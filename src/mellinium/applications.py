@@ -30,6 +30,7 @@ from .mellin_core import (
     QuadratureConfig,
     TransformValue,
     _gamma,
+    _require_finite,
     _wrap_eval,
     forward_mellin,
     hankel_mellin,
@@ -207,6 +208,8 @@ class HeatKernelProblem:
             raise ValueError("dimension n must be >= 1")
         if len(self.x_a) != len(self.x_a_prime):
             raise ValueError("endpoint coordinate lengths differ")
+        _require_finite(np.asarray(self.x_a, dtype=float), "x_a")
+        _require_finite(np.asarray(self.x_a_prime, dtype=float), "x_a'")
         if self.separation() == 0.0:
             raise CoincidentPoints("x_a and x_a' coincide")
 

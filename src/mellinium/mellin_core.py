@@ -401,6 +401,8 @@ class QuadratureConfig:
     truncation_bounds: tuple[float, float] = (-40.0, 40.0)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.rel_tol, self.abs_tol, *self.truncation_bounds))):
+            raise ValueError("tolerances and truncation bounds must be finite")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_levels < 1:
@@ -482,9 +484,6 @@ def _cabs(z: np.ndarray) -> np.ndarray:
 
 # Integrand points handed to one call.
 _BLOCK_POINTS = 2_000_000
-# Up to this many active rows, a level's bookkeeping is cheaper row by row
-# in Python than as numpy calls, whose fixed cost dominates on tiny arrays.
-_FEW_ROWS = 8
 
 
 def _level_sums(g, mid, hw, t, w, rows, weigh: bool):
@@ -499,27 +498,6 @@ def _level_sums(g, mid, hw, t, w, rows, weigh: bool):
 def _estimate(err, mass, moment, slope):
     """Row estimates: the level difference, or the roundoff floor where larger (see _tanh_sinh)."""
     return np.maximum(np.maximum(err, 4.0 * _EPS * mass), _EPS * slope * np.abs(moment))
-
-
-def _advance_rows(level, h, sums, sizes, moments, hw, prev, mass, moment, err, cfg, test) -> list[int]:
-    """One level's bookkeeping on Python scalars, row by row.
-
-    prev, mass, moment and err are lists, updated in place (prev to the level's
-    total); returns the rows that met their tolerance when ``test``. The arithmetic
-    is the array form's in _tanh_sinh, one row at a time: the same to the bit.
-    """
-    done = []
-    for i, (s, z, w) in enumerate(zip(sums, sizes, hw)):
-        w = w * h
-        t = s * w if level == 0 else prev[i] / 2.0 + s * w
-        if level:
-            err[i] = abs(t - prev[i])
-        prev[i] = t
-        mass[i] += z * w
-        moment[i] += moments[i] * w
-        if test and err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(t)):
-            done.append(i)
-    return done
 
 
 def _row_error(message: str, row) -> QuadratureDivergence:
@@ -587,22 +565,6 @@ def _tanh_sinh(
                 r = active[np.argmin(np.isfinite(sizes))]
                 raise _row_error(f"integrand not finite inside [{lo[r]:g}, {hi[r]:g}]", r)
             h = 2.0 ** (-level) if level else 1.0
-            if active.size <= _FEW_ROWS:
-                # few rows: the state moves to Python lists for good
-                if not isinstance(prev, list):
-                    prev, mass, moment, err = prev.tolist(), mass.tolist(), moment.tolist(), err.tolist()
-                done = _advance_rows(
-                    level, h, sums.tolist(), sizes.tolist(), moments.tolist(), hw[:, 0].tolist(),
-                    prev, mass, moment, err, cfg, level >= 2,
-                )
-                if done:
-                    for i, r in zip(done, active[done]):
-                        value[r] = prev[i]
-                        est[r] = max(err[i], 4.0 * _EPS * mass[i], _EPS * slope[r] * abs(moment[i]))
-                    keep = [i for i in range(len(prev)) if i not in done]
-                    active, mid, hw = active[keep], mid[keep], hw[keep]
-                    prev, mass, moment, err = ([a[i] for i in keep] for a in (prev, mass, moment, err))
-                continue
             # (sums * hw) * h: scaling by the power of two h is exact
             wh = hw[:, 0] * h
             partial = sums * wh
@@ -622,7 +584,6 @@ def _tanh_sinh(
                         a[keep] for a in (active, mid, hw, total, err, mass, moment)
                     )
             prev = total
-    prev, mass, moment, err = np.array(prev, dtype=complex), np.array(mass), np.array(moment), np.array(err)
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(prev))
     # close but not fully settled: return with the honest estimate
     unsettled = err > 50.0 * tol
@@ -711,6 +672,14 @@ def _eval_vector(func: Callable, x: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         flat = np.array([func(xi) for xi in arr.ravel()])
         return flat.reshape(arr.shape)
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first entry of ``a`` that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        at = tuple(int(k) for k in np.unravel_index(bad[0], a.shape))
+        raise ValueError(f"{what} entry {at if a.ndim > 1 else at[0]} is {a[at]}, not finite")
 
 
 # ---------------------------------------------------------------------------

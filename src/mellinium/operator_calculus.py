@@ -38,6 +38,7 @@ from .mellin_core import (
     _EPS,
     _circle,
     _circle_mode,
+    _require_finite,
     _wrap_eval,
     forward_mellin,
 )
@@ -79,8 +80,8 @@ class OperatorSpec:
 
     Exactly one of the two forms backs an instance; both expose an
     eigensystem and a dense matrix (the spectrum materializes as a
-    diagonal matrix). Eigenvalues are strictly positive; zero is never
-    in the spectrum.
+    diagonal matrix). Eigenvalues are finite and strictly positive; zero
+    is never in the spectrum.
     """
 
     def __init__(self, *, matrix: np.ndarray | None = None, spectrum=None):
@@ -90,6 +91,7 @@ class OperatorSpec:
             m = np.asarray(matrix, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("matrix must be square")
+            _require_finite(m, "matrix")
             scale = max(1.0, float(np.abs(m).max()))
             if np.abs(m - m.conj().T).max() > _HERMITIAN_TOL * scale:
                 raise NotPositiveDefinite("matrix is not Hermitian to tolerance")
@@ -102,9 +104,11 @@ class OperatorSpec:
             self._eigs = eigs
             self._vecs = vecs
         else:
-            s = np.sort(np.asarray(spectrum, dtype=float))
+            s = np.asarray(spectrum, dtype=float)
             if s.ndim != 1 or len(s) == 0:
                 raise ValueError("spectrum must be a nonempty 1-d sequence")
+            _require_finite(s, "spectrum")
+            s = np.sort(s)
             if s[0] <= 0:
                 raise NotPositiveDefinite(f"spectrum contains {s[0]:g} <= 0")
             self._matrix = None
@@ -312,6 +316,7 @@ def functional_determinant(
         r = np.asarray(regulator.matrix, dtype=complex)
         if r.shape != (op.dimension, op.dimension):
             raise ValueError("regulator shape does not match the operator")
+        _require_finite(r, "regulator")
         exponent += _log_det(r)
     return _exp(complex(alpha) * exponent)
 
@@ -339,6 +344,8 @@ def anomaly_phase(
     m2 = np.atleast_2d(np.asarray(op2, dtype=complex))
     if m1.shape != m2.shape or m1.shape[0] != m1.shape[1]:
         raise ValueError("operands must be square matrices of equal shape")
+    _require_finite(m1, "op1")
+    _require_finite(m2, "op2")
     theta = (_log_det(m1) + _log_det(m2) - _log_det(m1 @ m2)).imag
     k = round(theta / (2.0 * math.pi))
     return _exp(-2j * math.pi * complex(alpha) * (k + conv.winding))

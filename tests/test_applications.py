@@ -116,6 +116,15 @@ class TestGreensFunction:
             HeatKernelProblem(n=0, x_a=(), x_a_prime=())
         with pytest.raises(ValueError):
             HeatKernelProblem(n=2, x_a=(0.0,), x_a_prime=(1.0, 0.0))
+        with pytest.raises(ValueError, match="x_a' entry 0 is nan"):
+            HeatKernelProblem(n=3, x_a=(0.0,), x_a_prime=(math.nan,))
+        with pytest.raises(ValueError, match="x_a entry 1 is inf"):
+            HeatKernelProblem(n=3, x_a=(0.0, math.inf), x_a_prime=(1.0, 0.0))
+
+    def test_unknown_route(self):
+        p = HeatKernelProblem(n=3, x_a=(0.0,), x_a_prime=(1.0,))
+        with pytest.raises(ValueError, match="unknown route"):
+            greens_function(p, route="borel")
 
 
 class TestZetaRoutes:
@@ -212,6 +221,10 @@ class TestSubtractedExponential:
     def test_beta_one_vanishes(self):
         assert abs(subtracted_exponential_transform(1.0, 0.7).value) < 1e-12
 
+    def test_beta_must_be_positive(self):
+        with pytest.raises(ValueError, match="beta"):
+            subtracted_exponential_transform(0.0, 0.5)
+
 
 class TestGammaPExtension:
     def test_pure_power_recovered_left_of_zero(self):
@@ -222,6 +235,12 @@ class TestGammaPExtension:
     def test_alpha_left_of_extended_strip(self):
         with pytest.raises(StripViolation):
             gamma_p_extension(2.0, -1.5, 1.0)
+
+    def test_parameter_validation(self):
+        with pytest.raises(ValueError, match="beta"):
+            gamma_p_extension(-1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="weight exponent"):
+            gamma_p_extension(2.0, 0.5, -1.0)
 
 
 def _within_estimate(tv, want):

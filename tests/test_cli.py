@@ -463,6 +463,29 @@ class TestExitCodes:
         assert f"dimension {d} must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["det", "--matrix", "{}", "--alpha", "1"], "matrix"),
+            (["det", "--spectrum", "2,3", "--regulator", "{}", "--alpha", "1"], "regulator"),
+        ],
+        ids=["matrix", "regulator"],
+    )
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty matrix file"),
+            ("2\n1 0\n0 nan\n", "{} entry (1, 1) is (nan+0j), not finite"),
+            ("2\ninf 0\n0 1\n", "{} entry (0, 0) is (inf+0j), not finite"),
+        ],
+        ids=["empty", "nan", "inf"],
+    )
+    def test_bad_matrix_file_rejected(self, capsys, tmp_path, argv, what, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run([a.format(path) for a in argv]) == 1
+        assert message.format(what) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["transform", "--fn", "exp_decay", "--alpha", "1,2,3"], "expected re[,im]"),
@@ -479,11 +502,20 @@ class TestExitCodes:
             (["convolve", "--kind", "mult", "--fn", "exp_decay", "--alpha", "1"], "requires --fn2"),
             (["invert", "--fn", "exp_decay", "--x", "1", "--c", "-1"], "lies outside"),
             (["invert", "--fn", "bose", "--x", "1", "--c", "2"], "no closed transform"),
+            (["transform", "--fn", "exp_decay", "--beta", "0", "--alpha", "1"], "exp_decay needs beta > 0"),
+            (["transform", "--fn", "power_log", "--k", "-1", "--alpha", "1"], "power_log needs k >= 0"),
+            (["transform", "--fn", "heat_kernel", "--n", "0", "--alpha", "1"], "heat_kernel needs n >= 1"),
+            (["transform", "--fn", "exp_decay", "--alpha", "1.5", "--rel-tol", "nan"], "must be finite"),
+            (["det", "--spectrum", "1,nan", "--alpha", "1"], "spectrum entry 1 is nan, not finite"),
+            (["det", "--spectrum", "1,inf", "--alpha", "1"], "spectrum entry 1 is inf, not finite"),
+            (["log", "--spectrum", "2,nan"], "spectrum entry 1 is nan, not finite"),
+            (["greens", "--n", "3", "--distance", "nan"], "x_a' entry 0 is nan, not finite"),
         ],
         ids=[
             "alpha-parts", "norm", "spectrum-entry", "spectrum-empty", "grid-bare", "grid-missing",
             "grid-count", "sweep-log", "asymptotic-terms", "asymptotic-fn", "key-check-terms",
-            "convolve-fn2", "invert-c", "invert-fn",
+            "convolve-fn2", "invert-c", "invert-fn", "exp-beta", "power-log-k", "heat-kernel-n",
+            "rel-tol-nan", "det-nan", "det-inf", "log-nan", "greens-nan",
         ],
     )
     def test_usage_error_message(self, capsys, argv, message):

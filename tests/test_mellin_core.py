@@ -230,12 +230,23 @@ def test_gamma_eta_multiplier_past_the_float_range_raises():
 
 class TestQuadratureConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(truncation_bounds=(3.0, -3.0))
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_levels=0)
+        nan, inf = math.nan, math.inf
+        bad = [
+            {"rel_tol": -1.0},
+            {"truncation_bounds": (3.0, -3.0)},
+            {"max_levels": 0},
+            # a nan passes a "<= 0" test, and a nan tolerance freezes no row
+            {"rel_tol": nan},
+            {"abs_tol": nan},
+            {"rel_tol": inf},
+            {"abs_tol": inf},
+            {"truncation_bounds": (-inf, inf)},
+            {"truncation_bounds": (nan, 40.0)},
+            {"truncation_bounds": (-40.0, nan)},
+        ]
+        for kwargs in bad:
+            with pytest.raises(ValueError):
+                QuadratureConfig(**kwargs)
 
     def test_defaults(self):
         assert DEFAULT_CONFIG.rel_tol == 1e-10
@@ -243,6 +254,11 @@ class TestQuadratureConfig:
 
 
 class TestForwardMellin:
+    def test_requires_a_mellin_function(self):
+        for call in (forward_mellin, hankel_mellin):
+            with pytest.raises(TypeError, match="MellinFunction"):
+                call(lambda x: np.exp(-x), 1.0)
+
     def test_eval_must_keep_the_shape(self):
         # a number broadcast over the nodes would make the call fail later,
         # as a tanh-sinh divergence that names the wrong cause
@@ -436,6 +452,14 @@ class TestInferStrip:
 
         with pytest.raises(InsufficientDecay):
             infer_strip(osc, self.GRID)
+        with pytest.raises(InsufficientDecay, match="not finite"):
+            infer_strip(lambda x: np.where(x < 1e-5, np.nan, np.exp(-x)), self.GRID)
+        # only the two probes nearest 0 are nonzero
+        with pytest.raises(InsufficientDecay, match="too few"):
+            infer_strip(lambda x: np.where(x <= self.GRID[1], 1.0, 0.0), self.GRID)
+        # orders 0.03 at 0 and 0.08 at infinity: the margins cross
+        with pytest.raises(InsufficientDecay, match="collapsed"):
+            infer_strip(lambda x: np.where(x < 1.0, x**-0.03, x**-0.08), self.GRID)
 
     def test_growth_at_both_ends(self):
         # x^2 + x^-2 fits the empty strip <2, -2>

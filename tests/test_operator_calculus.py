@@ -59,6 +59,22 @@ class TestOperatorSpec:
         with pytest.raises(NotPositiveDefinite):
             OperatorSpec.from_spectrum((1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"matrix": np.ones((2, 3))}, "square"),
+            ({"spectrum": ()}, "nonempty"),
+            ({"spectrum": (1.0, math.nan)}, "spectrum entry 1 is nan"),
+            ({"spectrum": (math.inf, 1.0)}, "spectrum entry 0 is inf"),
+            ({"matrix": np.diag([1.0, math.nan])}, r"matrix entry \(1, 1\)"),
+            ({"matrix": np.diag([math.inf, 1.0])}, r"matrix entry \(0, 0\)"),
+        ],
+        ids=["non-square", "empty", "nan-eigenvalue", "inf-eigenvalue", "nan-entry", "inf-entry"],
+    )
+    def test_malformed_input_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            OperatorSpec(**kwargs)
+
     def test_spectrum_materializes_diagonal(self):
         op = OperatorSpec.from_spectrum((2.0, 3.0))
         assert np.allclose(op.as_matrix(), np.diag([2.0, 3.0]))
@@ -264,6 +280,11 @@ class TestFunctionalDeterminant:
         with pytest.raises(ValueError):
             functional_determinant(op, 1.0, regulator=Regulator(np.eye(3)))
 
+    def test_regulator_must_be_finite(self):
+        op = OperatorSpec.from_spectrum((2.0, 3.0))
+        with pytest.raises(ValueError, match=r"regulator entry \(1, 1\) is \(nan"):
+            functional_determinant(op, 1.0, regulator=Regulator(np.diag([1.0, math.nan])))
+
 
 class TestAnomalyPhase:
     def test_real_pd_pairs_give_unity(self):
@@ -287,6 +308,20 @@ class TestAnomalyPhase:
     def test_zero_determinant(self):
         with pytest.raises(ZeroDeterminant):
             anomaly_phase(np.zeros((2, 2)), np.eye(2), 1.0)
+
+    @pytest.mark.parametrize(
+        "op1, op2, message",
+        [
+            (np.eye(2), np.eye(3), "equal shape"),
+            (np.ones((2, 3)), np.ones((2, 3)), "equal shape"),
+            ([[math.nan]], [[2.0]], "op1 entry"),
+            ([[2.0]], [[math.inf]], "op2 entry"),
+        ],
+        ids=["mismatched", "non-square", "nan-op1", "inf-op2"],
+    )
+    def test_operands_checked(self, op1, op2, message):
+        with pytest.raises(ValueError, match=message):
+            anomaly_phase(op1, op2, 1.0)
 
     def test_unit_modulus(self):
         rng = np.random.default_rng(9)

@@ -176,6 +176,8 @@ class TestRuleTable:
             apply_rule(LogMultiply(0), exp_pair())
         with pytest.raises(SideConditionViolation):
             apply_rule(PowerSubstitute(0.0), exp_pair())
+        with pytest.raises(TypeError, match="unknown rule"):
+            apply_rule("scale", exp_pair())
 
 
 class TestConvolution:
@@ -228,6 +230,12 @@ class TestConvolution:
         right = MellinFunction(make_exp(1.0).eval, 0.0, 2.0)
         with pytest.raises(EmptyStripIntersection):
             mult_convolve(left, right)
+        # a_f + a_h < 1 holds in floats, but 1 - a_h rounds to 1: the
+        # reflected strip <1, inf> leaves no float of <1 - eps/2, inf>
+        near_one = MellinFunction(make_exp(1.0).eval, math.nextafter(1.0, 0.0), math.inf)
+        tiny = MellinFunction(make_exp(1.0).eval, 1e-17, math.inf)
+        with pytest.raises(EmptyStripIntersection):
+            star_convolve(near_one, tiny)
 
 
 class TestInvolution:
