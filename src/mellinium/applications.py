@@ -214,8 +214,9 @@ class HeatKernelProblem:
             raise CoincidentPoints("x_a and x_a' coincide")
 
     def separation(self) -> float:
+        # hypot scales, so a distance past 1e154 does not overflow when squared
         d = np.asarray(self.x_a, dtype=float) - np.asarray(self.x_a_prime, dtype=float)
-        return float(np.sqrt(np.sum(d * d)))
+        return math.hypot(*d.tolist())
 
 
 def greens_function(

@@ -291,6 +291,35 @@ def _log_det(matrix: np.ndarray) -> complex:
     return complex(log_abs, cmath.phase(sign))
 
 
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """m with each row scaled by the power of two that brings its largest part into [0.5, 1)."""
+    parts = np.stack([m.real, m.imag])
+    _, exponents = np.frexp(np.abs(parts).max(axis=(0, 2)))
+    scaled = np.ldexp(parts, -exponents[:, None])
+    return scaled[0] + 1j * scaled[1]
+
+
+def _product_log_det(m1: np.ndarray, m2: np.ndarray) -> complex:
+    """_log_det(m1 @ m2), also where that product overflows.
+
+    Then the product is formed from m1 with unit rows and m2 with unit
+    columns (_unit_rows): its entries stay below 2n, and its det gains
+    only a positive factor, so Arg det is unchanged. An entry far below
+    the largest of its row may underflow in that scaling, which is why
+    the raw product is used wherever it is finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = m1 @ m2
+    if np.isfinite(product).all():
+        return _log_det(product)
+    try:
+        return _log_det(_unit_rows(m1) @ _unit_rows(m2.T).T)
+    except ZeroDeterminant:
+        raise ConvergenceDomain(
+            "det(op1 op2) leaves the float range, also with the operands scaled"
+        ) from None
+
+
 def _exp(z: complex) -> complex:
     try:
         return cmath.exp(z)
@@ -337,7 +366,9 @@ def anomaly_phase(
 
     survives; it is an integer multiple of 2 pi by construction and is
     snapped to one. Each Arg comes from a log-determinant, so det may pass the float
-    range. Real positive-definite pairs give exactly 1. Accepts scalars or square matrices.
+    range, and so may the entries of op1 op2 (_product_log_det); ConvergenceDomain
+    where that product cannot be kept in range. Real positive-definite pairs give
+    exactly 1. Accepts scalars or square matrices.
     """
     conv = convention or PhaseConvention()
     m1 = np.atleast_2d(np.asarray(op1, dtype=complex))
@@ -346,7 +377,7 @@ def anomaly_phase(
         raise ValueError("operands must be square matrices of equal shape")
     _require_finite(m1, "op1")
     _require_finite(m2, "op2")
-    theta = (_log_det(m1) + _log_det(m2) - _log_det(m1 @ m2)).imag
+    theta = (_log_det(m1) + _log_det(m2) - _product_log_det(m1, m2)).imag
     k = round(theta / (2.0 * math.pi))
     return _exp(-2j * math.pi * complex(alpha) * (k + conv.winding))
 

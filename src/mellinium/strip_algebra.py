@@ -697,13 +697,16 @@ def convolution_exp(
 
     The n = 0 term is the point mass at x = 1 (the *-identity), kept
     symbolic via atom_weight = 1; its transform contribution is the
-    constant 1. Stages h^{*n} are built on the uniform log grid by
-    direct discrete convolution (the grid is geometric in x), in h's
-    dtype: real stages and real weights for a real h, complex ones
-    otherwise. A stage whose probe transform exceeds the magnitude
-    guard raises DivergentStage. Pointwise values are
-    -h(x) + sum_j w_j h(x e^(-t_j)) besides the atom; the transform is
-    1 + sum_{n=1}^{terms} (-H(alpha))^n / n!.
+    constant 1, and the transform is 1 + sum_{n=1}^{terms} (-H(alpha))^n / n!.
+    Pointwise values are -h(x) + sum_j w_j h(x e^(-t_j)) besides the
+    atom. The stages h^{*n} behind the weights are built on the uniform
+    log grid by direct discrete convolution (the grid is geometric in
+    x), in h's dtype: real for a real h, complex otherwise. They are
+    built on the first eval and kept; the transform never reads them.
+    The guard is checked at construction from h alone: with P the grid
+    probe transform of h, stage h^{*k} probes to about P^k, and
+    DivergentStage is raised when |P|^k passes 1e6 for some
+    2 <= k < terms.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(h, "convolution_exp")
@@ -715,34 +718,42 @@ def convolution_exp(
         return MellinFunction(zero, a, b, label="conv-exp(0 terms)", atom_weight=1.0)
 
     t, span = _log_grid(cfg)
-    n_grid = len(t)
     h_grid = _grid_values(lambda: h.eval(np.exp(t)))
-    m = np.arange(-(n_grid - 1), n_grid, dtype=float)
-    kernel = _grid_values(lambda: h.eval(np.exp(m * _GRID_STEP)))
-
     alpha_probe = complex(FundamentalStrip(a, b).midpoint())
-    probe_w = np.exp(alpha_probe * t) * _GRID_STEP
+    probe = abs(complex(h_grid @ (np.exp(alpha_probe * t) * _GRID_STEP)))
+    magnitude = probe
+    for k in range(2, terms):
+        magnitude *= probe
+        if magnitude > 1e6:
+            raise DivergentStage(
+                f"convolution power {k} probe transform magnitude {magnitude:.3e}"
+            )
 
-    stage = h_grid
-    # combined weights: eval(x) = c_1 h(x) + dt * sum_j P[j] h(x e^{-t_j})
-    # real for a real h, complex otherwise, like the stages
-    combined = np.zeros(n_grid, dtype=np.result_type(h_grid, kernel))
-    for n in range(2, terms + 1):
-        c_n = (-1.0) ** n / math.factorial(n)
-        combined = combined + c_n * stage
-        if n < terms:
-            # Direct convolution keeps superexponential tails exactly zero in
-            # floating point; an FFT product would spray absolute roundoff
-            # across the grid, which the probe weights amplify by e^{alpha t}.
-            stage = _GRID_STEP * np.convolve(stage, kernel, mode="valid")
-            probe = complex(stage @ probe_w)
-            if abs(probe) > 1e6:
-                raise DivergentStage(
-                    f"stage {n + 1} probe transform magnitude {abs(probe):.3e}"
-                )
-    # with one term there is nothing to sum: eval(x) = -h(x)
-    grid = slice(None) if terms > 1 else slice(0)
-    ev = _kernel_sum_eval(h, t[grid], combined[grid] * _GRID_STEP, -1.0)
+    @lru_cache(maxsize=1)
+    def pointwise() -> Callable:
+        n_grid = len(t)
+        m = np.arange(-(n_grid - 1), n_grid, dtype=float)
+        kernel = _grid_values(lambda: h.eval(np.exp(m * _GRID_STEP)))
+        stage = h_grid
+        # combined weights: eval(x) = c_1 h(x) + dt * sum_j P[j] h(x e^{-t_j})
+        # real for a real h, complex otherwise, like the stages
+        combined = np.zeros(n_grid, dtype=np.result_type(h_grid, kernel))
+        for n in range(2, terms + 1):
+            c_n = (-1.0) ** n / math.factorial(n)
+            combined = combined + c_n * stage
+            if n < terms:
+                # Direct convolution keeps superexponential tails exactly zero in
+                # floating point; an FFT product would spray absolute roundoff
+                # across the grid, which a pointwise transform's weight e^{alpha t}
+                # amplifies.
+                stage = _GRID_STEP * np.convolve(stage, kernel, mode="valid")
+        # with one term there is nothing to sum: eval(x) = -h(x)
+        grid = slice(None) if terms > 1 else slice(0)
+        return _kernel_sum_eval(h, t[grid], combined[grid] * _GRID_STEP, -1.0)
+
+    def ev(x):
+        return pointwise()(x)
+
     label = f"conv-exp({terms} terms)[{h.label}]"
     ce = MellinFunction(ev, a, b, label, atom_weight=1.0, grid_span=span)
     ce._transform = _series_transform(h, terms)

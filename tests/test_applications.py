@@ -102,6 +102,15 @@ class TestGreensFunction:
             ).value
             assert ratio == 2.0 ** (2 - n)
 
+    def test_distance_past_the_square_root_of_the_float_range(self):
+        # |dx|^2 overflows past 1.3e154, and the closed forms do not need it;
+        # a floating-point warning is an error in this suite
+        far3 = HeatKernelProblem(n=3, x_a=(0.0,), x_a_prime=(1e200,))
+        assert greens_function(far3).value == pytest.approx(1e-200, rel=1e-15)
+        far2 = HeatKernelProblem(n=2, x_a=(0.0, 0.0), x_a_prime=(1e300, 0.0))
+        assert greens_function(far2).value == -2.0 * math.log(1e300)
+        assert HeatKernelProblem(2, (0.0, 0.0), (3 * 2.0**600, 4 * 2.0**600)).separation() == 5 * 2.0**600
+
     def test_coincident_points(self):
         with pytest.raises(CoincidentPoints):
             HeatKernelProblem(n=3, x_a=(1.0, 0.0, 0.0), x_a_prime=(1.0, 0.0, 0.0))

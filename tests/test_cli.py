@@ -181,6 +181,17 @@ class TestSubcommands:
         code, recs = run_lines(capsys, ["greens", "--n", "3", "--distance", "1"])
         assert recs[0]["value"][0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, distance, want",
+        [("3", "1e200", 1e-200), ("2", "1e300", -2.0 * math.log(1e300))],
+        ids=["n3", "n2"],
+    )
+    def test_greens_far_apart(self, capsys, n, distance, want):
+        # the squared distance is past the float range; the value is not
+        code, recs = run_lines(capsys, ["greens", "--n", n, "--distance", distance])
+        assert code == 0
+        assert recs[0]["value"][0] == pytest.approx(want, rel=1e-15)
+
     def test_asymptotic_pole_mode(self, capsys):
         code, recs = run_lines(capsys, ["asymptotic", "--fn", "exp_decay", "--terms", "3"])
         assert len(recs) == 3

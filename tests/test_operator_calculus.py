@@ -337,6 +337,22 @@ class TestAnomalyPhase:
         m2 = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
         assert anomaly_phase(1e-4 * m1, m2, 0.37) == anomaly_phase(m1, m2, 0.37)
 
+    def test_product_past_the_float_range(self):
+        # the entries of op1 op2 overflow; a floating-point warning is an
+        # error in this suite
+        assert anomaly_phase(np.diag([1e200, 1.0]), np.diag([1e200, 1.0]), 0.5) == 1
+        assert anomaly_phase(np.diag([1e300, 1e-300]), np.diag([1e300, 1e-300]), 0.5) == 1
+        z = cmath.exp(2j * math.pi / 3)
+        wrapped = np.diag([1e300 * z, 1.0])
+        assert anomaly_phase(wrapped, wrapped, 0.3) == anomaly_phase([[z]], [[z]], 0.3)
+
+    def test_product_out_of_range_raises(self):
+        # det(op1 op2) = 1, but the product's entry 1e600 overflows, and
+        # scaled to a unit row the entry 1e-300 of op1 underflows
+        op1 = np.array([[1e-300, 1e300], [0.0, 1.0]])
+        with pytest.raises(ConvergenceDomain, match="det\\(op1 op2\\)"):
+            anomaly_phase(op1, np.diag([1.0, 1e300]), 0.5)
+
     def test_overflowing_phase_raises(self):
         z = cmath.exp(2j * math.pi / 3)
         with pytest.raises(ConvergenceDomain):

@@ -425,19 +425,54 @@ class TestConvolutionExp:
         with pytest.raises(SideConditionViolation):
             convolution_exp(make_exp(1.0), -1)
 
-    def test_divergent_stage_guard(self):
-        # transform magnitude 5 at the probe point: stages grow like
-        # 5^n and cross the guard threshold before 12 terms.
+    @staticmethod
+    def scaled_exp(c):
+        """c e^-x, whose transform at the probe point is c"""
+
         def ev(x):
             arr = np.atleast_1d(np.asarray(x, dtype=complex))
             with np.errstate(over="ignore", under="ignore"):
-                out = 5.0 * np.exp(-arr)
+                out = c * np.exp(-arr)
             out = np.where(np.isfinite(out), out, 0.0)
             return out if np.ndim(x) else out[0]
 
-        big = MellinFunction(ev, 0.0, math.inf, label="5exp")
-        with pytest.raises(DivergentStage):
-            convolution_exp(big, 12)
+        return MellinFunction(ev, 0.0, math.inf, label=f"{c}exp")
+
+    def test_divergent_stage_guard(self):
+        # transform magnitude 5 at the probe point: stages grow like
+        # 5^n and cross the guard threshold before 12 terms.
+        with pytest.raises(DivergentStage, match=r"convolution power 9 .* 1\.953e\+06"):
+            convolution_exp(self.scaled_exp(5.0), 12)
+
+    @pytest.mark.parametrize(
+        "c, terms, raises",
+        # 1e6^(1/11) = 3.51, 1e6^(1/5) = 15.8; at two terms no power is guarded
+        [(3.4, 12, False), (3.6, 12, True), (16.0, 6, True), (1001.0, 2, False)],
+    )
+    def test_guard_threshold(self, c, terms, raises):
+        if raises:
+            with pytest.raises(DivergentStage):
+                convolution_exp(self.scaled_exp(c), terms)
+        else:
+            convolution_exp(self.scaled_exp(c), terms)
+
+    def test_stages_built_on_first_eval(self, monkeypatch):
+        calls, convolve = [], np.convolve
+
+        def spy(stage, kernel, mode):
+            calls.append(mode)
+            return convolve(stage, kernel, mode=mode)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        terms = 12
+        ce = convolution_exp(OperatorSpec.from_spectrum((1.0, 2.0)).heat_trace(), terms)
+        forward_mellin(ce, 1.5)
+        assert len(calls) == 0
+        xs = np.geomspace(1e-3, 40.0, 30)
+        first = ce.eval(xs)
+        assert len(calls) == terms - 2
+        assert np.array_equal(ce.eval(xs), first)
+        assert len(calls) == terms - 2
 
 
 class TestGridArithmetic:
@@ -454,13 +489,15 @@ class TestGridArithmetic:
             return convolve(stage, kernel, mode=mode)
 
         monkeypatch.setattr(np, "convolve", spy)
+        xs = np.geomspace(1e-3, 40.0, 30)
+        # the stages are built on the first eval
         real = convolution_exp(h, 12)
+        a = real.eval(xs)
         assert stages and all(d == {np.dtype(np.float64)} for d in stages)
         stages.clear()
         cplx = convolution_exp(h_complex, 12)
+        b = cplx.eval(xs)
         assert stages and all(d == {np.dtype(np.complex128)} for d in stages)
-        xs = np.geomspace(1e-3, 40.0, 30)
-        a, b = real.eval(xs), cplx.eval(xs)
         assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b))
         for alpha in (1.0, 1.5 + 0.3j, 2.0, 3.0 - 1.0j):
             got = forward_mellin(real, alpha).value
