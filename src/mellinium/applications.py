@@ -214,9 +214,23 @@ class HeatKernelProblem:
             raise CoincidentPoints("x_a and x_a' coincide")
 
     def separation(self) -> float:
-        # hypot scales, so a distance past 1e154 does not overflow when squared
-        d = np.asarray(self.x_a, dtype=float) - np.asarray(self.x_a_prime, dtype=float)
-        return math.hypot(*d.tolist())
+        """|dx|, inf where it is past the float range."""
+        s, k = self._separation_parts()
+        return k * s
+
+    def _separation_parts(self) -> tuple[float, float]:
+        """(s, k) with |dx| = k s and s finite: k = 1, or a power of two where |dx| leaves the float range.
+
+        hypot scales, so a distance past 1e154 does not overflow when
+        squared; where the distance itself overflows, s is that of the
+        coordinates halved until it does not (halving is exact).
+        """
+        pairs = [(float(a), float(b)) for a, b in zip(self.x_a, self.x_a_prime)]
+        s, k = math.hypot(*(a - b for a, b in pairs)), 1.0
+        while not math.isfinite(s):
+            k *= 2.0
+            s = math.hypot(*(a / k - b / k for a, b in pairs))
+        return s, k
 
 
 def greens_function(
@@ -233,14 +247,16 @@ def greens_function(
     <-inf, n/2> only for n >= 3 (DivergentRoute below that). Either
     route reports alpha = 1, that strip and Haar normalization.
     """
-    r = problem.separation()
     n = problem.n
     key = route.replace("-", "_").lower()
     if key in ("closed", "closed_form"):
+        # |dx| = k s: the closed forms stay finite where |dx| itself overflows
+        s, k = problem._separation_parts()
         if n == 2:
-            value = -2.0 * math.log(r)
+            value = -2.0 * (math.log(s) + math.log(k))
         else:
-            value = float(math.pi ** (1.0 - 0.5 * n) * _gamma(0.5 * n - 1.0) * r ** (2.0 - n))
+            power = s ** (2.0 - n) * k ** (2.0 - n)
+            value = float(math.pi ** (1.0 - 0.5 * n) * _gamma(0.5 * n - 1.0) * power)
         strip = FundamentalStrip(-math.inf, 0.5 * n)
         return TransformValue(value, 1.0 + 0j, strip, Normalization.haar(), 0.0)
     if key != "quadrature":
@@ -249,7 +265,7 @@ def greens_function(
         raise DivergentRoute(
             f"quadrature route diverges for n = {n}: alpha = 1 is outside <-inf, n/2>"
         )
-    tv = forward_mellin(_heat_kernel_function(n, r), 1.0, cfg=cfg)
+    tv = forward_mellin(_heat_kernel_function(n, problem.separation()), 1.0, cfg=cfg)
     return replace(tv, value=float(tv.value.real))
 
 

@@ -482,8 +482,11 @@ def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-# Integrand points handed to one call.
-_BLOCK_POINTS = 2_000_000
+# Integrand points handed to one call, here and in strip_algebra's kernel
+# sums: 128 KB per float64 array, so an integrand's temporaries stay in a
+# 2 MB L2 cache. Chosen by a sweep over 2^12-2^18 in fresh processes
+# (CHANGES.md).
+_BLOCK_POINTS = 16_384
 
 
 def _level_sums(g, mid, hw, t, w, rows, weigh: bool):
@@ -522,7 +525,9 @@ def _tanh_sinh(
     layout. Each row is refined until it meets its own tolerance and is
     then frozen, from level 2 on, so its value and estimate are those it
     would get alone. A level whose active rows hold more than
-    _BLOCK_POINTS nodes is handed to g in blocks of rows. ``slope[i]``
+    _BLOCK_POINTS nodes is handed to g in blocks of rows; the block is
+    cache-sized (see _BLOCK_POINTS), and since rows are independent it
+    changes only how they are grouped, never a value. ``slope[i]``
     (|alpha| for e^(alpha t)) is how fast row i's exponent moves with x,
     for the estimate's floor below; such a row lies on one side of x = 0.
     Returns (values, error estimates); a row with hi <= lo is 0 with

@@ -42,7 +42,7 @@ from .mellin_core import (
     _wrap_eval,
     forward_mellin,
 )
-from .strip_algebra import convolution_exp
+from .strip_algebra import _series, convolution_exp
 
 __all__ = [
     "OperatorSpec",
@@ -146,18 +146,38 @@ class OperatorSpec:
         return _exp_sum(self._eigs, np.ones(self.dimension), f"heat-trace(d={self.dimension})")
 
 
+# Underflowing exps a call must hold before _exp_sum skips them: the test and
+# the masking cost several us a call, an exp below -745 up to about 15 ns. A
+# call too small to hold that many (a quadrature level of a few hundred nodes)
+# is not even tested, so it costs no more than before.
+_SKIP_MIN_EXPS = 1024
+
+
 def _exp_sum(eigs: np.ndarray, coeffs: np.ndarray, label: str) -> MellinFunction:
     """g -> sum_k coeffs[k] e^(-eigs[k] g) on the strip <0, inf), for real or complex g.
 
     The terms are added one eigenvalue at a time, in order, so no
     len(g) by len(eigs) temporary is built; the result keeps g's shape,
     in float64 or complex128.
-    """
-    pairs = list(zip(eigs.tolist(), coeffs.tolist()))
 
-    def core(arr):
-        g = np.asarray(arr, dtype=np.result_type(arr, np.float64))
-        out = np.zeros_like(g)
+    A point with Re g > 746 / min(eigs) is left at exactly 0 without
+    calling exp, when a call holds at least _SKIP_MIN_EXPS such exps (a
+    grid kernel sum's chunk does): every exponent there is below
+    -745.13, where exp gives exactly 0, and underflowing exps cost about
+    ten times ordinary ones. The test is ``>``, so a nan stays live and
+    comes out nan; the subnormal band (exponents down to -745.13) is
+    still computed. A complex point is skipped only while lam Im g stays
+    finite for every eigenvalue, since an infinite phase makes exp nan.
+    The skip gives the same bytes: a sum of exact zeros is +0.
+    """
+    lams = eigs.tolist()
+    pairs = list(zip(lams, coeffs.tolist()))
+    cut, phase_cap = 746.0 / min(lams), 1e300 / max(lams)
+    min_dead = _SKIP_MIN_EXPS / len(lams)
+
+    def terms(g):
+        # np.zeros, not np.zeros_like: a quarter of the cost on small arrays
+        out = np.zeros(g.shape, g.dtype)
         term = np.empty_like(g)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             for lam, c in pairs:
@@ -166,6 +186,20 @@ def _exp_sum(eigs: np.ndarray, coeffs: np.ndarray, label: str) -> MellinFunction
                 if c != 1.0:
                     term *= c
                 out += term
+        return out
+
+    def core(arr):
+        g = np.asarray(arr, dtype=np.result_type(arr, np.float64))
+        if g.size < min_dead:
+            return terms(g)
+        dead = g.real > cut
+        if np.count_nonzero(dead) < min_dead:
+            return terms(g)
+        if np.iscomplexobj(g):
+            dead &= np.abs(g.imag) <= phase_cap
+        live = ~dead
+        out = np.zeros(g.shape, g.dtype)
+        out[live] = terms(g[live])
         return out
 
     return MellinFunction(_wrap_eval(core), 0.0, math.inf, label=label)
@@ -300,18 +334,22 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _product_log_det(m1: np.ndarray, m2: np.ndarray) -> complex:
-    """_log_det(m1 @ m2), also where that product overflows.
+    """_log_det(m1 @ m2) for nonsingular m1 and m2, also where that product leaves the float range.
 
-    Then the product is formed from m1 with unit rows and m2 with unit
-    columns (_unit_rows): its entries stay below 2n, and its det gains
-    only a positive factor, so Arg det is unchanged. An entry far below
-    the largest of its row may underflow in that scaling, which is why
-    the raw product is used wherever it is finite.
+    Where the raw product overflows, or its det rounds to 0 although
+    neither operand's does, the product is formed from m1 with unit rows
+    and m2 with unit columns (_unit_rows): its entries stay below 2n,
+    and its det gains only a positive factor, so Arg det is unchanged.
+    An entry far below the largest of its row may underflow in that
+    scaling, which is why the raw product is used wherever it serves.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         product = m1 @ m2
     if np.isfinite(product).all():
-        return _log_det(product)
+        try:
+            return _log_det(product)
+        except ZeroDeterminant:
+            pass
     try:
         return _log_det(_unit_rows(m1) @ _unit_rows(m2.T).T)
     except ZeroDeterminant:
@@ -395,15 +433,18 @@ def key_identity_check(
     trace. The Haar transform of the heat trace is Gamma(alpha) times
     the zeta sum, so the two sides agree where Gamma(alpha) = 1 (the
     pinned points alpha = 1, 2). Returns (lhs, rhs, bound) with bound
-    covering series truncation and quadrature error.
+    covering series truncation and quadrature error. The heat trace is
+    transformed once: rhs is the convolution exponential's transform,
+    its atom plus the series in that H(alpha) (strip_algebra._series).
     """
     alpha = complex(alpha)
     lhs = _exp(-spectral_zeta(op, alpha, "direct").value)
     h = op.heat_trace()
+    # built for its divergence guard; its transform would transform h again
     ce = convolution_exp(h, terms, cfg)
-    tv = forward_mellin(ce, alpha, cfg=cfg)
     h_alpha = forward_mellin(h, alpha, cfg=cfg)
+    (p,), (p_err,) = _series(np.array([h_alpha.value]), np.array([h_alpha.abs_error_estimate]), terms)
     mag = abs(h_alpha.value)
     truncation = mag ** (terms + 1) / math.factorial(terms + 1) * math.exp(mag)
-    bound = truncation + 10.0 * (tv.abs_error_estimate + h_alpha.abs_error_estimate)
-    return lhs, tv.value, float(bound)
+    bound = truncation + 10.0 * (p_err + h_alpha.abs_error_estimate)
+    return lhs, complex(p + complex(ce.atom_weight)), float(bound)

@@ -60,6 +60,7 @@ from .mellin_core import (
     FundamentalStrip,
     MellinFunction,
     QuadratureConfig,
+    _BLOCK_POINTS,
     _EPS,
     _cabs,
     _circle,
@@ -477,12 +478,14 @@ def _chunked_kernel_sum(
 ) -> np.ndarray:
     """sum_j weights[j] * kernel(xs[i] * grid_factors[j]), chunked over i.
 
+    A chunk holds at most mellin_core's _BLOCK_POINTS kernel arguments
+    (at least one row), the cache-sized block of every integrand call.
     Each row is summed by einsum, whose order does not depend on the
     other rows of the chunk, so a point's value does not depend on the
-    points it is evaluated with.
+    points it is evaluated with, nor on the block size.
     """
     out = np.empty(xs.shape, dtype=complex)
-    step = max(1, 250_000 // max(1, len(grid_factors)))
+    step = max(1, _BLOCK_POINTS // max(1, len(grid_factors)))
     flat = xs.ravel()
     res = out.ravel()
     for k in range(0, len(flat), step):
@@ -505,24 +508,24 @@ def _product_transform(f: MellinFunction, h: MellinFunction, star: bool) -> Call
     return transform
 
 
+def _series(hv: np.ndarray, he: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(H) = sum_{n=1}^{terms} (-H)^n / n! for each H in hv, with estimate |P'(H)| e_H + rounding."""
+    values, ests = [], []
+    for H, e in zip(hv.tolist(), he.tolist()):
+        term, p, dp, size = 1.0 + 0j, 0j, 0j, 0.0
+        for n in range(1, terms + 1):
+            dp -= term
+            term = term * -H / n
+            p += term
+            size += n * abs(term)
+        values.append(p)
+        ests.append(abs(dp) * e + 4.0 * _EPS * size)
+    return np.array(values, dtype=complex), np.array(ests)
+
+
 def _series_transform(h: MellinFunction, terms: int) -> Callable:
-    """P(H) = sum_{n=1}^{terms} (-H)^n / n!, H = H(alpha); estimate |P'(H)| e_H + rounding."""
-
-    def transform(alphas: np.ndarray, cfg: QuadratureConfig):
-        hv, he = _haar_transforms(h, alphas, cfg)
-        values, ests = [], []
-        for H, e in zip(hv.tolist(), he.tolist()):
-            term, p, dp, size = 1.0 + 0j, 0j, 0j, 0.0
-            for n in range(1, terms + 1):
-                dp -= term
-                term = term * -H / n
-                p += term
-                size += n * abs(term)
-            values.append(p)
-            ests.append(abs(dp) * e + 4.0 * _EPS * size)
-        return np.array(values, dtype=complex), np.array(ests)
-
-    return transform
+    """The transform of convolution_exp(h, terms) without its atom: _series of H(alpha)."""
+    return lambda alphas, cfg: _series(*_haar_transforms(h, alphas, cfg), terms)
 
 
 def _kernel_sum_eval(kernel: MellinFunction, tau: np.ndarray, weights: np.ndarray, c0: float) -> Callable:

@@ -111,6 +111,21 @@ class TestGreensFunction:
         assert greens_function(far2).value == -2.0 * math.log(1e300)
         assert HeatKernelProblem(2, (0.0, 0.0), (3 * 2.0**600, 4 * 2.0**600)).separation() == 5 * 2.0**600
 
+    def test_coordinate_difference_past_the_float_range(self):
+        # |dx| = 2e308 itself overflows; the closed forms do not, and a
+        # floating-point warning is an error in this suite
+        problem = HeatKernelProblem(n=2, x_a=(-1e308,), x_a_prime=(1e308,))
+        assert problem.separation() == math.inf
+        want = -2.0 * mp.log(mp.mpf(2) * mp.mpf(1e308))
+        assert greens_function(problem).value == pytest.approx(float(want), rel=1e-15)
+        diagonal = HeatKernelProblem(n=2, x_a=(-1.5e308, 1.5e308), x_a_prime=(1.5e308, -1.5e308))
+        want = -2.0 * mp.log(mp.sqrt(2) * mp.mpf(3) * mp.mpf(1e308))
+        assert greens_function(diagonal).value == pytest.approx(float(want), rel=1e-15)
+        # n = 3: 1 / |dx| = 5e-309, a subnormal float
+        far3 = HeatKernelProblem(n=3, x_a=(-1e308,), x_a_prime=(1e308,))
+        want = 1 / (mp.mpf(2) * mp.mpf(1e308))
+        assert greens_function(far3).value == pytest.approx(float(want), rel=1e-12)
+
     def test_coincident_points(self):
         with pytest.raises(CoincidentPoints):
             HeatKernelProblem(n=3, x_a=(1.0, 0.0, 0.0), x_a_prime=(1.0, 0.0, 0.0))

@@ -33,6 +33,10 @@ from mellinium import (
 )
 
 
+from mellinium import mellin_core
+from mellinium.operator_calculus import _exp_sum
+from mellinium.strip_algebra import convolution_exp
+
 from conftest import make_exp
 from oracles import spectrum_zeta_direct
 
@@ -118,6 +122,38 @@ class TestHeatTrace:
         assert out.shape == (3, 4) and out.dtype == np.float64
         assert out[1, 2] == ht.eval(grid[1, 2])
         assert ht.eval(grid.astype(complex)).shape == (3, 4)
+
+    @staticmethod
+    def plain_exp_sum(eigs, coeffs, g):
+        """sum_k coeffs[k] e^(-eigs[k] g), one np.exp per eigenvalue on every point."""
+        out = np.zeros_like(g)
+        with np.errstate(all="ignore"):
+            for lam, c in zip(eigs.tolist(), coeffs.tolist()):
+                term = np.exp(g * -lam)
+                out = out + (term * c if c != 1.0 else term)
+        return out
+
+    @pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0), (1.0, -1.0, 1.0)], ids=["trace", "alternating"])
+    def test_skipped_points_give_the_same_bytes(self, signs):
+        # exp is skipped where Re g > 746 / min(eigs), in calls with enough such
+        # points; the points straddle that cut, the subnormal band of exp
+        # (exponents -745.13 to -708.4) and its edge, and the non-finite inputs
+        eigs, coeffs = np.array([1.3, 2.1, 2.7]), np.array(signs)
+        cut = 746.0 / 1.3
+        edges = [cut, 745.13 / 1.3, 745.14 / 1.3, 708.4 / 1.3, 740.0 / 1.3]
+        near = [np.nextafter(x, d) for x in edges for d in (-math.inf, math.inf)]
+        specials = [0.0, -0.0, 1e-300, 0.7, 30.0, 1e3, 1e300, -1.0, -600.0, math.nan, math.inf, -math.inf]
+        reals = np.array(edges + near + specials)
+        # 427 points, 400 of them past the cut: enough to be skipped
+        points = np.concatenate([reals, np.linspace(cut, 4.0 * cut, 400)])
+        imags = np.array([0.0, -0.0, 1.3, -2.0, 1e300, 1e307, math.inf, -math.inf, math.nan])
+        grid = np.empty((points.size, imags.size), dtype=complex)
+        grid.real, grid.imag = points[:, None], imags[None, :]
+        heat = _exp_sum(eigs, coeffs, "sum")
+        for g in (reals, points, points.reshape(7, -1), grid, grid[:27]):
+            got = heat.eval(g)
+            assert got.dtype == g.dtype and got.shape == g.shape
+            assert got.tobytes() == self.plain_exp_sum(eigs, coeffs, g).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.5 + 1.0j, -0.5 + 0.3j, -1.7, 2.5])
     def test_hankel_continues_the_zeta(self, alpha):
@@ -346,6 +382,19 @@ class TestAnomalyPhase:
         wrapped = np.diag([1e300 * z, 1.0])
         assert anomaly_phase(wrapped, wrapped, 0.3) == anomaly_phase([[z]], [[z]], 0.3)
 
+    def test_product_det_underflow(self):
+        # det(op1 op2) = 1e-400 rounds to 0, but neither operand is singular
+        assert anomaly_phase(np.diag([1e-200, 1.0]), np.diag([1e-200, 1.0]), 0.5) == 1
+        z = cmath.exp(2j * math.pi / 3)
+        wrapped = np.diag([1e-200 * z, 1.0])
+        assert anomaly_phase(wrapped, wrapped, 0.3) == anomaly_phase([[z]], [[z]], 0.3)
+
+    def test_singular_operand_raises(self):
+        tiny = np.diag([1e-200, 1.0])
+        for op1, op2 in ((np.diag([0.0, 1.0]), tiny), (tiny, np.diag([1.0, 0.0]))):
+            with pytest.raises(ZeroDeterminant):
+                anomaly_phase(op1, op2, 0.5)
+
     def test_product_out_of_range_raises(self):
         # det(op1 op2) = 1, but the product's entry 1e600 overflows, and
         # scaled to a unit row the entry 1e-300 of op1 underflows
@@ -406,6 +455,26 @@ class TestKeyIdentity:
             devs.append(abs(lhs - rhs))
             assert devs[-1] <= bound
         assert devs[2] < devs[0]
+
+    @pytest.mark.parametrize(
+        "spectrum, alpha, terms",
+        [((2.0,), 1.0, 12), ((1.3, 2.1, 2.7), 2.0, 6), ((0.7, 1.9), 1.5 - 0.8j, 12), ((1.0,), 2.0, 0)],
+    )
+    def test_heat_trace_transformed_once(self, monkeypatch, spectrum, alpha, terms):
+        # rhs and bound are those of transforming the convolution exponential
+        # and the heat trace apart, bit for bit, from one quadrature of the trace
+        op = OperatorSpec.from_spectrum(spectrum)
+        h = op.heat_trace()
+        tv = forward_mellin(convolution_exp(h, terms, self.CFG), alpha, cfg=self.CFG)
+        h_alpha = forward_mellin(h, alpha, cfg=self.CFG)
+        mag = abs(h_alpha.value)
+        truncation = mag ** (terms + 1) / math.factorial(terms + 1) * math.exp(mag)
+        bound = truncation + 10.0 * (tv.abs_error_estimate + h_alpha.abs_error_estimate)
+        calls, tanh_sinh = [], mellin_core._tanh_sinh
+        monkeypatch.setattr(mellin_core, "_tanh_sinh", lambda *a: calls.append(1) or tanh_sinh(*a))
+        _, rhs, got = key_identity_check(op, alpha, terms, cfg=self.CFG)
+        assert repr((rhs, got)) == repr((tv.value, float(bound)))
+        assert len(calls) == 1
 
     def test_overflowing_lhs_raises(self):
         # zeta = 2^(10 - i pi / log 2) = -1024, so exp(-zeta) overflows

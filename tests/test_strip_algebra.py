@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import pickle
 import random
 
 import mpmath as mp
@@ -45,7 +46,7 @@ from mellinium import (
 )
 
 from mellinium.mellin_core import DEFAULT_CONFIG, QuadratureConfig, _window
-from mellinium import strip_algebra
+from mellinium import mellin_core, strip_algebra
 from mellinium.strip_algebra import _GRID_STEP, _log_grid, _product
 
 from conftest import make_exp, make_power_cutoff, make_self_involutive
@@ -406,6 +407,30 @@ class TestBatchedQuadrature:
         apply_rule(Primitive(1), dataclasses.replace(base, function_side=f, verify=False))
         assert 0 < len(calls) <= 2150
         assert max(calls) <= 2_000_000
+
+    def test_block_size_changes_no_value(self, monkeypatch):
+        # _BLOCK_POINTS only groups rows into tanh-sinh calls and points into
+        # kernel-sum chunks: a tiny block gives every value and estimate the
+        # same bytes. strip_algebra holds its own binding of the name.
+        f = make_exp(1.0)
+        heat, sizes = counted(OperatorSpec.from_spectrum((1.3, 2.1, 2.7)).heat_trace())
+        prim = apply_rule(Primitive(1), exp_pair()).function_side
+        cases = [
+            lambda: forward_mellin(f, 1.5 + 0.5j),
+            lambda: strip_algebra._haar_transforms(f, [0.05 + 1j, 1.5 + 0.5j, 1.5 - 2j, 3.0]),
+            lambda: prim(np.geomspace(1e-3, 40.0, 50)),
+            lambda: parseval_pair(f, make_exp(2.0), 2.0, 1.0),
+            lambda: mult_convolve(f, heat).eval(np.geomspace(1e-3, 1e2, 2048)),
+        ]
+        default = [pickle.dumps(run()) for run in cases]
+        # chunks of whole points, 933 grid terms each
+        assert max(sizes) <= mellin_core._BLOCK_POINTS
+        sizes.clear()
+        monkeypatch.setattr(mellin_core, "_BLOCK_POINTS", 64)
+        monkeypatch.setattr(strip_algebra, "_BLOCK_POINTS", 64)
+        assert [pickle.dumps(run()) for run in cases] == default
+        # at least one point per chunk, however small the block
+        assert max(sizes) == min(sizes) > 64
 
 
 class TestConvolutionExp:
