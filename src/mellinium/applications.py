@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     CoincidentPoints,
+    ConvergenceDomain,
     DivergentRoute,
     PoleAtOne,
     StripViolation,
@@ -242,31 +243,43 @@ def greens_function(
 
     Closed form: -2 log|dx| in n = 2, else
     pi^(1 - n/2) Gamma(n/2 - 1) |dx|^(2 - n), with estimate 0. The
-    quadrature route integrates the heat kernel e^(-pi |dx|^2 / g) g^(-n/2)
-    against Haar measure at alpha = 1, which lies inside the strip
-    <-inf, n/2> only for n >= 3 (DivergentRoute below that). Either
-    route reports alpha = 1, that strip and Haar normalization.
+    quadrature route integrates the heat kernel e^(-pi / g) g^(-n/2) of
+    unit separation against Haar measure at alpha = 1, which lies inside
+    the strip <-inf, n/2> only for n >= 3 (DivergentRoute below that).
+    Both routes scale their unit-separation value by |dx|^(2 - n)
+    (substitute g = |dx|^2 u), and raise ConvergenceDomain where the
+    result leaves the float range. Either route reports alpha = 1, that
+    strip and Haar normalization.
     """
     n = problem.n
     key = route.replace("-", "_").lower()
-    if key in ("closed", "closed_form"):
-        # |dx| = k s: the closed forms stay finite where |dx| itself overflows
-        s, k = problem._separation_parts()
-        if n == 2:
-            value = -2.0 * (math.log(s) + math.log(k))
-        else:
-            power = s ** (2.0 - n) * k ** (2.0 - n)
-            value = float(math.pi ** (1.0 - 0.5 * n) * _gamma(0.5 * n - 1.0) * power)
-        strip = FundamentalStrip(-math.inf, 0.5 * n)
-        return TransformValue(value, 1.0 + 0j, strip, Normalization.haar(), 0.0)
-    if key != "quadrature":
+    quadrature = key == "quadrature"
+    if not quadrature and key not in ("closed", "closed_form"):
         raise ValueError(f"unknown route {route!r}")
-    if n <= 2:
+    if quadrature and n <= 2:
         raise DivergentRoute(
             f"quadrature route diverges for n = {n}: alpha = 1 is outside <-inf, n/2>"
         )
-    tv = forward_mellin(_heat_kernel_function(n, problem.separation()), 1.0, cfg=cfg)
-    return replace(tv, value=float(tv.value.real))
+    # |dx| = k s: the values stay finite where |dx| itself overflows
+    s, k = problem._separation_parts()
+    tv = TransformValue(0.0, 1.0 + 0j, FundamentalStrip(-math.inf, 0.5 * n), Normalization.haar(), 0.0)
+    if n == 2:
+        return replace(tv, value=-2.0 * (math.log(s) + math.log(k)))
+    try:
+        power = s ** (2.0 - n) * k ** (2.0 - n)
+    except OverflowError:
+        power = math.inf
+    if quadrature:
+        tv = forward_mellin(_heat_kernel_function(n, 1.0), 1.0, cfg=cfg)
+        unit = float(tv.value.real)
+    else:
+        unit = math.pi ** (1.0 - 0.5 * n) * _gamma(0.5 * n - 1.0)
+    value = float(unit * power)
+    if not math.isfinite(value):
+        raise ConvergenceDomain(f"|dx|^{2 - n} leaves the float range at |dx| = {k * s:g}")
+    # the scaled estimate, plus the rounding of the power and the product
+    err = tv.abs_error_estimate * power + (4.0 * math.ulp(value) if quadrature else 0.0)
+    return replace(tv, value=value, abs_error_estimate=err)
 
 
 def zeta_value(

@@ -63,13 +63,13 @@ def _params(ns, suffix: str = ""):
     return entry, params
 
 
-def _function(ns, suffix: str = ""):
-    """The --fn{suffix} corpus function and its record inputs."""
+def _function(ns, inputs: dict, suffix: str = ""):
+    """The --fn{suffix} corpus function; its record inputs go into inputs."""
     entry, params = _params(ns, suffix)
-    inputs = {"fn" + suffix: getattr(ns, "fn" + suffix)}
+    inputs["fn" + suffix] = getattr(ns, "fn" + suffix)
     for key, v in params.items():
         inputs[key + suffix] = str(v) if isinstance(v, int) else _g(v)
-    return entry.build(**params), inputs
+    return entry.build(**params)
 
 
 def _closed_transform(ns):
@@ -88,7 +88,8 @@ def _declared(ns) -> tuple[tuple[float, float], str]:
 
     Worked out from the arguments alone, so a sweep point that fails
     carries what its record would have carried on success. Commands
-    whose pair is fixed declare it with their flags (_add_common).
+    whose pair is fixed declare it with their flags (_add_common);
+    strip declares the strip it infers.
     """
     if ns.declared is not None:
         return ns.declared
@@ -96,10 +97,10 @@ def _declared(ns) -> tuple[tuple[float, float], str]:
         return ((1.0, math.inf), "gamma") if ns.route == "realline" else (_WHOLE, "gamma-contour")
     if ns.command == "greens":
         return (-math.inf, 0.5 * ns.n), "haar"
-    f = _function(ns)[0]
+    f = _function(ns, {})
     strip = f.strip
     if ns.command == "convolve":
-        strip = induced_strip(f, _function(ns, "2")[0], star=ns.kind == "star")
+        strip = induced_strip(f, _function(ns, {}, "2"), star=ns.kind == "star")
     norm = ns.norm.name() if hasattr(ns, "norm") else "haar"
     return ((strip.a, strip.b) if strip else _WHOLE), norm
 
@@ -119,10 +120,9 @@ def _strip_entry(v: float):
     return float(v)
 
 
-def _records(ns, rows, skipped: bool = False, strip=None) -> list[dict]:
+def _records(ns, rows, skipped: bool = False) -> list[dict]:
     """Records of (inputs, alpha, value, error estimate) rows of a command."""
-    declared, normalization = _declared(ns)
-    strip = strip or declared
+    strip, normalization = _declared(ns)
     return [
         {
             "operation": ns.command,
@@ -359,137 +359,126 @@ def _cfg(ns):
     return cfg
 
 
-def _operator(ns) -> tuple[OperatorSpec, dict]:
+def _operator(ns, inputs: dict) -> OperatorSpec:
+    """The --matrix or --spectrum operator; its record inputs go into inputs."""
     if (ns.matrix is None) == (ns.spectrum is None):
         raise ValueError("provide exactly one of --matrix or --spectrum")
     if ns.matrix is not None:
         m = _read_matrix(ns.matrix)
-        return OperatorSpec.from_matrix(m), {"source": "matrix", "dimension": str(m.shape[0])}
-    op = OperatorSpec.from_spectrum(ns.spectrum)
-    return op, {"source": "spectrum", "spectrum": ",".join(_g(e) for e in ns.spectrum)}
+        op = OperatorSpec.from_matrix(m)
+        inputs.update(source="matrix", dimension=str(m.shape[0]))
+    else:
+        op = OperatorSpec.from_spectrum(ns.spectrum)
+        inputs.update(source="spectrum", spectrum=",".join(_g(e) for e in ns.spectrum))
+    return op
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each fills the inputs it is given and returns rows
 # ---------------------------------------------------------------------------
 
 
-def _do_transform(ns) -> list[dict]:
-    alpha = ns.alpha
-    f, inputs = _function(ns)
-    ns.inputs = inputs
-    tv = forward_mellin(f, alpha, ns.norm, cfg=_cfg(ns))
-    return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
+def _do_transform(ns, inputs) -> list[tuple]:
+    tv = forward_mellin(_function(ns, inputs), ns.alpha, ns.norm, cfg=_cfg(ns))
+    return [(inputs, ns.alpha, tv.value, tv.abs_error_estimate)]
 
 
-def _do_invert(ns) -> list[dict]:
-    f, inputs = _function(ns)
+def _do_invert(ns, inputs) -> list[tuple]:
+    f = _function(ns, inputs)
     T = _closed_transform(ns)
     if not f.strip.contains(complex(ns.c)):
         raise ValueError(f"contour abscissa c={ns.c:g} lies outside {f.strip}")
     value, err = inverse_mellin(T, ns.c, ns.x, _cfg(ns))
     inputs.update(x=_g(ns.x), c=_g(ns.c))
-    return _records(ns, [(inputs, None, value, err)])
+    return [(inputs, None, value, err)]
 
 
-def _do_strip(ns) -> list[dict]:
-    f, inputs = _function(ns)
-    st = infer_strip(f, np.geomspace(1e-6, 1e6, 61))
-    return _records(ns, [(inputs, None, None, 0.0)], strip=(st.a, st.b))
+def _do_strip(ns, inputs) -> list[tuple]:
+    st = infer_strip(_function(ns, inputs), np.geomspace(1e-6, 1e6, 61))
+    ns.declared = ((st.a, st.b), "haar")
+    return [(inputs, None, None, 0.0)]
 
 
-def _do_convolve(ns) -> list[dict]:
-    alpha = ns.alpha
-    f, inputs1 = _function(ns)
+def _do_convolve(ns, inputs) -> list[tuple]:
+    inputs["kind"] = ns.kind
+    f = _function(ns, inputs)
     if ns.fn2 is None:
         raise ValueError("convolve requires --fn2")
-    h, inputs2 = _function(ns, "2")
-    ns.inputs = inputs = {"kind": ns.kind, **inputs1, **inputs2}
+    h = _function(ns, inputs, "2")
     cfg = _cfg(ns)
     build = mult_convolve if ns.kind == "mult" else star_convolve
-    tv = forward_mellin(build(f, h, cfg), alpha, ns.norm, cfg=cfg)
-    return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
+    tv = forward_mellin(build(f, h, cfg), ns.alpha, ns.norm, cfg=cfg)
+    return [(inputs, ns.alpha, tv.value, tv.abs_error_estimate)]
 
 
-def _do_zeta(ns) -> list[dict]:
-    alpha = ns.alpha
+def _do_zeta(ns, inputs) -> list[tuple]:
     contour = HankelContourSpec(radius=ns.radius) if ns.radius is not None else None
-    ns.inputs = inputs = {"route": ns.route}
+    inputs["route"] = ns.route
     if ns.radius is not None:
         inputs["radius"] = _g(ns.radius)
-    tv = zeta_value(alpha, ns.route, _cfg(ns), contour)
-    return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
+    tv = zeta_value(ns.alpha, ns.route, _cfg(ns), contour)
+    return [(inputs, ns.alpha, tv.value, tv.abs_error_estimate)]
 
 
-def _do_eta(ns) -> list[dict]:
-    alpha = ns.alpha
-    ns.inputs = inputs = {"route": "fermi"}
-    tv = eta_value(alpha, _cfg(ns))
-    return _records(ns, [(inputs, alpha, tv.value, tv.abs_error_estimate)])
+def _do_eta(ns, inputs) -> list[tuple]:
+    inputs["route"] = "fermi"
+    tv = eta_value(ns.alpha, _cfg(ns))
+    return [(inputs, ns.alpha, tv.value, tv.abs_error_estimate)]
 
 
-def _do_det(ns) -> list[dict]:
-    alpha = ns.alpha
-    op, inputs = _operator(ns)
+def _do_det(ns, inputs) -> list[tuple]:
+    op = _operator(ns, inputs)
     reg = Regulator(_read_matrix(ns.regulator)) if ns.regulator is not None else None
     inputs["winding"] = str(ns.winding)
     if ns.regulator is not None:
         inputs["regulator"] = ns.regulator
-    ns.inputs = inputs
-    value = functional_determinant(op, alpha, PhaseConvention(ns.winding), reg)
-    return _records(ns, [(inputs, alpha, value, 0.0)])
+    value = functional_determinant(op, ns.alpha, PhaseConvention(ns.winding), reg)
+    return [(inputs, ns.alpha, value, 0.0)]
 
 
-def _per_eigenvalue(ns, op, inputs, matrix, alpha, errs=None) -> list[dict]:
-    """One record per eigenvalue: the operator function's value on it.
+def _per_eigenvalue(op, inputs, matrix, alpha, errs=None) -> list[tuple]:
+    """One row per eigenvalue: the operator function's value on it.
 
     errs holds an error estimate per eigenvalue; without it each is 0.
     """
     eigs, vecs = op.eigensystem()
     values = np.diag(vecs.conj().T @ matrix @ vecs)
     errs = np.zeros(len(eigs)) if errs is None else errs
-    rows = [
+    return [
         ({**inputs, "index": str(i), "eigenvalue": _g(eig)}, alpha, complex(val), err)
         for i, (eig, val, err) in enumerate(zip(eigs, values, errs))
     ]
-    return _records(ns, rows)
 
 
-def _do_power(ns) -> list[dict]:
-    alpha = ns.alpha
-    op, inputs = _operator(ns)
+def _do_power(ns, inputs) -> list[tuple]:
+    op = _operator(ns, inputs)
     inputs["winding"] = str(ns.winding)
-    ns.inputs = inputs
-    power = complex_power(op, alpha, PhaseConvention(ns.winding))
-    return _per_eigenvalue(ns, op, inputs, power, alpha)
+    power = complex_power(op, ns.alpha, PhaseConvention(ns.winding))
+    return _per_eigenvalue(op, inputs, power, ns.alpha)
 
 
-def _do_resolvent(ns) -> list[dict]:
-    alpha = ns.alpha
-    op, inputs = _operator(ns)
-    z = complex(ns.z)
-    inputs["winding"] = str(ns.winding)
-    inputs["z"] = _g(z.real) + "," + _g(z.imag)
-    ns.inputs = inputs
-    shifted = resolvent(op, z, alpha, PhaseConvention(ns.winding))
-    return _per_eigenvalue(ns, op, inputs, shifted, alpha)
+def _do_resolvent(ns, inputs) -> list[tuple]:
+    op = _operator(ns, inputs)
+    inputs.update(winding=str(ns.winding), z=_g(ns.z.real) + "," + _g(ns.z.imag))
+    shifted = resolvent(op, ns.z, ns.alpha, PhaseConvention(ns.winding))
+    return _per_eigenvalue(op, inputs, shifted, ns.alpha)
 
 
-def _do_log(ns) -> list[dict]:
-    op, inputs = _operator(ns)
+def _do_log(ns, inputs) -> list[tuple]:
+    op = _operator(ns, inputs)
     log, errs = functional_log(op)
-    return _per_eigenvalue(ns, op, inputs, log, None, errs)
+    return _per_eigenvalue(op, inputs, log, None, errs)
 
 
-def _do_greens(ns) -> list[dict]:
+def _do_greens(ns, inputs) -> list[tuple]:
+    inputs.update(n=str(ns.n), distance=_g(ns.distance), route=ns.route)
     problem = HeatKernelProblem(ns.n, (0.0,), (ns.distance,))
     tv = greens_function(problem, ns.route, _cfg(ns))
-    inputs = {"n": str(ns.n), "distance": _g(ns.distance), "route": ns.route}
-    return _records(ns, [(inputs, None, tv.value, tv.abs_error_estimate)])
+    return [(inputs, None, tv.value, tv.abs_error_estimate)]
 
 
-def _do_asymptotic(ns) -> list[dict]:
-    base = _function(ns)[1]
+def _do_asymptotic(ns, inputs) -> list[tuple]:
+    _function(ns, inputs)
     entry, params = _params(ns)
     if ns.terms < 1:
         raise ValueError("--terms must be >= 1")
@@ -499,35 +488,31 @@ def _do_asymptotic(ns) -> list[dict]:
     if ns.x is not None:
         T = _closed_transform(ns)
         value = residue_asymptotics(T, [complex(p) for p, _, _ in poles], ns.x, side="zero")
-        inputs = {"fn": ns.fn, "mode": "residues", "x": _g(ns.x), "terms": str(len(poles))}
-        return _records(ns, [(inputs, None, value, 0.0)])
+        residues = {"fn": ns.fn, "mode": "residues", "x": _g(ns.x), "terms": str(len(poles))}
+        return [(residues, None, value, 0.0)]
     series = asymptotic_from_singular(SingularExpansion(poles, side="zero"))
     rows = []
     for exponent, log_power, coeff in series.terms:
         ex = complex(exponent).real
-        inputs = {**base, "mode": "poles", "exponent": _g(ex), "log_power": str(log_power)}
-        rows.append((inputs, complex(-ex), complex(coeff), 0.0))
-    return _records(ns, rows)
+        term = {**inputs, "mode": "poles", "exponent": _g(ex), "log_power": str(log_power)}
+        rows.append((term, complex(-ex), complex(coeff), 0.0))
+    return rows
 
 
-def _do_reflection(ns) -> list[dict]:
-    alpha = ns.alpha
-    lhs, rhs = gamma_reflection(alpha, _cfg(ns))
-    inputs = {"rhs": _g(rhs.real) + "," + _g(rhs.imag)}
-    return _records(ns, [(inputs, alpha, lhs, abs(lhs - rhs))])
+def _do_reflection(ns, inputs) -> list[tuple]:
+    lhs, rhs = gamma_reflection(ns.alpha, _cfg(ns))
+    inputs["rhs"] = _g(rhs.real) + "," + _g(rhs.imag)
+    return [(inputs, ns.alpha, lhs, abs(lhs - rhs))]
 
 
-def _do_key_check(ns) -> list[dict]:
-    alpha = ns.alpha
-    op, inputs = _operator(ns)
+def _do_key_check(ns, inputs) -> list[tuple]:
+    op = _operator(ns, inputs)
     if ns.terms < 0:
         raise ValueError("--terms must be >= 0")
     inputs["terms"] = str(ns.terms)
-    ns.inputs = inputs
-    lhs, rhs, bound = key_identity_check(op, alpha, ns.terms, _cfg(ns))
-    inputs["lhs"] = _g(lhs.real) + "," + _g(lhs.imag)
-    inputs["deviation"] = _g(abs(lhs - rhs))
-    return _records(ns, [(inputs, alpha, rhs, bound)])
+    lhs, rhs, bound = key_identity_check(op, ns.alpha, ns.terms, _cfg(ns))
+    inputs.update(lhs=_g(lhs.real) + "," + _g(lhs.imag), deviation=_g(abs(lhs - rhs)))
+    return [(inputs, ns.alpha, rhs, bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +521,13 @@ def _do_key_check(ns) -> list[dict]:
 
 
 def _sweep_point(ns, alpha: complex) -> list[dict]:
-    """One sweep point's records, or a skipped record with the inputs the handler set in ns.inputs."""
-    ns.alpha, ns.inputs = alpha, {}
+    """One sweep point's records, or a skipped record with the inputs the handler had filled."""
+    ns.alpha, inputs = alpha, {}
     try:
-        return ns.handler(ns)
+        return _records(ns, ns.handler(ns, inputs))
     except MelliniumError as exc:
-        inputs = {"skipped_error": type(exc).__name__, **ns.inputs}
-        return _records(ns, [(inputs, alpha, None, 0.0)], skipped=True)
+        skipped = {"skipped_error": type(exc).__name__, **inputs}
+        return _records(ns, [(skipped, alpha, None, 0.0)], skipped=True)
 
 
 def _split_sweep(rest: list[str]) -> tuple[list[complex], list[str]]:
@@ -583,7 +568,7 @@ def run(argv=None) -> int:
         if grid is None:
             if getattr(ns, "alpha", 0) is None:
                 raise ValueError(f"{ns.command} requires --alpha")
-            records = ns.handler(ns)
+            records = _records(ns, ns.handler(ns, {}))
         elif not hasattr(ns, "alpha"):
             raise ValueError(f"{ns.command} takes no --alpha and cannot be swept")
         else:

@@ -750,9 +750,8 @@ def convolution_exp(
                 # across the grid, which a pointwise transform's weight e^{alpha t}
                 # amplifies.
                 stage = _GRID_STEP * np.convolve(stage, kernel, mode="valid")
-        # with one term there is nothing to sum: eval(x) = -h(x)
-        grid = slice(None) if terms > 1 else slice(0)
-        return _kernel_sum_eval(h, t[grid], combined[grid] * _GRID_STEP, -1.0)
+        # with one term every combined weight is 0 and eval(x) = -h(x)
+        return _kernel_sum_eval(h, t, combined * _GRID_STEP, -1.0)
 
     def ev(x):
         return pointwise()(x)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -11,6 +12,7 @@ import pytest
 
 from mellinium import (
     CoincidentPoints,
+    ConvergenceDomain,
     DivergentRoute,
     HeatKernelProblem,
     Normalization,
@@ -125,6 +127,24 @@ class TestGreensFunction:
         far3 = HeatKernelProblem(n=3, x_a=(-1e308,), x_a_prime=(1e308,))
         want = 1 / (mp.mpf(2) * mp.mpf(1e308))
         assert greens_function(far3).value == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1e-3, 1.0, 56.2, 1e3, 3.16e3, 1e200, 1e-100])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    def test_quadrature_route_against_mpmath(self, n, r):
+        # the route integrates at unit separation and scales by r^(2 - n);
+        # where that leaves the float range it raises
+        with mp.workdps(30):
+            want = mp.pi ** (1 - mp.mpf(n) / 2) * mp.gamma(mp.mpf(n) / 2 - 1) * mp.mpf(r) ** (2 - n)
+        problem = HeatKernelProblem(n, (0.0,), (r,))
+        if want > sys.float_info.max:
+            with pytest.raises(ConvergenceDomain):
+                greens_function(problem, route="quadrature")
+            return
+        tv = greens_function(problem, route="quadrature")
+        error = abs(tv.value - want)
+        assert error <= tv.abs_error_estimate
+        if want >= sys.float_info.min:
+            assert error <= 1e-13 * want
 
     def test_coincident_points(self):
         with pytest.raises(CoincidentPoints):

@@ -430,6 +430,11 @@ class TestExitCodes:
         assert run(["power", "--spectrum", "0.001,2", "--alpha", "200"]) == 2
         assert "ConvergenceDomain" in capsys.readouterr().err
 
+    def test_overflowing_greens_power(self, capsys):
+        # |dx|^(2 - n) = 1e600 is past the float range
+        assert run(["greens", "--n", "8", "--distance", "1e-100"]) == 2
+        assert "ConvergenceDomain" in capsys.readouterr().err
+
     def test_missing_matrix_file(self, capsys):
         assert run(["det", "--matrix", "/no/such/file", "--alpha", "1"]) == 1
         capsys.readouterr()
@@ -585,19 +590,37 @@ class TestSweep:
         assert recs[2]["inputs"]["skipped_error"] == "ConvergenceDomain"
 
     @pytest.mark.parametrize(
-        "argv, keys",
+        "argv, error, results",
         [
-            (["zeta", "--route", "hankel", "--alpha-grid", "0.5:1.0:2"], ["route"]),
-            (["power", "--spectrum", "0.001,2", "--alpha-grid", "1:200:2"], ["source", "winding"]),
+            (["zeta", "--route", "hankel", "--alpha-grid", "0.5:1.0:2"], "PoleAtOne", ()),
+            (["power", "--spectrum", "0.001,2", "--alpha-grid", "1:200:2"], "ConvergenceDomain", ("index", "eigenvalue")),
+            (["transform", "--fn", "exp_decay", "--alpha-grid", "-1:1:2"], "StripViolation", ()),
+            (
+                ["convolve", "--kind", "mult", "--fn", "exp_decay", "--fn2", "bose", "--alpha-grid", "0.5:2:2"],
+                "StripViolation",
+                (),
+            ),
+            (["eta", "--alpha-grid", "-1:1:2"], "StripViolation", ()),
+            (["det", "--spectrum", "2,3", "--alpha-grid", "-800:0.5:2"], "ConvergenceDomain", ()),
+            (
+                ["resolvent", "--spectrum", "2,3", "--z=-5,0", "--alpha-grid", "-900:0.5:2"],
+                "ConvergenceDomain",
+                ("index", "eigenvalue"),
+            ),
+            (["reflection", "--alpha-grid", "0.5:1.5:2"], "StripViolation", ("rhs",)),
+            (["key-check", "--spectrum", "1,2", "--alpha-grid", "-1:2:2"], "StripViolation", ("lhs", "deviation")),
         ],
-        ids=["zeta", "power"],
+        ids=["zeta", "power", "transform", "convolve", "eta", "det", "resolvent", "reflection", "key-check"],
     )
-    def test_skipped_record_carries_inputs(self, capsys, argv, keys):
+    def test_skipped_record_carries_inputs(self, capsys, argv, error, results):
+        # the skipped record names its error, then carries a success
+        # record's inputs in their order, less the results
         code, recs = run_lines(capsys, ["sweep", *argv])
         assert code == 0
-        skipped = [r["inputs"] for r in recs if r["skipped"]]
-        assert len(skipped) == 1
-        assert all(key in skipped[0] for key in keys)
+        skipped = [list(r["inputs"].items()) for r in recs if r["skipped"]]
+        done = [r["inputs"] for r in recs if not r["skipped"]]
+        assert len(skipped) == 1 and done
+        assert skipped[0] == [("skipped_error", error)] + [(k, v) for k, v in done[0].items() if k not in results]
 
     def test_imaginary_offset_grid(self, capsys):
         code, recs = run_lines(
