@@ -30,12 +30,14 @@ from .mellin_core import (
     Normalization,
     QuadratureConfig,
     TransformValue,
+    _EPS,
     _gamma,
     _require_finite,
     _wrap_eval,
     forward_mellin,
     hankel_mellin,
 )
+from .operator_calculus import _exp_sum
 from .strip_algebra import star_convolve
 
 __all__ = [
@@ -76,15 +78,10 @@ def fermi_function() -> MellinFunction:
 
 
 def _exp_function(beta: float) -> MellinFunction:
-    """e^(-beta x) on the strip <0, inf)."""
+    """e^(-beta x) on the strip <0, inf): the exponential sum of one term."""
     if beta <= 0:
         raise ValueError("exp_decay needs beta > 0")
-
-    def core(arr):
-        with np.errstate(over="ignore", under="ignore"):
-            return np.exp(-beta * arr)
-
-    return MellinFunction(_wrap_eval(core), 0.0, math.inf, label=f"exp-decay({beta:g})")
+    return _exp_sum(np.array([beta], dtype=float), np.ones(1), f"exp-decay({beta:g})")
 
 
 def _power_log_function(eps: float, k: int) -> MellinFunction:
@@ -242,14 +239,18 @@ def greens_function(
     """Static Green's function from the heat kernel, with a real value.
 
     Closed form: -2 log|dx| in n = 2, else
-    pi^(1 - n/2) Gamma(n/2 - 1) |dx|^(2 - n), with estimate 0. The
+    pi^(1 - n/2) Gamma(n/2 - 1) |dx|^(2 - n), with its rounding as
+    estimate (0 in n = 2). The
     quadrature route integrates the heat kernel e^(-pi / g) g^(-n/2) of
     unit separation against Haar measure at alpha = 1, which lies inside
     the strip <-inf, n/2> only for n >= 3 (DivergentRoute below that).
     Both routes scale their unit-separation value by |dx|^(2 - n)
     (substitute g = |dx|^2 u), and raise ConvergenceDomain where the
-    result leaves the float range. Either route reports alpha = 1, that
-    strip and Haar normalization.
+    result leaves the float range. The product is formed from binary
+    exponents, so it holds where the power alone underflows or overflows
+    (n = 200 at |dx| = 100); its rounding and the unit value's join the
+    estimate. Either route reports alpha = 1, that strip and Haar
+    normalization.
     """
     n = problem.n
     key = route.replace("-", "_").lower()
@@ -265,20 +266,29 @@ def greens_function(
     tv = TransformValue(0.0, 1.0 + 0j, FundamentalStrip(-math.inf, 0.5 * n), Normalization.haar(), 0.0)
     if n == 2:
         return replace(tv, value=-2.0 * (math.log(s) + math.log(k)))
-    try:
-        power = s ** (2.0 - n) * k ** (2.0 - n)
-    except OverflowError:
-        power = math.inf
     if quadrature:
         tv = forward_mellin(_heat_kernel_function(n, 1.0), 1.0, cfg=cfg)
         unit = float(tv.value.real)
+        unit_err = tv.abs_error_estimate / abs(unit)
     else:
         unit = math.pi ** (1.0 - 0.5 * n) * _gamma(0.5 * n - 1.0)
-    value = float(unit * power)
+        # relative: the float pi's rounding raised to 1 - n/2, the power and
+        # the product, and math.gamma's 10 ulps (CPython's stated accuracy)
+        unit_err = _EPS * (abs(1.0 - 0.5 * n) + 12.0)
+    # |dx|^(2 - n) = (m 2^e)^(2 - n): sum the binary exponents of unit and
+    # power as integers, so that only the mantissas' power and product, and
+    # the final scaling, round, and the power alone never under- or overflows
+    m, e = math.frexp(s)
+    e += int(math.log2(k))
+    mu, eu = math.frexp(unit)
+    try:
+        mpow, epow = math.frexp(m ** (2.0 - n))
+        value = math.ldexp(mu * mpow, eu + epow + e * (2 - n))
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise ConvergenceDomain(f"|dx|^{2 - n} leaves the float range at |dx| = {k * s:g}")
-    # the scaled estimate, plus the rounding of the power and the product
-    err = tv.abs_error_estimate * power + (4.0 * math.ulp(value) if quadrature else 0.0)
+    err = abs(value) * (unit_err + 4.0 * _EPS) + math.ulp(value)
     return replace(tv, value=value, abs_error_estimate=err)
 
 

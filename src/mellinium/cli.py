@@ -359,18 +359,21 @@ def _cfg(ns):
     return cfg
 
 
-def _operator(ns, inputs: dict) -> OperatorSpec:
-    """The --matrix or --spectrum operator; its record inputs go into inputs."""
+def _operator(ns, inputs: dict, **flags: str) -> OperatorSpec:
+    """The --matrix or --spectrum operator.
+
+    Its record inputs, then the handler's ``flags``, go into inputs
+    before the operator is checked, so a refused one's skipped record
+    carries them in a success record's order.
+    """
     if (ns.matrix is None) == (ns.spectrum is None):
         raise ValueError("provide exactly one of --matrix or --spectrum")
     if ns.matrix is not None:
         m = _read_matrix(ns.matrix)
-        op = OperatorSpec.from_matrix(m)
-        inputs.update(source="matrix", dimension=str(m.shape[0]))
-    else:
-        op = OperatorSpec.from_spectrum(ns.spectrum)
-        inputs.update(source="spectrum", spectrum=",".join(_g(e) for e in ns.spectrum))
-    return op
+        inputs.update(source="matrix", dimension=str(m.shape[0]), **flags)
+        return OperatorSpec.from_matrix(m)
+    inputs.update(source="spectrum", spectrum=",".join(_g(e) for e in ns.spectrum), **flags)
+    return OperatorSpec.from_spectrum(ns.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +430,11 @@ def _do_eta(ns, inputs) -> list[tuple]:
 
 
 def _do_det(ns, inputs) -> list[tuple]:
-    op = _operator(ns, inputs)
-    reg = Regulator(_read_matrix(ns.regulator)) if ns.regulator is not None else None
-    inputs["winding"] = str(ns.winding)
+    flags = {"winding": str(ns.winding)}
     if ns.regulator is not None:
-        inputs["regulator"] = ns.regulator
+        flags["regulator"] = ns.regulator
+    op = _operator(ns, inputs, **flags)
+    reg = Regulator(_read_matrix(ns.regulator)) if ns.regulator is not None else None
     value = functional_determinant(op, ns.alpha, PhaseConvention(ns.winding), reg)
     return [(inputs, ns.alpha, value, 0.0)]
 
@@ -451,15 +454,13 @@ def _per_eigenvalue(op, inputs, matrix, alpha, errs=None) -> list[tuple]:
 
 
 def _do_power(ns, inputs) -> list[tuple]:
-    op = _operator(ns, inputs)
-    inputs["winding"] = str(ns.winding)
+    op = _operator(ns, inputs, winding=str(ns.winding))
     power = complex_power(op, ns.alpha, PhaseConvention(ns.winding))
     return _per_eigenvalue(op, inputs, power, ns.alpha)
 
 
 def _do_resolvent(ns, inputs) -> list[tuple]:
-    op = _operator(ns, inputs)
-    inputs.update(winding=str(ns.winding), z=_g(ns.z.real) + "," + _g(ns.z.imag))
+    op = _operator(ns, inputs, winding=str(ns.winding), z=_g(ns.z.real) + "," + _g(ns.z.imag))
     shifted = resolvent(op, ns.z, ns.alpha, PhaseConvention(ns.winding))
     return _per_eigenvalue(op, inputs, shifted, ns.alpha)
 
@@ -506,10 +507,9 @@ def _do_reflection(ns, inputs) -> list[tuple]:
 
 
 def _do_key_check(ns, inputs) -> list[tuple]:
-    op = _operator(ns, inputs)
+    op = _operator(ns, inputs, terms=str(ns.terms))
     if ns.terms < 0:
         raise ValueError("--terms must be >= 0")
-    inputs["terms"] = str(ns.terms)
     lhs, rhs, bound = key_identity_check(op, ns.alpha, ns.terms, _cfg(ns))
     inputs.update(lhs=_g(lhs.real) + "," + _g(lhs.imag), deviation=_g(abs(lhs - rhs)))
     return [(inputs, ns.alpha, rhs, bound)]

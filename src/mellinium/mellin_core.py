@@ -729,18 +729,24 @@ def _window(
     return (t0, t1), rates
 
 
-def _checked_tail(g_ends, rates, alpha: complex, total: complex, window, cfg) -> float:
-    """Bound on a transform's tails past the window (t0, t1), checked.
+def _checked_tail(g_ends, rates, alphas, totals, windows, cfg) -> np.ndarray:
+    """Bounds on transforms' tails past their windows (t0, t1), checked.
 
-    The integrand's size g_ends at each end over that side's edge rate
-    (_window's; one at or below 0 bounds nothing) bounds its tail. Raises
-    QuadratureDivergence when the bound dwarfs the tolerance of ``total``.
+    g_ends[k] is the integrand's size at a window's end k, and over that
+    side's edge rate rates[k] (_window's; one at or below 0 bounds
+    nothing) it bounds that side's tail; the sides sum. rates and the
+    arrays alphas, totals and t0, t1 = windows broadcast to the other
+    axes of g_ends. Raises QuadratureDivergence when a bound dwarfs the
+    tolerance of its total.
     """
-    tail = sum(g / r if r > 0.0 else math.inf for g, r in zip(g_ends, rates))
-    if tail > 1e3 * max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    tail = np.divide(g_ends, rates, out=np.full_like(g_ends, math.inf), where=rates > 0.0).sum(axis=0)
+    bad = tail > 1e3 * np.fmax(cfg.abs_tol, cfg.rel_tol * _cabs(totals))
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        bound, alpha, t0, t1 = (np.broadcast_to(a, bad.shape)[i] for a in (tail, alphas, *windows))
         raise QuadratureDivergence(
-            f"integrand tail {tail:.3e} fails to decay within the window "
-            f"({window[0]:g}, {window[1]:g}) for alpha={alpha}"
+            f"integrand tail {bound:.3e} fails to decay within the window "
+            f"({t0:g}, {t1:g}) for alpha={complex(alpha)}"
         )
     return tail
 
@@ -807,10 +813,7 @@ def _haar_transforms(
     ends = np.array(windows).T
     with np.errstate(all="ignore"):
         g_ends = _cabs(f_at(np.exp(ends))[:, win] * np.exp(alphas * ends[:, win]))
-    tail = [
-        _checked_tail(g, rates[j], alpha, t, windows[j], cfg)
-        for g, alpha, t, j in zip(g_ends.T.tolist(), alphas.tolist(), total.tolist(), win.tolist())
-    ]
+    tail = _checked_tail(g_ends, np.array(rates).T[:, win], alphas, total, ends[:, win], cfg)
     return total, err[:, 0] + err[:, 1] + tail
 
 
@@ -846,15 +849,21 @@ def forward_mellin(
     if dpole < 1e-8:
         raise NormalizationPole(f"normalization multiplier has a pole at alpha={pole}")
     (total,), (err,) = _haar_transforms(f, [alpha], cfg)
-    total = complex(total)
+    value, err = _normalized(norm, alpha, complex(total), float(err))
+    return TransformValue(complex(value), alpha, strip, norm, err)
+
+
+def _normalized(norm: Normalization, alpha: complex, total, err):
+    """The Haar value(s) total at alpha, with estimate err, under norm: (value, estimate).
+
+    The value is m total, m = norm.multiplier(alpha); the estimate is
+    |m| err plus the rounding of m. total and err may be arrays, alpha is
+    one scalar: the multiplier is, and Python scalars keep a single
+    transform's bytes where numpy's complex product and modulus may
+    round otherwise.
+    """
     m = norm.multiplier(alpha)
-    return TransformValue(
-        value=complex(m * total),
-        alpha=alpha,
-        strip=strip,
-        normalization=norm,
-        abs_error_estimate=abs(m) * float(err) + abs(total) * norm.roundoff(alpha, m),
-    )
+    return m * total, abs(m) * err + abs(total) * norm.roundoff(alpha, m)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,13 +1072,9 @@ _CONTINUATION_POINTS = 16
 
 
 def _hankel_direct(
-    f: MellinFunction,
-    alphas: list[complex],
-    contours: list[HankelContourSpec],
-    norm: Normalization,
-    cfg: QuadratureConfig,
-) -> list[tuple[list[complex], list[float]]]:
-    """Keyhole-contour evaluations: (values, estimates) per contour and alpha.
+    f: MellinFunction, alphas: np.ndarray, radii: list[float], cfg: QuadratureConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Haar keyhole-contour values and estimates, as (radii, alphas) arrays.
 
     The loop runs in along the positive axis from +inf to the radius r
     above the cut, circles the origin counterclockwise, and returns to
@@ -1081,15 +1086,17 @@ def _hankel_direct(
     with the real-axis transform branch, which shifts the argument by
     -pi, hence the e^(-i pi alpha) factor.
 
-    The ray and the arc of every contour and alpha are rows of one
-    kernel call; f is evaluated once per node of a ray, at real x, or of
-    an arc, and only the phase z^(alpha-1) is per alpha.
+    The ray and the arc of every radius and alpha are rows of one kernel
+    call; f is evaluated once per node of a ray, at real x, or of an arc,
+    and only the phase z^(alpha-1) is per alpha. The ray's tail past its
+    end is bounded and checked as a window's, at the rate of f's
+    order at infinity (1 where that is infinite).
     """
-    n = len(alphas)
-    # segment q = 2 * (contour index) + (0 ray, 1 arc); row q * n + i is
+    n = alphas.size
+    # segment q = 2 * (radius index) + (0 ray, 1 arc); row q * n + i is
     # segment q of alphas[i]
-    radii = np.repeat([c.radius for c in contours], 2)
-    am1 = np.tile(np.asarray(alphas, dtype=complex) - 1.0, 2 * len(contours))[:, None]
+    seg_radius = np.repeat(radii, 2)
+    am1 = np.tile(alphas - 1.0, 2 * len(radii))[:, None]
 
     def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # the active rows of a segment are a run sharing their nodes
@@ -1107,72 +1114,31 @@ def _hankel_direct(
             fz[ray] = np.asarray(f.eval(xs.ravel())).reshape(xs.shape) * xs
             logz[ray] = u[ray]
         if arc.any():
-            r = radii[seg[arc], None]
+            r = seg_radius[seg[arc], None]
             z = r * np.exp(1j * u[arc])
             fz[arc] = np.asarray(f.eval(z.ravel())).reshape(z.shape) * (1j * z)
             logz[arc] = np.log(r) + 1j * u[arc]
         return fz[run] * np.exp(am1[rows] * logz[run])
 
-    lo = np.repeat([v for c in contours for v in (math.log(c.radius), 0.0)], n)
-    hi = np.tile(np.repeat([math.log(_RAY_LENGTH), 2.0 * math.pi], n), len(contours))
-    vals, errs = _tanh_sinh(g, lo, hi, cfg)
-    # the ray's integrand at its cutoff bounds its tail, as a window's does
     t_end = math.log(_RAY_LENGTH)
-    rays = np.arange(2 * len(contours) * n).reshape(-1, n)[::2].ravel()
+    lo = np.repeat([v for r in radii for v in (math.log(r), 0.0)], n)
+    hi = np.tile(np.repeat([t_end, 2.0 * math.pi], n), len(radii))
+    vals, errs = _tanh_sinh(g, lo, hi, cfg)
+    # rows by (radius, ray or arc, alpha): the ray and arc parts, each (radii, alphas)
+    (i_ray, i_arc), (e_ray, e_arc) = (a.reshape(-1, 2, n).swapaxes(0, 1) for a in (vals, errs))
+    # the rays enter the loop with the factor e^(2 pi i alpha) - 1
+    jump = np.exp(2j * np.pi * alphas) - 1.0
+    loop = jump * i_ray + i_arc
+    # the ray's integrand at its cutoff bounds its tail, as a window's does
+    rays = np.arange(2 * len(radii) * n).reshape(-1, n)[::2].ravel()
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         ends = _cabs(g(np.full(rays.size, t_end), rays)).reshape(-1, n)
-    strip = FundamentalStrip(-math.inf, f.order_at_infinity)
-    # the rays enter the loop with the factor e^(2 pi i alpha) - 1
-    jumps = [cmath.exp(2j * math.pi * alpha) - 1.0 for alpha in alphas]
-    out = []
-    for contour, v2, e2, ends_c in zip(
-        contours, vals.reshape(-1, 2, n).tolist(), errs.reshape(-1, 2, n).tolist(), ends.tolist()
-    ):
-        window = (math.log(contour.radius), t_end)
-        values, ests = [], []
-        for alpha, jump, i_ray, i_arc, e_ray, e_arc, end in zip(alphas, jumps, *v2, *e2, ends_c):
-            loop = jump * i_ray + i_arc
-            rates = _window(strip, alpha.real, cfg)[1]
-            tail = _checked_tail((0.0, abs(jump) * end), rates, alpha, loop, window, cfg)
-            mult = norm.multiplier(alpha)
-            phase = cmath.exp(-1j * math.pi * alpha)
-            err = abs(mult * phase) * (abs(jump) * e_ray + tail + e_arc)
-            values.append(mult * phase * loop)
-            ests.append(err + abs(phase * loop) * norm.roundoff(alpha, mult))
-        out.append((values, ests))
-    return out
-
-
-def _hankel_values(
-    f: MellinFunction,
-    alpha: complex,
-    contours: list[HankelContourSpec],
-    norm: Normalization,
-    cfg: QuadratureConfig,
-) -> tuple[list[tuple[complex, float]], bool]:
-    """Direct evaluations on each contour, or circle averages near a pole.
-
-    Returns [(value, estimate)], one per contour, and whether the values
-    are continued (circle averages around a multiplier pole).
-    """
-    dpole, pole = norm.nearest_pole(alpha)
-    if dpole >= _POLE_WINDOW:
-        return [(v, e) for (v,), (e,) in _hankel_direct(f, [alpha], contours, norm, cfg)], False
-    if pole is not None and abs(pole - 1.0) < 0.5:
-        raise NormalizationPole(
-            "no continuation across alpha = 1: the multiplier pole meets a "
-            "genuine transform pole there"
-        )
-    # 0 * inf cancellation at the pole: the product of multiplier and loop
-    # integral is holomorphic, so its value at alpha is its mean (mode 0)
-    # on a small circle around alpha, with the circle rule's aliasing
-    # estimate on top of the points' own.
-    ring = _circle(alpha, _CONTINUATION_RADIUS, _CONTINUATION_POINTS).tolist()
-    out = []
-    for vals, errs in _hankel_direct(f, ring, contours, norm, cfg):
-        mean, alias = _circle_mode(vals, 0)
-        out.append((complex(mean), sum(errs) / len(errs) + float(alias)))
-    return out, True
+    b = f.order_at_infinity
+    rate = b - alphas.real if math.isfinite(b) else np.ones(n)
+    windows = (np.log(radii)[:, None], t_end)
+    tail = _checked_tail((np.abs(jump) * ends)[None], rate[None], alphas, loop, windows, cfg)
+    phase = np.exp(-1j * np.pi * alphas)
+    return phase * loop, np.abs(phase) * (np.abs(jump) * e_ray + tail + e_arc)
 
 
 def hankel_mellin(
@@ -1199,19 +1165,28 @@ def hankel_mellin(
     contour = contour or HankelContourSpec()
     norm = normalization or Normalization.gamma_contour()
     cfg = cfg or DEFAULT_CONFIG
+    dpole, pole = norm.nearest_pole(alpha)
+    continued = dpole < _POLE_WINDOW
+    if continued and abs(pole - 1.0) < 0.5:
+        raise NormalizationPole(
+            "no continuation across alpha = 1: the multiplier pole meets a genuine transform pole there"
+        )
+    # 0 * inf cancellation at a pole: the product of multiplier and loop
+    # integral is holomorphic, so its value at alpha is its mean (mode 0)
+    # on a small circle around alpha, with the circle rule's aliasing
+    # estimate on top of the points' own.
+    ring = _circle(alpha, _CONTINUATION_RADIUS, _CONTINUATION_POINTS) if continued else np.array([alpha])
     # the same loop with the radius halved, in the same kernel call
-    contours = [contour, HankelContourSpec(contour.radius / 2.0)]
-    ((value, err), (v2, e2)), continued = _hankel_values(f, alpha, contours, norm, cfg)
+    total, est = _hankel_direct(f, ring, [contour.radius, contour.radius / 2.0], cfg)
+    for j, a in enumerate(ring.tolist()):
+        total[:, j], est[:, j] = _normalized(norm, a, total[:, j], est[:, j])
+    if continued:
+        (value, v2), alias = _circle_mode(total, 0)
+        err, e2 = est.mean(axis=1) + alias
+    else:
+        (value, v2), (err, e2) = total[:, 0], est[:, 0]
     drift = abs(value - v2)
     if drift > max(1e-7, 50.0 * (err + e2)):
-        raise ContourDependence(
-            f"contour value moved by {drift:.3e} when the arc radius was halved"
-        )
-    return TransformValue(
-        value=complex(value),
-        alpha=alpha,
-        strip=FundamentalStrip(-math.inf, f.order_at_infinity),
-        normalization=norm,
-        abs_error_estimate=float(max(err, drift)),
-        continued=continued,
-    )
+        raise ContourDependence(f"contour value moved by {drift:.3e} when the arc radius was halved")
+    strip = FundamentalStrip(-math.inf, f.order_at_infinity)
+    return TransformValue(complex(value), alpha, strip, norm, float(max(err, drift)), continued)

@@ -156,6 +156,9 @@ _SKIP_MIN_EXPS = 1024
 def _exp_sum(eigs: np.ndarray, coeffs: np.ndarray, label: str) -> MellinFunction:
     """g -> sum_k coeffs[k] e^(-eigs[k] g) on the strip <0, inf), for real or complex g.
 
+    The heat traces and the corpus's exp_decay are such sums; the rates
+    eigs are positive.
+
     The terms are added one eigenvalue at a time, in order, so no
     len(g) by len(eigs) temporary is built; the result keeps g's shape,
     in float64 or complex128.

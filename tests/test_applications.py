@@ -128,23 +128,30 @@ class TestGreensFunction:
         want = 1 / (mp.mpf(2) * mp.mpf(1e308))
         assert greens_function(far3).value == pytest.approx(float(want), rel=1e-12)
 
-    @pytest.mark.parametrize("r", [1e-3, 1.0, 56.2, 1e3, 3.16e3, 1e200, 1e-100])
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    @pytest.mark.parametrize(
+        "n, r",
+        [(n, r) for n in (3, 4, 5, 6, 8) for r in (1e-3, 1.0, 56.2, 1e3, 3.16e3, 1e200, 1e-100)]
+        # r^(2 - n) underflows, and overflows, where the value is a normal float;
+        # at n = 200 the closed form's pi^(1 - n/2) is 3.8e-15 off at r = 1
+        + [(200, 100.0), (8, 3.2e-52), (200, 1.0)],
+    )
     def test_quadrature_route_against_mpmath(self, n, r):
-        # the route integrates at unit separation and scales by r^(2 - n);
-        # where that leaves the float range it raises
+        # both routes scale a unit-separation value by r^(2 - n); where the
+        # value leaves the float range they raise
         with mp.workdps(30):
-            want = mp.pi ** (1 - mp.mpf(n) / 2) * mp.gamma(mp.mpf(n) / 2 - 1) * mp.mpf(r) ** (2 - n)
+            power = mp.mpf(r) ** (2 - n)
+            want = mp.pi ** (1 - mp.mpf(n) / 2) * mp.gamma(mp.mpf(n) / 2 - 1) * power
         problem = HeatKernelProblem(n, (0.0,), (r,))
-        if want > sys.float_info.max:
-            with pytest.raises(ConvergenceDomain):
-                greens_function(problem, route="quadrature")
-            return
-        tv = greens_function(problem, route="quadrature")
-        error = abs(tv.value - want)
-        assert error <= tv.abs_error_estimate
-        if want >= sys.float_info.min:
-            assert error <= 1e-13 * want
+        for route in ("closed", "quadrature"):
+            if want > sys.float_info.max:
+                with pytest.raises(ConvergenceDomain):
+                    greens_function(problem, route=route)
+                continue
+            tv = greens_function(problem, route=route)
+            error = abs(tv.value - want)
+            assert error <= tv.abs_error_estimate
+            if want >= sys.float_info.min:
+                assert error <= 1e-13 * want
 
     def test_coincident_points(self):
         with pytest.raises(CoincidentPoints):

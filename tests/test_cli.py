@@ -609,16 +609,49 @@ class TestSweep:
             ),
             (["reflection", "--alpha-grid", "0.5:1.5:2"], "StripViolation", ("rhs",)),
             (["key-check", "--spectrum", "1,2", "--alpha-grid", "-1:2:2"], "StripViolation", ("lhs", "deviation")),
+            # refused operators: a matrix that is not Hermitian, and the spectrum 0,2
+            (
+                ["power", "--matrix", "{bad}", "--winding", "1", "--alpha-grid", "1:1:1"],
+                "NotPositiveDefinite",
+                ("index", "eigenvalue"),
+            ),
+            (
+                ["det", "--spectrum", "0,2", "--regulator", "{ok}", "--winding", "1", "--alpha-grid", "1:1:1"],
+                "NotPositiveDefinite",
+                (),
+            ),
+            (
+                ["resolvent", "--spectrum", "0,2", "--z=-5,0", "--winding", "1", "--alpha-grid", "1:1:1"],
+                "NotPositiveDefinite",
+                ("index", "eigenvalue"),
+            ),
+            (
+                ["key-check", "--spectrum", "0,2", "--terms", "3", "--alpha-grid", "1:1:1"],
+                "NotPositiveDefinite",
+                ("lhs", "deviation"),
+            ),
         ],
-        ids=["zeta", "power", "transform", "convolve", "eta", "det", "resolvent", "reflection", "key-check"],
+        ids=[
+            "zeta", "power", "transform", "convolve", "eta", "det", "resolvent", "reflection", "key-check",
+            "power-refused", "det-refused", "resolvent-refused", "key-check-refused",
+        ],
     )
-    def test_skipped_record_carries_inputs(self, capsys, argv, error, results):
+    def test_skipped_record_carries_inputs(self, capsys, tmp_path, argv, error, results):
         # the skipped record names its error, then carries a success
-        # record's inputs in their order, less the results
-        code, recs = run_lines(capsys, ["sweep", *argv])
+        # record's inputs in their order, less the results. A refused
+        # operator skips every point; its success record is then that of
+        # the accepted twin operator, with the refused spectrum put back.
+        files = {"bad": tmp_path / "bad.txt", "ok": tmp_path / "ok.txt"}
+        files["bad"].write_text("2\n1 2\n3 4")
+        files["ok"].write_text("2\n1 0\n0 3")
+        code, recs = run_lines(capsys, ["sweep", *(a.format(**files) for a in argv)])
         assert code == 0
         skipped = [list(r["inputs"].items()) for r in recs if r["skipped"]]
         done = [r["inputs"] for r in recs if not r["skipped"]]
+        if not done:
+            twin = [{"0,2": "1,2", "{bad}": "{ok}"}.get(a, a).format(**files) for a in argv]
+            twin_recs = run_lines(capsys, ["sweep", *twin])[1]
+            done = [{k: "0,2" if k == "spectrum" else v for k, v in r["inputs"].items()} for r in twin_recs]
         assert len(skipped) == 1 and done
         assert skipped[0] == [("skipped_error", error)] + [(k, v) for k, v in done[0].items() if k not in results]
 

@@ -33,7 +33,8 @@ from mellinium import (
     infer_strip,
     inverse_mellin,
 )
-from mellinium.mellin_core import _BLOCK_POINTS, _gamma, _rgamma, _tanh_sinh
+from mellinium import mellin_core
+from mellinium.mellin_core import _BLOCK_POINTS, _CONTINUATION_POINTS, _gamma, _rgamma, _tanh_sinh
 
 from conftest import make_exp, make_rational
 from oracles import zeta_from_eta
@@ -550,6 +551,23 @@ class TestHankelMellin:
     def test_pole_at_one(self):
         with pytest.raises(NormalizationPole):
             hankel_mellin(bose_function(), 1.0)
+
+    @pytest.mark.parametrize("alpha, points", [(0.5 + 1j, 1), (2.005, _CONTINUATION_POINTS)])
+    def test_one_kernel_call_per_value(self, alpha, points, monkeypatch):
+        # the contour, its half-radius check and, for a continued value,
+        # every point of its circle are rows of one kernel call: a ray
+        # and an arc per radius and alpha
+        calls = []
+
+        def spy(g, lo, hi, *rest):
+            calls.append(len(lo))
+            return _tanh_sinh(g, lo, hi, *rest)
+
+        monkeypatch.setattr(mellin_core, "_tanh_sinh", spy)
+        tv = hankel_mellin(bose_function(), alpha)
+        assert calls == [2 * 2 * points]
+        assert tv.continued == (points > 1)
+        assert abs(tv.value - complex(mp.zeta(alpha))) <= tv.abs_error_estimate
 
     def test_undecayed_ray_raises(self):
         # e^(-x/10) x^(alpha-1) is still about 0.1 at the rays' end x = 40

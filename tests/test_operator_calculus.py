@@ -155,15 +155,18 @@ class TestHeatTrace:
             assert got.dtype == g.dtype and got.shape == g.shape
             assert got.tobytes() == self.plain_exp_sum(eigs, coeffs, g).tobytes()
 
-    @pytest.mark.parametrize("alpha", [0.5 + 1.0j, -0.5 + 0.3j, -1.7, 2.5])
+    @pytest.mark.parametrize("alpha", [0.5 + 1.0j, -0.5 + 0.3j, -1.7, 2.5, 2.005, 3.0])
     def test_hankel_continues_the_zeta(self, alpha):
         # left of the strip <0, inf) the contour transform of the heat
         # trace is still sum e^-alpha; its circle evaluates the trace at
-        # complex g, so a dropped imaginary part shows as contour dependence
+        # complex g, so a dropped imaginary part shows as contour dependence.
+        # At 2.005 and 3.0 the value is a circle mean around the
+        # multiplier pole.
         spectrum = (1.5, 2.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
             tv = hankel_mellin(OperatorSpec.from_spectrum(spectrum).heat_trace(), alpha)
+        assert tv.continued == (alpha in (2.005, 3.0))
         err = abs(tv.value - spectrum_zeta_direct(spectrum, alpha))
         assert err <= tv.abs_error_estimate
 
