@@ -61,7 +61,13 @@ def bose_function() -> MellinFunction:
     def core(arr):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if np.iscomplexobj(arr):
-                return 1.0 / (np.exp(arr) - 1.0)
+                # e^z - 1 = (expm1(x) cos y - 2 sin^2(y/2)) + i e^x sin y cancels
+                # nothing near z = 0; past x = 40, e^-2z is below eps of e^-z and
+                # 1/(e^z - 1) is e^-z, also where e^x overflows
+                x, y = arr.real, arr.imag
+                em1 = (np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2).astype(complex)
+                em1.imag = np.exp(x) * np.sin(y)
+                return np.where(x > 40.0, np.exp(-arr), 1.0 / em1)
             return 1.0 / np.expm1(arr)
 
     return MellinFunction(_wrap_eval(core), 1.0, math.inf, label="bose")

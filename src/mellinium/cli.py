@@ -489,8 +489,8 @@ def _do_asymptotic(ns, inputs) -> list[tuple]:
     if ns.x is not None:
         T = _closed_transform(ns)
         value = residue_asymptotics(T, [complex(p) for p, _, _ in poles], ns.x, side="zero")
-        residues = {"fn": ns.fn, "mode": "residues", "x": _g(ns.x), "terms": str(len(poles))}
-        return [(residues, None, value, 0.0)]
+        inputs.update(mode="residues", x=_g(ns.x), terms=str(len(poles)))
+        return [(inputs, None, value, 0.0)]
     series = asymptotic_from_singular(SingularExpansion(poles, side="zero"))
     rows = []
     for exponent, log_power, coeff in series.terms:

@@ -751,6 +751,61 @@ def _checked_tail(g_ends, rates, alphas, totals, windows, cfg) -> np.ndarray:
     return tail
 
 
+def _f_values(f: MellinFunction, z: np.ndarray) -> np.ndarray:
+    """f.eval at the array z, in z's shape; ValueError when eval does not keep it."""
+    fz = np.asarray(f.eval(z.ravel()))
+    if fz.shape != (z.size,):
+        raise ValueError(f"eval of {f.label or 'f'} gave shape {fz.shape} for {z.size} points")
+    return fz.reshape(z.shape)
+
+
+def _segment_integrals(f: MellinFunction, lo, hi, log_r, row_seg, row_alpha, cfg, slope=None):
+    """Integrals of f(z) z^alpha d(log z) along straight segments in log z: (values, estimates).
+
+    Segment s is u in [lo[s], hi[s]], with log z = u on the positive axis
+    (log_r[s] nan) and log z = log_r[s] + i u on the circle |z| = e^log_r[s].
+    Row j is segment row_seg[j] at alpha row_alpha[j], a segment's rows
+    consecutive, and all rows go to one kernel call (_tanh_sinh, with
+    ``slope``). f is evaluated once per node of a segment however many alpha
+    use it, at real x on the axis and at complex z on a circle.
+    """
+    alpha_col = row_alpha[:, None]
+    shared = row_seg.size > lo.size
+    on_axis = np.isnan(log_r).all()  # then log z = u is real: no complex copy of the nodes
+
+    def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        u = x.reshape(rows.size, -1)
+        # rows are sorted and distinct: as many as there are means all of them
+        ra = alpha_col if rows.size == alpha_col.shape[0] else alpha_col[rows]
+        if on_axis and not shared:
+            # one row per segment, all on the axis: no nodes to share
+            return _f_values(f, np.exp(u)) * np.exp(ra * u)
+        # the active rows of a segment are a run sharing their nodes
+        first, run = _runs(row_seg[rows]) if shared else (slice(None), slice(None))
+        v = u[first]
+        if on_axis:
+            return _f_values(f, np.exp(v))[run] * np.exp(ra * u)
+        c = log_r[row_seg[rows][first], None]
+        arc = ~np.isnan(c[:, 0])
+        # on a circle d(log z) = i du
+        logz = v.astype(complex)
+        logz[arc] = c[arc] + 1j * v[arc]
+        fz = np.empty(v.shape, dtype=complex)
+        if not arc.all():
+            fz[~arc] = _f_values(f, np.exp(v[~arc]))
+        if arc.any():
+            fz[arc] = 1j * _f_values(f, np.exp(logz[arc]))
+        return fz[run] * np.exp(ra * logz[run])
+
+    return _tanh_sinh(g, lo[row_seg], hi[row_seg], cfg, slope)
+
+
+def _end_sizes(f: MellinFunction, ends, alphas, at) -> np.ndarray:
+    """|f(e^t) e^(alpha t)| at t = ends[:, at[j]] for alphas[j], where tails begin; f once per end."""
+    with np.errstate(all="ignore"):
+        return _cabs(_f_values(f, np.exp(ends))[:, at] * np.exp(alphas * ends[:, at]))
+
+
 def _haar_transforms(
     f: MellinFunction, alphas, cfg: QuadratureConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -758,9 +813,9 @@ def _haar_transforms(
 
     An f with a transform slot is transformed by the slot
     (``MellinFunction._transform``). For any other f, one kernel call
-    integrates every panel of every alpha's window as a row. Alpha with
-    the same real part share a window, and f is evaluated once per node
-    of a panel however many alpha use it. Each value and estimate is
+    integrates every panel of every alpha's window as a row
+    (_segment_integrals). Alpha with the same real part share a window,
+    and with it f's values at its nodes. Each value and estimate is
     forward_mellin's for that alpha alone, before the normalization
     multiplier.
     """
@@ -778,30 +833,10 @@ def _haar_transforms(
         np.concatenate(a)
         for a in zip(*(_window_panels(t0, t1, 2 * w) for w, (t0, t1) in enumerate(windows)))
     )
-    # rows panel by panel, each panel's alpha in order: the rows of a
-    # panel are a run of the active rows, sharing their nodes
+    # rows panel by panel, each panel's alpha in order
     row_panel, row_of = np.divmod(np.flatnonzero(half[:, None] // 2 == win), alphas.size)
-    row_alpha = alphas[row_of, None]
-    shared = len(res) < alphas.size
-
-    def f_at(u: np.ndarray) -> np.ndarray:
-        fu = np.asarray(f.eval(u.ravel()))
-        if fu.shape != (u.size,):
-            raise ValueError(f"eval of {f.label or 'f'} gave shape {fu.shape} for {u.size} points")
-        return fu.reshape(u.shape)
-
-    def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        t = x.reshape(rows.size, -1)
-        if shared:
-            first, run = _runs(row_panel[rows])
-            fx = f_at(np.exp(t[first]))[run]
-        else:
-            fx = f_at(np.exp(t))
-        # rows are sorted and distinct: as many as there are means all of them
-        ra = row_alpha if rows.size == row_alpha.shape[0] else row_alpha[rows]
-        return fx * np.exp(ra * t)
-
-    vals, errs = _tanh_sinh(g, plo[row_panel], phi[row_panel], cfg, np.abs(alphas)[row_of])
+    axis = np.full(plo.size, math.nan)
+    vals, errs = _segment_integrals(f, plo, phi, axis, row_panel, alphas[row_of], cfg, np.abs(alphas)[row_of])
     # each half's panels summed in order, then left + right
     side = (row_of, half[row_panel] % 2)
     halves = np.zeros((alphas.size, 2), dtype=complex)
@@ -811,8 +846,7 @@ def _haar_transforms(
     np.add.at(err, side, errs)
 
     ends = np.array(windows).T
-    with np.errstate(all="ignore"):
-        g_ends = _cabs(f_at(np.exp(ends))[:, win] * np.exp(alphas * ends[:, win]))
+    g_ends = _end_sizes(f, ends, alphas, win)
     tail = _checked_tail(g_ends, np.array(rates).T[:, win], alphas, total, ends[:, win], cfg)
     return total, err[:, 0] + err[:, 1] + tail
 
@@ -1071,76 +1105,6 @@ _CONTINUATION_RADIUS = 0.05
 _CONTINUATION_POINTS = 16
 
 
-def _hankel_direct(
-    f: MellinFunction, alphas: np.ndarray, radii: list[float], cfg: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Haar keyhole-contour values and estimates, as (radii, alphas) arrays.
-
-    The loop runs in along the positive axis from +inf to the radius r
-    above the cut, circles the origin counterclockwise, and returns to
-    +inf below the cut. z^(alpha-1) has arg 0 above the cut and 2 pi
-    below it, so the loop is (e^(2 pi i alpha) - 1) I_ray + I_arc, I_arc
-    the circle's integral and I_ray that of f(x) x^(alpha-1) over
-    [r, _RAY_LENGTH], taken in t = log x: in x, the rounding of the nodes
-    next to x = r outgrows the estimate at small r. The value is aligned
-    with the real-axis transform branch, which shifts the argument by
-    -pi, hence the e^(-i pi alpha) factor.
-
-    The ray and the arc of every radius and alpha are rows of one kernel
-    call; f is evaluated once per node of a ray, at real x, or of an arc,
-    and only the phase z^(alpha-1) is per alpha. The ray's tail past its
-    end is bounded and checked as a window's, at the rate of f's
-    order at infinity (1 where that is infinite).
-    """
-    n = alphas.size
-    # segment q = 2 * (radius index) + (0 ray, 1 arc); row q * n + i is
-    # segment q of alphas[i]
-    seg_radius = np.repeat(radii, 2)
-    am1 = np.tile(alphas - 1.0, 2 * len(radii))[:, None]
-
-    def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # the active rows of a segment are a run sharing their nodes
-        x = x.reshape(rows.size, -1)
-        first, run = _runs(rows // n)
-        seg = rows[first] // n
-        arc = seg % 2 == 1
-        u, ray = x[first], ~arc
-        # f dz/du and log z at each segment's nodes: z = e^u on a ray,
-        # z = r e^(i u) on an arc
-        fz = np.empty(u.shape, dtype=complex)
-        logz = np.empty(u.shape, dtype=complex)
-        if ray.any():
-            xs = np.exp(u[ray])
-            fz[ray] = np.asarray(f.eval(xs.ravel())).reshape(xs.shape) * xs
-            logz[ray] = u[ray]
-        if arc.any():
-            r = seg_radius[seg[arc], None]
-            z = r * np.exp(1j * u[arc])
-            fz[arc] = np.asarray(f.eval(z.ravel())).reshape(z.shape) * (1j * z)
-            logz[arc] = np.log(r) + 1j * u[arc]
-        return fz[run] * np.exp(am1[rows] * logz[run])
-
-    t_end = math.log(_RAY_LENGTH)
-    lo = np.repeat([v for r in radii for v in (math.log(r), 0.0)], n)
-    hi = np.tile(np.repeat([t_end, 2.0 * math.pi], n), len(radii))
-    vals, errs = _tanh_sinh(g, lo, hi, cfg)
-    # rows by (radius, ray or arc, alpha): the ray and arc parts, each (radii, alphas)
-    (i_ray, i_arc), (e_ray, e_arc) = (a.reshape(-1, 2, n).swapaxes(0, 1) for a in (vals, errs))
-    # the rays enter the loop with the factor e^(2 pi i alpha) - 1
-    jump = np.exp(2j * np.pi * alphas) - 1.0
-    loop = jump * i_ray + i_arc
-    # the ray's integrand at its cutoff bounds its tail, as a window's does
-    rays = np.arange(2 * len(radii) * n).reshape(-1, n)[::2].ravel()
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ends = _cabs(g(np.full(rays.size, t_end), rays)).reshape(-1, n)
-    b = f.order_at_infinity
-    rate = b - alphas.real if math.isfinite(b) else np.ones(n)
-    windows = (np.log(radii)[:, None], t_end)
-    tail = _checked_tail((np.abs(jump) * ends)[None], rate[None], alphas, loop, windows, cfg)
-    phase = np.exp(-1j * np.pi * alphas)
-    return phase * loop, np.abs(phase) * (np.abs(jump) * e_ray + tail + e_arc)
-
-
 def hankel_mellin(
     f: MellinFunction,
     alpha: complex,
@@ -1176,8 +1140,29 @@ def hankel_mellin(
     # on a small circle around alpha, with the circle rule's aliasing
     # estimate on top of the points' own.
     ring = _circle(alpha, _CONTINUATION_RADIUS, _CONTINUATION_POINTS) if continued else np.array([alpha])
-    # the same loop with the radius halved, in the same kernel call
-    total, est = _hankel_direct(f, ring, [contour.radius, contour.radius / 2.0], cfg)
+    # The loop runs in along the positive axis from +inf to the radius r
+    # above the cut, circles the origin counterclockwise, and returns to
+    # +inf below the cut, where z^alpha gains e^(2 pi i alpha): the loop is
+    # (e^(2 pi i alpha) - 1) I_ray + I_arc, the ray taken in u = log x over
+    # [log r, log _RAY_LENGTH] (in x, the rounding of the nodes next to r
+    # outgrows the estimate at small r). The rays, then the arcs, of r and
+    # of the check loop of radius r / 2, each at every alpha of the ring,
+    # are the rows of one kernel call.
+    n, log_r, t_end = ring.size, np.log([contour.radius, contour.radius / 2.0]), math.log(_RAY_LENGTH)
+    vals, errs = _segment_integrals(f, np.r_[log_r, 0.0, 0.0], np.r_[t_end, t_end, 2.0 * math.pi, 2.0 * math.pi],
+                                    np.r_[math.nan, math.nan, log_r], np.arange(4).repeat(n), np.tile(ring, 4), cfg)
+    # the ray and arc parts, each (radii, alphas)
+    (i_ray, i_arc), (e_ray, e_arc) = (a.reshape(2, 2, n) for a in (vals, errs))
+    jump = np.exp(2j * np.pi * ring) - 1.0
+    loop = jump * i_ray + i_arc
+    # the ray's integrand at its end bounds its tail, as a window's does,
+    # at the rate of f's order at infinity (1 where that is infinite)
+    end = _end_sizes(f, np.array([[t_end]]), ring, np.zeros(n, int))
+    rate = f.order_at_infinity - ring.real if math.isfinite(f.order_at_infinity) else np.ones(n)
+    tail = _checked_tail(np.abs(jump) * end, rate[None], ring, loop, (log_r[:, None], t_end), cfg)
+    # aligned with the real-axis transform, whose branch shifts arg z by -pi
+    phase = np.exp(-1j * np.pi * ring)
+    total, est = phase * loop, np.abs(phase) * (np.abs(jump) * e_ray + tail + e_arc)
     for j, a in enumerate(ring.tolist()):
         total[:, j], est[:, j] = _normalized(norm, a, total[:, j], est[:, j])
     if continued:

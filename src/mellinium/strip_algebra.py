@@ -329,9 +329,8 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         core = lambda xs: np.log(xs) ** n * f.eval(xs)
 
         def lift(F: Callable, alphas: np.ndarray, cfg: QuadratureConfig):
-            # half the distance to the strip's edges, at most 1/2
-            rates = [_window(pair.strip, re, cfg)[1] for re in np.ravel(alphas.real).tolist()]
-            rho = 0.5 * np.minimum(np.min(rates, axis=1), 1.0).reshape(alphas.shape)
+            # half the distance to the strip's edges, at most 1/2; an infinite edge is no limit
+            rho = 0.5 * np.minimum(np.minimum(alphas.real - a, b - alphas.real), 1.0)
             # Cauchy derivative on the circle: n-th Fourier mode
             points = _circle(alphas[..., None], rho[..., None], 32)
             values, ests = (v.reshape(points.shape) for v in F(points.ravel(), cfg))

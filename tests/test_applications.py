@@ -49,6 +49,17 @@ class TestDistributions:
         got = complex(bose_function().eval(z))
         want = 1.0 / (np.exp(z) - 1.0)
         assert abs(got - want) < 1e-14
+        # near z = 0, where e^z - 1 as written cancels eight digits
+        zs = 1e-8 * np.exp(1j * np.linspace(0.1, 6.2, 7))
+        with mp.workdps(30):
+            want = np.array([complex(1 / mp.expm1(mp.mpc(z))) for z in zs])
+        assert np.all(np.abs(bose_function().eval(zs) - want) <= 1e-15 * np.abs(want))
+        # either side of Re z = 40, and past e^x's overflow, where the value underflows
+        zs = np.array([39.5 + 1j, 40.5 + 1j, 710 + 1e-300j, 800 + 1j, 800 + 0j])
+        with mp.workdps(30):
+            want = np.array([complex(1 / mp.expm1(mp.mpc(z))) for z in zs])
+        got = bose_function().eval(zs)
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want) + 1e-320)
 
     def test_fermi_values_and_strip(self):
         f = fermi_function()

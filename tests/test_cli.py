@@ -204,6 +204,12 @@ class TestSubcommands:
         )
         want = 1.0 - 0.1 + 0.005 - 0.1**3 / 6.0
         assert recs[0]["value"][0] == pytest.approx(want, abs=1e-10)
+        # the corpus parameters are inputs too: another beta, another record
+        code, other = run_lines(
+            capsys, ["asymptotic", "--fn", "exp_decay", "--beta", "2", "--x", "0.1", "--terms", "4"]
+        )
+        assert (recs[0]["inputs"]["beta"], other[0]["inputs"]["beta"]) == ("1", "2")
+        assert recs[0]["inputs"] != other[0]["inputs"]
 
     def test_reflection(self, capsys):
         code, recs = run_lines(capsys, ["reflection", "--alpha", "0.25"])
@@ -742,3 +748,25 @@ class TestReadmeExamples:
     def test_example_runs(self, capsys, command):
         code, recs = run_lines(capsys, shlex.split(command))
         assert code == 0 and recs
+
+    def test_library_quick_start(self):
+        # the Python block as a reader runs it, with a floating-point warning an error
+        block = README.read_text().split("## Library quick start", 1)[1]
+        code = block.split("```python\n", 1)[1].split("```", 1)[0]
+        env = dict(os.environ)
+        src = str(README.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        gamma, scaled, zeta, det = proc.stdout.splitlines()
+        value, rest = gamma.split(" ", 1)
+        strip, est = rest.rsplit(" ", 1)
+        with mpmath.workdps(30):
+            want = complex(mpmath.gamma(2.5 + 1j)), complex(mpmath.zeta(0.5))
+        assert abs(complex(value) - want[0]) <= float(est) and strip == "<0, inf>"
+        assert complex(scaled) == pytest.approx(3.0**-0.7, rel=1e-12)
+        value, est = zeta.split(" ")
+        assert abs(complex(value) - want[1]) <= float(est)
+        assert complex(det) == pytest.approx(1.0 / 6.0, rel=1e-14)

@@ -264,8 +264,9 @@ class TestForwardMellin:
         # a number broadcast over the nodes would make the call fail later,
         # as a tanh-sinh divergence that names the wrong cause
         const = MellinFunction(lambda x: 1.0, 0.0, 1.0, label="const")
-        with pytest.raises(ValueError, match="shape"):
-            forward_mellin(const, 0.5)
+        for call in (forward_mellin, hankel_mellin):
+            with pytest.raises(ValueError, match="eval of const gave shape"):
+                call(const, 0.5)
 
     def test_gamma_values(self):
         f = make_exp(1.0)
@@ -579,7 +580,7 @@ class TestHankelMellin:
             with pytest.raises(ValueError):
                 HankelContourSpec(radius=radius)
 
-    @pytest.mark.parametrize("radius", [1e-4, 0.03, 0.5, 2.0])
+    @pytest.mark.parametrize("radius", [1e-8, 1e-4, 0.03, 0.5, 2.0])
     @pytest.mark.parametrize("alpha", [0.25 + 1j, 0.7 - 2.5j, 0.1 + 3j, -1.5 + 2j, -3.2 - 0.5j, 2.5 + 5j])
     def test_estimate_bounds_error(self, alpha, radius):
         tv = hankel_mellin(bose_function(), alpha, HankelContourSpec(radius))
