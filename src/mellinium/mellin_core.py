@@ -266,7 +266,11 @@ class MellinFunction:
     """A function on (0, inf) together with its declared decay orders.
 
     ``eval`` must map a numpy array to an array of the same shape (of
-    complex arguments too, for functions used on Hankel contours).
+    complex arguments too, for functions used on Hankel contours). An
+    eval that gives values of a real dtype at some positive x must do so
+    at every positive x: the transform of such an f at conj(alpha) is
+    taken to be the conjugate of its transform at alpha, and a call that
+    relies on that raises ValueError where the values come back complex.
     ``order_at_zero`` is a with f = O(x^-a) at 0+, ``order_at_infinity``
     is b with f = O(x^-b) at infinity, so the fundamental strip is
     <a, b>. ``atom_weight`` carries a point mass at x = 1 (the identity
@@ -751,15 +755,22 @@ def _checked_tail(g_ends, rates, alphas, totals, windows, cfg) -> np.ndarray:
     return tail
 
 
-def _f_values(f: MellinFunction, z: np.ndarray) -> np.ndarray:
-    """f.eval at the array z, in z's shape; ValueError when eval does not keep it."""
+def _f_values(f: MellinFunction, z: np.ndarray, real: bool = False) -> np.ndarray:
+    """f.eval at the array z, in z's shape; ValueError when eval does not keep it.
+
+    With ``real``, ValueError also when the values are not of a real dtype.
+    """
     fz = np.asarray(f.eval(z.ravel()))
     if fz.shape != (z.size,):
         raise ValueError(f"eval of {f.label or 'f'} gave shape {fz.shape} for {z.size} points")
+    if real and fz.dtype.kind not in "biuf":
+        raise ValueError(
+            f"eval of {f.label or 'f'} gave {fz.dtype} values on the positive axis, real at the window ends"
+        )
     return fz.reshape(z.shape)
 
 
-def _segment_integrals(f: MellinFunction, lo, hi, log_r, row_seg, row_alpha, cfg, slope=None):
+def _segment_integrals(f: MellinFunction, lo, hi, log_r, row_seg, row_alpha, cfg, slope=None, real=False):
     """Integrals of f(z) z^alpha d(log z) along straight segments in log z: (values, estimates).
 
     Segment s is u in [lo[s], hi[s]], with log z = u on the positive axis
@@ -767,7 +778,9 @@ def _segment_integrals(f: MellinFunction, lo, hi, log_r, row_seg, row_alpha, cfg
     Row j is segment row_seg[j] at alpha row_alpha[j], a segment's rows
     consecutive, and all rows go to one kernel call (_tanh_sinh, with
     ``slope``). f is evaluated once per node of a segment however many alpha
-    use it, at real x on the axis and at complex z on a circle.
+    use it, at real x on the axis and at complex z on a circle. With
+    ``real`` the segments are all on the axis and f's values there must be
+    real (_f_values).
     """
     alpha_col = row_alpha[:, None]
     shared = row_seg.size > lo.size
@@ -779,12 +792,12 @@ def _segment_integrals(f: MellinFunction, lo, hi, log_r, row_seg, row_alpha, cfg
         ra = alpha_col if rows.size == alpha_col.shape[0] else alpha_col[rows]
         if on_axis and not shared:
             # one row per segment, all on the axis: no nodes to share
-            return _f_values(f, np.exp(u)) * np.exp(ra * u)
+            return _f_values(f, np.exp(u), real) * np.exp(ra * u)
         # the active rows of a segment are a run sharing their nodes
         first, run = _runs(row_seg[rows]) if shared else (slice(None), slice(None))
         v = u[first]
         if on_axis:
-            return _f_values(f, np.exp(v))[run] * np.exp(ra * u)
+            return _f_values(f, np.exp(v), real)[run] * np.exp(ra * u)
         c = log_r[row_seg[rows][first], None]
         arc = ~np.isnan(c[:, 0])
         # on a circle d(log z) = i du
@@ -800,10 +813,14 @@ def _segment_integrals(f: MellinFunction, lo, hi, log_r, row_seg, row_alpha, cfg
     return _tanh_sinh(g, lo[row_seg], hi[row_seg], cfg, slope)
 
 
-def _end_sizes(f: MellinFunction, ends, alphas, at) -> np.ndarray:
-    """|f(e^t) e^(alpha t)| at t = ends[:, at[j]] for alphas[j], where tails begin; f once per end."""
+def _end_sizes(f: MellinFunction, ends, alphas, at) -> tuple[np.ndarray, np.ndarray]:
+    """f(e^t) at the window ends t = ends, where tails begin, and |f(e^t) e^(alpha t)| there.
+
+    The sizes are at t = ends[:, at[j]] for alphas[j]; f is evaluated once per end.
+    """
     with np.errstate(all="ignore"):
-        return _cabs(_f_values(f, np.exp(ends))[:, at] * np.exp(alphas * ends[:, at]))
+        f_ends = _f_values(f, np.exp(ends))
+        return f_ends, _cabs(f_ends[:, at] * np.exp(alphas * ends[:, at]))
 
 
 def _haar_transforms(
@@ -818,6 +835,17 @@ def _haar_transforms(
     and with it f's values at its nodes. Each value and estimate is
     forward_mellin's for that alpha alone, before the normalization
     multiplier.
+
+    Repeated alphas are integrated once. An f whose values at the window
+    ends are of a real dtype is taken to be real on the whole positive
+    axis (MellinFunction's contract), so that F(conj alpha) = conj F(alpha):
+    of an alpha and its conjugate only the first given is integrated, and
+    the other takes its value, conjugated, and its estimate. That is bit
+    for bit what its own rows would give: exp, products of a real and a
+    complex number and sums all commute with conjugation, and |.| freezes
+    both rows at one level. The atom is added after. In a call that
+    conjugates, the kernel checks the contract at every node and raises
+    ValueError where f's values are not real.
     """
     cfg = cfg or DEFAULT_CONFIG
     alphas = np.asarray(alphas, dtype=complex).ravel()
@@ -827,6 +855,19 @@ def _haar_transforms(
     res = sorted(set(alphas.real.tolist()))
     win = np.searchsorted(res, alphas.real)
     windows, rates = zip(*(_window(f.strip, r, cfg, f.grid_span) for r in res))
+    ends = np.array(windows).T
+    f_ends, g_ends = _end_sizes(f, ends, alphas, win)
+    real = f_ends.dtype.kind in "biuf"
+    # an alpha equal to one before it, or for a real f conjugate to one,
+    # takes that one's integral: only the first of each is integrated
+    first = {}
+    head = [first.setdefault((a.real, abs(a.imag)) if real else a, i) for i, a in enumerate(alphas.tolist())]
+    lead = list(first.values()) if len(first) < alphas.size else slice(None)
+    once = alphas[lead]
+    # the alphas that take their conjugate's integral, conjugated; then f
+    # must be real at every node
+    flip = alphas.imag != alphas.imag[head] if once.size < alphas.size else None
+    conj = flip is not None and bool(flip.any())
     # the panels of each window's halves [tmin, 0] and [0, tmax]; half is
     # 2 * (window index) + (1 on the right half)
     plo, phi, half = (
@@ -834,21 +875,23 @@ def _haar_transforms(
         for a in zip(*(_window_panels(t0, t1, 2 * w) for w, (t0, t1) in enumerate(windows)))
     )
     # rows panel by panel, each panel's alpha in order
-    row_panel, row_of = np.divmod(np.flatnonzero(half[:, None] // 2 == win), alphas.size)
+    row_panel, row_of = np.divmod(np.flatnonzero(half[:, None] // 2 == win[lead]), once.size)
     axis = np.full(plo.size, math.nan)
-    vals, errs = _segment_integrals(f, plo, phi, axis, row_panel, alphas[row_of], cfg, np.abs(alphas)[row_of])
+    vals, errs = _segment_integrals(f, plo, phi, axis, row_panel, once[row_of], cfg, np.abs(once)[row_of], conj)
     # each half's panels summed in order, then left + right
     side = (row_of, half[row_panel] % 2)
-    halves = np.zeros((alphas.size, 2), dtype=complex)
+    halves = np.zeros((once.size, 2), dtype=complex)
     np.add.at(halves, side, vals)
-    total = halves[:, 0] + halves[:, 1] + complex(f.atom_weight)
-    err = np.zeros((alphas.size, 2))
+    err = np.zeros((once.size, 2))
     np.add.at(err, side, errs)
-
-    ends = np.array(windows).T
-    g_ends = _end_sizes(f, ends, alphas, win)
+    total, err = halves[:, 0] + halves[:, 1], err[:, 0] + err[:, 1]
+    if flip is not None:
+        back = np.searchsorted(lead, head)
+        total, err = total[back], err[back]
+        total[flip] = np.conj(total[flip])
+    total = total + complex(f.atom_weight)
     tail = _checked_tail(g_ends, np.array(rates).T[:, win], alphas, total, ends[:, win], cfg)
-    return total, err[:, 0] + err[:, 1] + tail
+    return total, err + tail
 
 
 def forward_mellin(
@@ -1157,7 +1200,7 @@ def hankel_mellin(
     loop = jump * i_ray + i_arc
     # the ray's integrand at its end bounds its tail, as a window's does,
     # at the rate of f's order at infinity (1 where that is infinite)
-    end = _end_sizes(f, np.array([[t_end]]), ring, np.zeros(n, int))
+    _, end = _end_sizes(f, np.array([[t_end]]), ring, np.zeros(n, int))
     rate = f.order_at_infinity - ring.real if math.isfinite(f.order_at_infinity) else np.ones(n)
     tail = _checked_tail(np.abs(jump) * end, rate[None], ring, loop, (log_r[:, None], t_end), cfg)
     # aligned with the real-axis transform, whose branch shifts arg z by -pi

@@ -66,6 +66,7 @@ from .mellin_core import (
     _circle,
     _circle_mode,
     _eval_vector,
+    _f_values,
     _haar_transforms,
     _line_integral,
     _panels,
@@ -382,32 +383,76 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         # Integrated adaptively per point: a fixed node set cannot track
         # the integrand once x moves the mass across many decades, so the
         # panels of every x are rows of one kernel call, each refined on
-        # its own. The absolute floor is kept effectively off so the
-        # acceptance is relative; I_n spans hundreds of orders of magnitude
-        # over the outer window and must stay relatively accurate throughout.
+        # its own. An x with log x < 1 is one cell [min(log x, 0) + reach,
+        # log x]. A larger x is cut at s = 0, as a transform's window is,
+        # and at 1, 2, 4, ... up to log x - 1: cells [reach, 0], [0, 1],
+        # [1, 2], [2, 4], ..., the last ending at log x and at least 1
+        # wide, so that a feature of f near u = 1 stays in a narrow cell
+        # however large x is. _panels cuts a cell wider than its panel
+        # width. The cells before an x's last are the same for every x;
+        # for n = 1 the integrand does not depend on x either, and each
+        # distinct cell is integrated once per call. The absolute floor is
+        # kept effectively off so the acceptance is relative; I_n spans
+        # hundreds of orders of magnitude over the outer window and must
+        # stay relatively accurate throughout.
         icfg = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-280, max_levels=10)
         fact = float(math.factorial(n - 1))
         # the integrand f(u) u at u << x is the transform's at alpha = 1
         (reach, _), _ = _window(pair.strip, 1.0, DEFAULT_CONFIG)
+        # the cuts 0, 1, 2, 4, ..., 512 (log x <= log 1e290 < 1024), and inf;
+        # shared cell j is [starts[j], cuts[j]]
+        cuts = np.concatenate(([0.0], 2.0 ** np.arange(10), [math.inf]))
+        starts = np.concatenate(([reach], cuts[:-1]))
 
         def core(xs: np.ndarray) -> np.ndarray:
             out = np.zeros(xs.shape, dtype=complex)
             pos = np.flatnonzero(xs > 0.0)
             x = xs.ravel()[pos]
+            if not x.size:
+                return out
             top = np.log(np.minimum(x, 1e290))
-            plo, phi, owner = _panels(np.minimum(top, 0.0) + reach, top)
+            # for n = 1 an x's cells depend on log x alone: once per value
+            if n == 1 and x.size > 1:
+                tops, mine = np.unique(top, return_inverse=True)
+            else:
+                tops, mine = top, np.arange(x.size)
+            # the c cuts at or below log x - 1 make c + 1 cells: the shared
+            # cells 0..c-1, then x's own, from the last cut to log x
+            c = np.searchsorted(cuts, tops - 1.0, side="right")
+            m = int(c.max())
+            lo = np.concatenate((starts[:m], np.where(c > 0, cuts[c - 1], np.minimum(tops, 0.0) + reach)))
+            hi = np.concatenate((cuts[:m], tops))
+            # cell j of an x, in order: shared cell j, and last its own
+            c = c[mine]
+            point = np.repeat(np.arange(x.size), c + 1)
+            j = np.arange(point.size) - np.repeat(np.cumsum(c + 1) - c - 1, c + 1)
+            cell = np.where(j < c[point], j, m + mine[point])
+            if n > 1:
+                # (x - u)^(n - 1) depends on x: each x integrates its own copies
+                lo, hi, cell = lo[cell], hi[cell], np.arange(cell.size)
+            # on the cells of an x < 1, u and x - u are scaled by a power of
+            # two near 1/x, which brings the integrals near 1, clear of the
+            # floor, and is divided out exactly
+            scale = np.ldexp(1.0, np.clip(np.floor(-hi / math.log(2.0)), 0, 1000).astype(int))
+            plo, phi, owner = _panels(lo, hi)
 
             def gs(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
                 s = s.reshape(rows.size, -1)
                 u = np.exp(s)
-                fu = np.asarray(f.eval(u.ravel())).reshape(s.shape) * u
+                own = scale[owner[rows], None]
+                fu = _f_values(f, u) * u * own
                 if n > 1:
-                    fu = fu * (x[owner[rows], None] - u) ** (n - 1)
+                    fu = fu * ((x[point[owner[rows]], None] - u) * own) ** (n - 1)
                 return fu
 
             vals, _ = _tanh_sinh(gs, plo, phi, icfg)
+            for _ in range(n):
+                vals = vals / scale[owner]
+            # panel by panel into cells, then cell by cell into points, in order
+            sums = np.zeros(lo.size, dtype=complex)
+            np.add.at(sums, owner, vals)
             total = np.zeros(x.size, dtype=complex)
-            np.add.at(total, owner, vals)  # panel by panel, in order
+            np.add.at(total, point, sums[cell])
             # real and imaginary parts apart: the quotient of a complex
             # scalar by a float
             out.ravel()[pos] = total.real / fact + 1j * (total.imag / fact)
@@ -469,7 +514,9 @@ def _grid_values(values: Callable[[], np.ndarray]) -> np.ndarray:
     terms carry no weight.
     """
     with np.errstate(all="ignore"):
-        return np.nan_to_num(values(), nan=0.0, posinf=0.0, neginf=0.0)
+        v = values()
+        # most arrays are all finite: nan_to_num's passes only where needed
+        return v if np.isfinite(v).all() else np.nan_to_num(v, nan=0.0, posinf=0.0, neginf=0.0)
 
 
 def _chunked_kernel_sum(

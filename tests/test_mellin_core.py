@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 
 import mpmath as mp
@@ -23,18 +24,31 @@ from mellinium import (
     MelliniumError,
     Normalization,
     NormalizationPole,
+    OperatorSpec,
+    Primitive,
     QuadratureConfig,
     QuadratureDivergence,
     SlowContourDecay,
     StripViolation,
+    TransformedPair,
+    apply_rule,
     bose_function,
+    fermi_function,
     forward_mellin,
     hankel_mellin,
     infer_strip,
     inverse_mellin,
 )
 from mellinium import mellin_core
-from mellinium.mellin_core import _BLOCK_POINTS, _CONTINUATION_POINTS, _gamma, _rgamma, _tanh_sinh
+from mellinium.applications import CORPUS
+from mellinium.mellin_core import (
+    _BLOCK_POINTS,
+    _CONTINUATION_POINTS,
+    _gamma,
+    _haar_transforms,
+    _rgamma,
+    _tanh_sinh,
+)
 
 from conftest import make_exp, make_rational
 from oracles import zeta_from_eta
@@ -267,6 +281,11 @@ class TestForwardMellin:
         for call in (forward_mellin, hankel_mellin):
             with pytest.raises(ValueError, match="eval of const gave shape"):
                 call(const, 0.5)
+        # Primitive's inner integrand: the spot check of the result
+        # evaluates its function side
+        pair = TransformedPair(const, lambda a: 1.0 / a, const.strip, verify=False)
+        with pytest.raises(ValueError, match="eval of const gave shape"):
+            apply_rule(Primitive(1), pair)
 
     def test_gamma_values(self):
         f = make_exp(1.0)
@@ -621,6 +640,95 @@ class TestHankelMellin:
         bad = MellinFunction(ev, 0.0, math.inf, label="nonanalytic")
         with pytest.raises(ContourDependence):
             hankel_mellin(bad, 0.5)
+
+
+def real_exp(beta: float = 1.0, atom_weight: complex = 0.0) -> MellinFunction:
+    """e^(-beta x) with float values, strip <0, inf>."""
+
+    def ev(x):
+        with np.errstate(under="ignore"):
+            return np.exp(-beta * np.asarray(x, dtype=float))
+
+    return MellinFunction(ev, 0.0, math.inf, label=f"real-exp({beta:g})", atom_weight=atom_weight)
+
+
+class TestConjugateFold:
+    """_haar_transforms integrates an alpha and its conjugate once for a real f."""
+
+    @staticmethod
+    def singles(f, alphas):
+        """Each alpha's (value, estimate) from a call of its own, pickled."""
+        return [pickle.dumps(tuple(a[0] for a in _haar_transforms(f, [al]))) for al in alphas]
+
+    @staticmethod
+    def batched(f, alphas):
+        return [pickle.dumps(pair) for pair in zip(*_haar_transforms(f, alphas))]
+
+    @staticmethod
+    def alphas(f):
+        a = f.order_at_zero
+        return [a + 1.2 + 0.7j, a + 1.2 - 0.7j, a + 2.5 - 3.1j, a + 2.5 + 3.1j, complex(a + 0.9)]
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            bose_function(),
+            fermi_function(),
+            OperatorSpec.from_spectrum((1.3, 2.1, 2.7)).heat_trace(),
+            real_exp(),
+            CORPUS["power_log"].build(eps=0.5, k=1),
+        ],
+        ids=lambda f: f.label,
+    )
+    def test_folded_values_are_the_single_calls(self, f):
+        alphas = self.alphas(f)
+        assert self.batched(f, alphas) == self.singles(f, alphas)
+        # a repeat takes the first's integral too
+        assert self.batched(f, alphas + alphas[:2]) == self.singles(f, alphas + alphas[:2])
+
+    def test_complex_valued_f_is_not_folded(self):
+        f = MellinFunction(lambda x: np.exp(-(1.0 + 0.5j) * x), 0.0, math.inf, label="cexp")
+        alphas = self.alphas(f)
+        assert self.batched(f, alphas) == self.singles(f, alphas)
+        values, _ = _haar_transforms(f, alphas)
+        # Gamma(a) / (1 + i/2)^a is no conjugate pair
+        assert abs(values[1] - np.conj(values[0])) > 1e-3 * abs(values[0])
+
+    def test_complex_atom_is_not_conjugated(self):
+        atom = 0.3 + 0.2j
+        f = real_exp(atom_weight=atom)
+        alphas = self.alphas(f)
+        assert self.batched(f, alphas) == self.singles(f, alphas)
+        values, _ = _haar_transforms(f, alphas[:2])
+        assert values[1] - atom == pytest.approx(np.conj(values[0] - atom), rel=1e-15)
+
+    def test_complex_values_inside_the_window_raise(self):
+        # real at the window ends, complex between 1/2 and 2
+        def ev(x):
+            x = np.asarray(x, dtype=float)
+            out = np.exp(-x)
+            return out + 0j if np.any((x > 0.5) & (x < 2.0)) else out
+
+        f = MellinFunction(ev, 0.0, math.inf, label="sometimes-complex")
+        with pytest.raises(ValueError, match="eval of sometimes-complex gave complex128 values"):
+            _haar_transforms(f, [1.5 + 1j, 1.5 - 1j])
+        # with no conjugate to fold nothing is assumed
+        values, _ = _haar_transforms(f, [1.5 + 1j, 2.5 - 1j])
+        assert values[0] == pytest.approx(complex(mp.gamma(1.5 + 1j)), rel=1e-10)
+
+    def test_conjugate_pairs_cost_the_rows_of_their_firsts(self, monkeypatch):
+        rows, kernel = [], mellin_core._tanh_sinh
+
+        def spy(g, lo, hi, *args):
+            rows.append(np.size(lo))
+            return kernel(g, lo, hi, *args)
+
+        monkeypatch.setattr(mellin_core, "_tanh_sinh", spy)
+        firsts = [1.1 + 0.2 * k + (0.5 + 0.3 * k) * 1j for k in range(8)]
+        f = real_exp()
+        _haar_transforms(f, firsts)
+        _haar_transforms(f, [a for al in firsts for a in (al, al.conjugate())])
+        assert rows[0] == rows[1] > 0
 
 
 class TestTanhSinh:

@@ -238,6 +238,27 @@ class TestConvolution:
         with pytest.raises(EmptyStripIntersection):
             star_convolve(near_one, tiny)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_kernel_term_is_zeroed(self, bad):
+        # the kernel is non-finite at the one grid argument x e^(-t_k) near
+        # 1 and the sum drops that term, as if the kernel were 0 there
+        t, _ = _log_grid(DEFAULT_CONFIG)
+        x = np.exp(t[np.argmin(np.abs(t))])
+
+        def kernel(at):
+            def ev(y):
+                y = np.asarray(y, dtype=float)
+                return np.where(np.abs(y - 1.0) < 1e-4, at, np.exp(-y))
+
+            return MellinFunction(ev, 0.0, math.inf, label="kernel")
+
+        got = mult_convolve(make_exp(1.0), kernel(bad)).eval(np.array([x, 2.0 * x]))
+        zero = mult_convolve(make_exp(1.0), kernel(0.0)).eval(np.array([x, 2.0 * x]))
+        plain = mult_convolve(make_exp(1.0), kernel(math.exp(-1.0))).eval(np.array([x, 2.0 * x]))
+        assert pickle.dumps(got) == pickle.dumps(zero)
+        # the term carries weight: only the point whose argument hits 1 moves
+        assert got[0] != plain[0] and got[1] == plain[1]
+
 
 class TestInvolution:
     def test_self_involutive_fixed_point(self):
@@ -373,9 +394,40 @@ class TestBatchedQuadrature:
     @pytest.mark.parametrize("n", [1, 2])
     def test_primitive_batch_matches_pointwise(self, n):
         prim = apply_rule(Primitive(n), exp_pair()).function_side
-        xs = np.geomspace(1e-3, 40.0, 50)
+        xs = np.r_[np.geomspace(1e-3, 40.0, 50), np.geomspace(50.0, 1e290, 20)]
         batch = prim(xs)
         assert [complex(v) for v in batch] == [complex(prim(x)) for x in xs]
+        # a batch with no positive x is all zeros
+        assert prim(np.array([-1.0, 0.0])).tolist() == [0j, 0j]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_primitive_is_relatively_accurate(self, n):
+        # I_1 = 1 - e^-x and I_2 = x - 1 + e^-x; I_2 ~ x^2 / 2 leaves the
+        # normal float range below x = 1e-154, so n = 2 starts at 1e-150
+        prim = apply_rule(Primitive(n), exp_pair()).function_side
+        xs = np.r_[10.0 ** np.arange(-300 if n == 1 else -150, 291, 10), np.exp(np.arange(-2.0, 70.0, 0.7))]
+        got = prim(xs)
+        for x, g in zip(xs.tolist(), got.tolist()):
+            with mp.workdps(700):
+                want = -mp.expm1(-x) if n == 1 else x + mp.expm1(-x)
+                assert abs(g - complex(want)) <= 1e-13 * abs(want), x
+
+    def test_primitive_shares_the_cells_below_log_x(self, monkeypatch):
+        # an x in (e^6, e^60) is cut at 0, 1, 2, 4, ..., up to log x - 1:
+        # the cells [reach, 0], [0, 1], ..., [16, 32] are the same for
+        # every x and are integrated once, and each x adds its last cell
+        prim = apply_rule(Primitive(1), exp_pair()).function_side
+        rows, kernel = [], strip_algebra._tanh_sinh
+
+        def spy(g, lo, hi, *args):
+            rows.append(np.size(lo))
+            return kernel(g, lo, hi, *args)
+
+        monkeypatch.setattr(strip_algebra, "_tanh_sinh", spy)
+        xs = np.exp(np.linspace(6.1, 59.9, 50))
+        got = prim(xs)
+        assert len(rows) == 1 and rows[0] <= 7 + 50
+        assert np.allclose(got, 1.0, rtol=1e-15, atol=0.0)
 
     def test_parseval_evaluations(self):
         g, calls = counted(make_exp(1.0))
