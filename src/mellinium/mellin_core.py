@@ -862,12 +862,12 @@ def _haar_transforms(
     # takes that one's integral: only the first of each is integrated
     first = {}
     head = [first.setdefault((a.real, abs(a.imag)) if real else a, i) for i, a in enumerate(alphas.tolist())]
-    lead = list(first.values()) if len(first) < alphas.size else slice(None)
+    lead = list(first.values())
     once = alphas[lead]
     # the alphas that take their conjugate's integral, conjugated; then f
     # must be real at every node
-    flip = alphas.imag != alphas.imag[head] if once.size < alphas.size else None
-    conj = flip is not None and bool(flip.any())
+    flip = alphas.imag != alphas.imag[head]
+    conj = bool(flip.any())
     # the panels of each window's halves [tmin, 0] and [0, tmax]; half is
     # 2 * (window index) + (1 on the right half)
     plo, phi, half = (
@@ -885,10 +885,9 @@ def _haar_transforms(
     err = np.zeros((once.size, 2))
     np.add.at(err, side, errs)
     total, err = halves[:, 0] + halves[:, 1], err[:, 0] + err[:, 1]
-    if flip is not None:
-        back = np.searchsorted(lead, head)
-        total, err = total[back], err[back]
-        total[flip] = np.conj(total[flip])
+    back = np.searchsorted(lead, head)
+    total, err = total[back], err[back]
+    total[flip] = np.conj(total[flip])
     total = total + complex(f.atom_weight)
     tail = _checked_tail(g_ends, np.array(rates).T[:, win], alphas, total, ends[:, win], cfg)
     return total, err + tail

@@ -391,7 +391,7 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
         # however large x is. _panels cuts a cell wider than its panel
         # width. The cells before an x's last are the same for every x;
         # for n = 1 the integrand does not depend on x either, and each
-        # distinct cell is integrated once per call. The absolute floor is
+        # shared cell is integrated once per call. The absolute floor is
         # kept effectively off so the acceptance is relative; I_n spans
         # hundreds of orders of magnitude over the outer window and must
         # stay relatively accurate throughout.
@@ -411,22 +411,16 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
             if not x.size:
                 return out
             top = np.log(np.minimum(x, 1e290))
-            # for n = 1 an x's cells depend on log x alone: once per value
-            if n == 1 and x.size > 1:
-                tops, mine = np.unique(top, return_inverse=True)
-            else:
-                tops, mine = top, np.arange(x.size)
             # the c cuts at or below log x - 1 make c + 1 cells: the shared
             # cells 0..c-1, then x's own, from the last cut to log x
-            c = np.searchsorted(cuts, tops - 1.0, side="right")
+            c = np.searchsorted(cuts, top - 1.0, side="right")
             m = int(c.max())
-            lo = np.concatenate((starts[:m], np.where(c > 0, cuts[c - 1], np.minimum(tops, 0.0) + reach)))
-            hi = np.concatenate((cuts[:m], tops))
+            lo = np.concatenate((starts[:m], np.where(c > 0, cuts[c - 1], np.minimum(top, 0.0) + reach)))
+            hi = np.concatenate((cuts[:m], top))
             # cell j of an x, in order: shared cell j, and last its own
-            c = c[mine]
             point = np.repeat(np.arange(x.size), c + 1)
             j = np.arange(point.size) - np.repeat(np.cumsum(c + 1) - c - 1, c + 1)
-            cell = np.where(j < c[point], j, m + mine[point])
+            cell = np.where(j < c[point], j, m + point)
             if n > 1:
                 # (x - u)^(n - 1) depends on x: each x integrates its own copies
                 lo, hi, cell = lo[cell], hi[cell], np.arange(cell.size)
