@@ -493,18 +493,61 @@ def _cabs(z: np.ndarray) -> np.ndarray:
 _BLOCK_POINTS = 16_384
 
 
-def _level_sums(g, mid, hw, t, w, rows, weigh: bool):
-    """One level's weighted sum, absolute sum and x-weighted absolute sum (0 unless weigh) per row."""
-    x = mid + hw * t
+# The deepest level of a kernel call's first stage: levels 0.._LADDER, 257
+# nodes a row, go to the integrand in one call when the active rows' nodes
+# fit in one block (_tanh_sinh). Level 5 is where rows most often freeze
+# (196 of 374 rows in a bench points round, 144 of 392 outermost rows in an
+# algebra round); a depth of 6 was as fast on points and 13% slower on
+# algebra in a prototype (CHANGES.md).
+_LADDER = 5
+
+
+@lru_cache(maxsize=64)
+def _stage_nodes(first: int, last: int) -> tuple[np.ndarray, np.ndarray, list[slice], np.ndarray]:
+    """The nodes of levels first..last, level after level: (t, w, cuts, h).
+
+    cuts holds each level's slice of t and w, and the column h each
+    level's step (1 at level 0, else 2^-level).
+    """
+    levels = range(first, last + 1)
+    t, w = (np.concatenate(a) for a in zip(*map(_ts_nodes, levels)))
+    stops = np.cumsum([_ts_nodes(level)[0].size for level in levels]).tolist()
+    h = np.array([[2.0**-level if level else 1.0] for level in levels])
+    for a in (t, w, h):
+        a.flags.writeable = False
+    return t, w, [slice(a, b) for a, b in zip([0] + stops[:-1], stops)], h
+
+
+def _stage_sums(g, span, t, w, cuts, rows, weigh: bool):
+    """One stage's weighted sums (levels, rows) and absolute sums (levels, rows, 1 + weigh).
+
+    span holds each row's (mid, half width). The absolute sums are those
+    of |terms| and, with ``weigh``, of |terms| x. A level's terms are
+    reduced as their own slice of the row, whose pairwise sum is that of
+    the level alone; a real integrand's sums stay real.
+    """
+    x = span[:, :1] + span[:, 1:] * t
     terms = np.asarray(g(x.ravel(), rows)).reshape(x.shape) * w
-    size = np.abs(terms)
-    moments = np.add.reduce(size * x, axis=1) if weigh else np.zeros(rows.size)
-    return np.add.reduce(terms, axis=1), np.add.reduce(size, axis=1), moments
+    size = np.empty((rows.size, 1 + weigh, t.size))
+    np.abs(terms, out=size[:, 0])
+    if weigh:
+        np.multiply(size[:, 0], x, out=size[:, 1])
+    sums = np.empty((len(cuts), rows.size), dtype=terms.dtype)
+    sizes = np.empty((len(cuts),) + size.shape[:2])
+    for j, cut in enumerate(cuts):
+        np.add.reduce(terms[:, cut], axis=1, out=sums[j])
+        np.add.reduce(size[..., cut], axis=-1, out=sizes[j])
+    return sums, sizes
 
 
-def _estimate(err, mass, moment, slope):
-    """Row estimates: the level difference, or the roundoff floor where larger (see _tanh_sinh)."""
-    return np.maximum(np.maximum(err, 4.0 * _EPS * mass), _EPS * slope * np.abs(moment))
+def _estimate(stops, slope):
+    """Row estimates: the level difference, or the roundoff floor where larger (see _tanh_sinh).
+
+    stops[i] is row i's [level difference, mass] and, when slope is not
+    None, its moment after them.
+    """
+    est = np.maximum(stops[:, 0], 4.0 * _EPS * stops[:, 1])
+    return est if slope is None else np.maximum(est, _EPS * slope * np.abs(stops[:, 2]))
 
 
 def _row_error(message: str, row) -> QuadratureDivergence:
@@ -526,86 +569,124 @@ def _tanh_sinh(
     g(x, rows) gets the nodes of the rows ``rows`` (indices into lo and
     hi) as one flat array of len(rows) equal blocks, block j holding the
     nodes of row rows[j], and returns the integrand at them in the same
-    layout. Each row is refined until it meets its own tolerance and is
-    then frozen, from level 2 on, so its value and estimate are those it
-    would get alone. A level whose active rows hold more than
-    _BLOCK_POINTS nodes is handed to g in blocks of rows; the block is
-    cache-sized (see _BLOCK_POINTS), and since rows are independent it
-    changes only how they are grouped, never a value. ``slope[i]``
-    (|alpha| for e^(alpha t)) is how fast row i's exponent moves with x,
-    for the estimate's floor below; such a row lies on one side of x = 0.
-    Returns (values, error estimates); a row with hi <= lo is 0 with
-    estimate 0. Raises QuadratureDivergence, naming the row's interval
-    and holding the row's index as ``row``, when the integrand is not
-    finite at a node or the level refinement fails to converge.
+    layout. Each row is refined level by level until it meets its own
+    tolerance and is then frozen, from level 2 on, so its value and
+    estimate are those it would get alone.
+
+    The levels run in stages, one call of g each. The first stage is
+    levels 0.._LADDER together when the active rows' nodes fit in one
+    _BLOCK_POINTS block, and level 0 alone otherwise; every later stage
+    is one level. A stage reduces each level over that level's nodes and
+    forms the totals, masses and moments level after level, as a
+    one-level stage does, so a row freezes at the first level that meets
+    its tolerance, with the same value and estimate, whatever the stages.
+    Nodes of levels past a row's freezing level are evaluated in vain
+    and never checked: only a level the row reached can raise. A
+    one-level stage whose active rows hold more than _BLOCK_POINTS nodes
+    is handed to g in blocks of rows; the block is cache-sized (see
+    _BLOCK_POINTS), and since rows are independent it changes only how
+    they are grouped, never a value.
+
+    ``slope[i]`` (|alpha| for e^(alpha t)) is how fast row i's exponent
+    moves with x, for the estimate's floor below; such a row lies on one
+    side of x = 0. Returns (values, error estimates); a row with hi <= lo
+    is 0 with estimate 0. Raises QuadratureDivergence, naming the row's
+    interval and holding the row's index as ``row``, when the integrand
+    is not finite at a node of a level the row reached or the level
+    refinement fails to converge.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    value = np.zeros(lo.shape, dtype=complex)
-    est = np.zeros(lo.shape)
-    # state of the active rows only, compacted as rows are frozen
-    active = np.flatnonzero(hi > lo)
-    mid = (0.5 * (lo + hi))[active, None]
-    hw = (0.5 * (hi - lo))[active, None]
-    prev = np.zeros(active.size, dtype=complex)
-    err = np.full(active.size, math.inf)
+    weigh = slope is not None
     # The estimate's roundoff floor, 4 eps times the mass hw * h * sum |terms| over the
     # levels summed, follows the integrand's size however much the terms cancel (4 covers
     # each term's own rounding). With a slope it is eps slope |moment| where larger, the
     # moment summing |terms| x alike (sum |terms x| on one side of x = 0): the exponent's
-    # rounding where the mass lies.
-    weigh, slope = slope is not None, np.zeros(lo.shape) if slope is None else slope
-    mass, moment = np.zeros(active.size), np.zeros(active.size)
+    # rounding where the mass lies. A row's level difference, mass and, with a slope,
+    # moment are kept together, as [err, mass, moment].
+    value = np.zeros(lo.shape, dtype=complex)
+    stops = np.zeros(lo.shape + (2 + weigh,))
+    # state of the active rows only, compacted as rows are frozen: (mid, half
+    # width), the last level's total and [err, mass, moment]
+    active = np.flatnonzero(hi > lo)
+    span = 0.5 * np.array((lo + hi, hi - lo)).T[active]
+    prev = np.zeros(active.size)
+    last = np.zeros((active.size, 2 + weigh))
+    ladder = _stage_nodes(0, min(_LADDER, cfg.max_levels))
+    first = 0
     with np.errstate(all="ignore"):
-        for level in range(cfg.max_levels + 1):
-            if not active.size:
-                return value, est
-            t, w = _ts_nodes(level)
+        while active.size and first <= cfg.max_levels:
+            n = active.size
+            fits = first == 0 and n * ladder[0].size <= _BLOCK_POINTS
+            t, w, cuts, h = ladder if fits else _stage_nodes(first, first)
             step = max(1, _BLOCK_POINTS // t.size)
-            if active.size <= step:
-                sums, sizes, moments = _level_sums(g, mid, hw, t, w, active, weigh)
+            if n <= step:
+                sums, sizes = _stage_sums(g, span, t, w, cuts, active, weigh)
             else:
                 parts = [
-                    _level_sums(g, mid[j : j + step], hw[j : j + step], t, w, active[j : j + step], weigh)
-                    for j in range(0, active.size, step)
+                    _stage_sums(g, span[j : j + step], t, w, cuts, active[j : j + step], weigh)
+                    for j in range(0, n, step)
                 ]
-                sums, sizes, moments = map(np.concatenate, zip(*parts))
-            # a row's size is not finite iff some term is not; max keeps a nan
-            if not math.isfinite(np.maximum.reduce(sizes)):
-                r = active[np.argmin(np.isfinite(sizes))]
-                raise _row_error(f"integrand not finite inside [{lo[r]:g}, {hi[r]:g}]", r)
-            h = 2.0 ** (-level) if level else 1.0
+                sums, sizes = (np.concatenate(a, axis=1) for a in zip(*parts))
+            k = h.size
             # (sums * hw) * h: scaling by the power of two h is exact
-            wh = hw[:, 0] * h
-            partial = sums * wh
-            total = partial if level == 0 else prev / 2.0 + partial
-            mass = mass + sizes * wh
-            moment = moment + moments * wh
-            if level:
-                err = _cabs(total - prev)
-            if level >= 2:
-                done = err <= np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(total))
-                if np.count_nonzero(done):
-                    rows = active[done]
-                    value[rows] = total[done]
-                    est[rows] = _estimate(err[done], mass[done], moment[done], slope[rows])
-                    keep = ~done
-                    active, mid, hw, total, err, mass, moment = (
-                        a[keep] for a in (active, mid, hw, total, err, mass, moment)
-                    )
-            prev = total
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(prev))
-    # close but not fully settled: return with the honest estimate
-    unsettled = err > 50.0 * tol
-    if unsettled.any():
-        i = np.argmax(unsettled)
-        raise _row_error(
-            f"tanh-sinh failed to converge on [{lo[active[i]]:g}, {hi[active[i]]:g}] "
-            f"(last delta {err[i]:.3e})",
-            active[i],
-        )
-    value[active] = prev
-    est[active] = _estimate(err, mass, moment, slope[active])
-    return value, est
+            wh = h * span[:, 1]
+            # row 0 is the last total; level 0's total is its partial sum, a
+            # later level's its partial sum plus half the total before it
+            totals = np.empty((k + 1, n), dtype=complex if "c" in sums.dtype.kind + prev.dtype.kind else float)
+            totals[0] = prev
+            np.multiply(sums, wh, out=totals[1:])
+            by_level = list(totals)
+            for j in range(2 - (first > 0), k + 1):
+                by_level[j] += by_level[j - 1] / 2.0
+            # each level's [err, mass, moment], the masses and moments summed
+            # level after level
+            levels = np.empty((k, n, 2 + weigh))
+            diff = totals[1:] - totals[:-1]
+            np.hypot(diff.real, diff.imag, out=levels[..., 0])
+            if first == 0:
+                levels[0, :, 0] = math.inf
+            np.multiply(sizes, wh[:, :, None], out=levels[..., 1:])
+            levels[0, :, 1:] += last[:, 1:]
+            if k > 1:
+                np.add.accumulate(levels[..., 1:], axis=0, out=levels[..., 1:])
+            done = levels[..., 0] <= np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(totals[1:]))
+            if first < 2:
+                done[: 2 - first] = False
+            frozen = np.logical_or.reduce(done, axis=0)
+            # a row's size is not finite iff some term is not; max keeps a nan
+            if not math.isfinite(np.maximum.reduce(sizes, axis=None)):
+                # only the levels up to a row's freezing one count
+                reached = np.arange(k)[:, None] <= np.where(frozen, done.argmax(axis=0), k)
+                bad = ~np.isfinite(sizes[..., 0]) & reached
+                if bad.any():
+                    r = active[np.argmax(bad[np.argmax(bad.any(axis=1))])]
+                    raise _row_error(f"integrand not finite inside [{lo[r]:g}, {hi[r]:g}]", r)
+            prev, last = totals[-1], levels[-1]
+            if frozen.any():
+                # each frozen row at its freezing level, flat in (levels, rows)
+                i = frozen.nonzero()[0]
+                at = done.argmax(axis=0)[i] * n + i
+                rows = active[i]
+                value[rows] = totals.ravel()[n + at]
+                stops[rows] = levels.reshape(-1, 2 + weigh)[at]
+                if frozen.all():
+                    return value, _estimate(stops, slope)
+                keep = ~frozen
+                active, span, prev, last = active[keep], span[keep], prev[keep], last[keep]
+            first += k
+        err = last[:, 0]
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * _cabs(prev))
+        # close but not fully settled: return with the honest estimate
+        unsettled = err > 50.0 * tol
+        if unsettled.any():
+            i = np.argmax(unsettled)
+            raise _row_error(
+                f"tanh-sinh failed to converge on [{lo[active[i]]:g}, {hi[active[i]]:g}] "
+                f"(last delta {err[i]:.3e})",
+                active[i],
+            )
+        value[active], stops[active] = prev, last
+        return value, _estimate(stops, slope)
 
 
 _PANEL_WIDTH = 60.0
@@ -631,15 +712,27 @@ def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 @lru_cache(maxsize=256)
-def _window_panels(tmin: float, tmax: float, half0: int):
-    """Panels of the halves [tmin, 0] and [0, tmax] of one window.
+def _window_segments(windows: tuple[tuple[float, float], ...]):
+    """The panels of the halves [tmin, 0] and [0, tmax] of windows, each distinct panel once.
 
-    Returns read-only (panel lo, panel hi, half), half being half0 on the
-    left half and half0 + 1 on the right one. Most transforms share the
-    default window, so this is cached.
+    Returns read-only (lo, hi, side, uses): panel s is [lo[s], hi[s]], on
+    a left (side[s] 0) or right (1) half, and uses[s, w] says whether
+    window w holds it. Panels come in the order they first appear, window
+    after window and each half left to right, so a window's panels of a
+    half stay in order. Windows of different real parts often share a
+    half, whose panels are then integrated once for all their alpha; most
+    transforms share the default window, so this is cached.
     """
-    lo, hi, half = _panels(np.array([tmin, 0.0]), np.array([0.0, tmax]))
-    out = (lo, hi, half + half0)
+    t0, t1 = np.array(windows).T
+    zero = np.zeros(t0.size)
+    # the halves interleaved: [t0, 0] and [0, t1] of each window in turn
+    lo, hi, half = _panels(np.stack((t0, zero), axis=1).ravel(), np.stack((zero, t1), axis=1).ravel())
+    seen = {}
+    seg = np.array([seen.setdefault(key, len(seen)) for key in zip(lo.tolist(), hi.tolist(), (half % 2).tolist())])
+    firsts = np.unique(seg, return_index=True)[1]
+    uses = np.zeros((firsts.size, t0.size), dtype=bool)
+    uses[seg, half // 2] = True
+    out = (lo[firsts], hi[firsts], half[firsts] % 2, uses)
     for a in out:
         a.flags.writeable = False
     return out
@@ -743,7 +836,7 @@ def _checked_tail(g_ends, rates, alphas, totals, windows, cfg) -> np.ndarray:
     axes of g_ends. Raises QuadratureDivergence when a bound dwarfs the
     tolerance of its total.
     """
-    tail = np.divide(g_ends, rates, out=np.full_like(g_ends, math.inf), where=rates > 0.0).sum(axis=0)
+    tail = np.add.reduce(np.divide(g_ends, rates, out=np.full(g_ends.shape, math.inf), where=rates > 0.0), axis=0)
     bad = tail > 1e3 * np.fmax(cfg.abs_tol, cfg.rel_tol * _cabs(totals))
     if bad.any():
         i = np.unravel_index(np.argmax(bad), bad.shape)
@@ -774,7 +867,8 @@ def _segment_integrals(f: MellinFunction, lo, hi, log_r, row_seg, row_alpha, cfg
     """Integrals of f(z) z^alpha d(log z) along straight segments in log z: (values, estimates).
 
     Segment s is u in [lo[s], hi[s]], with log z = u on the positive axis
-    (log_r[s] nan) and log z = log_r[s] + i u on the circle |z| = e^log_r[s].
+    (log_r[s] nan, or log_r None for all) and log z = log_r[s] + i u on the
+    circle |z| = e^log_r[s].
     Row j is segment row_seg[j] at alpha row_alpha[j], a segment's rows
     consecutive, and all rows go to one kernel call (_tanh_sinh, with
     ``slope``). f is evaluated once per node of a segment however many alpha
@@ -784,7 +878,7 @@ def _segment_integrals(f: MellinFunction, lo, hi, log_r, row_seg, row_alpha, cfg
     """
     alpha_col = row_alpha[:, None]
     shared = row_seg.size > lo.size
-    on_axis = np.isnan(log_r).all()  # then log z = u is real: no complex copy of the nodes
+    on_axis = log_r is None or np.isnan(log_r).all()  # then log z = u is real: no complex copy of the nodes
 
     def g(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         u = x.reshape(rows.size, -1)
@@ -852,42 +946,45 @@ def _haar_transforms(
     if f._transform is not None:
         total, err = f._transform(alphas, cfg)
         return total + complex(f.atom_weight), err
-    res = sorted(set(alphas.real.tolist()))
-    win = np.searchsorted(res, alphas.real)
-    windows, rates = zip(*(_window(f.strip, r, cfg, f.grid_span) for r in res))
+    # alpha of one real part share a window
+    reals = alphas.real.tolist()
+    index = {r: w for w, r in enumerate(sorted(set(reals)))}
+    win = np.array([index[r] for r in reals])
+    strip = f.strip
+    windows, rates = zip(*(_window(strip, r, cfg, f.grid_span) for r in index))
     ends = np.array(windows).T
     f_ends, g_ends = _end_sizes(f, ends, alphas, win)
     real = f_ends.dtype.kind in "biuf"
     # an alpha equal to one before it, or for a real f conjugate to one,
-    # takes that one's integral: only the first of each is integrated
-    first = {}
-    head = [first.setdefault((a.real, abs(a.imag)) if real else a, i) for i, a in enumerate(alphas.tolist())]
-    lead = list(first.values())
+    # takes that one's integral: only the first of each is integrated, and
+    # alpha j takes integral back[j]
+    rank, lead, back = {}, [], []
+    for j, a in enumerate(alphas.tolist()):
+        key = (a.real, abs(a.imag)) if real else a
+        if key not in rank:
+            rank[key] = len(lead)
+            lead.append(j)
+        back.append(rank[key])
     once = alphas[lead]
     # the alphas that take their conjugate's integral, conjugated; then f
     # must be real at every node
-    flip = alphas.imag != alphas.imag[head]
+    flip = alphas.imag != once.imag[back]
     conj = bool(flip.any())
-    # the panels of each window's halves [tmin, 0] and [0, tmax]; half is
-    # 2 * (window index) + (1 on the right half)
-    plo, phi, half = (
-        np.concatenate(a)
-        for a in zip(*(_window_panels(t0, t1, 2 * w) for w, (t0, t1) in enumerate(windows)))
-    )
-    # rows panel by panel, each panel's alpha in order
-    row_panel, row_of = np.divmod(np.flatnonzero(half[:, None] // 2 == win[lead]), once.size)
-    axis = np.full(plo.size, math.nan)
-    vals, errs = _segment_integrals(f, plo, phi, axis, row_panel, once[row_of], cfg, np.abs(once)[row_of], conj)
+    # the distinct panels of the windows' halves; rows panel by panel, each
+    # panel's alpha in order
+    plo, phi, panel_side, uses = _window_segments(windows)
+    row_panel, row_of = uses[:, win[lead]].nonzero()
+    vals, errs = _segment_integrals(f, plo, phi, None, row_panel, once[row_of], cfg, np.abs(once)[row_of], conj)
     # each half's panels summed in order, then left + right
-    side = (row_of, half[row_panel] % 2)
+    side = (row_of, panel_side[row_panel])
     halves = np.zeros((once.size, 2), dtype=complex)
     np.add.at(halves, side, vals)
     err = np.zeros((once.size, 2))
     np.add.at(err, side, errs)
     total, err = halves[:, 0] + halves[:, 1], err[:, 0] + err[:, 1]
-    back = np.searchsorted(lead, head)
     total, err = total[back], err[back]
-    total[flip] = np.conj(total[flip])
+    if conj:
+        total[flip] = np.conj(total[flip])
     total = total + complex(f.atom_weight)
     tail = _checked_tail(g_ends, np.array(rates).T[:, win], alphas, total, ends[:, win], cfg)
     return total, err + tail

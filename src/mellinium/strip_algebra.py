@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import (
     AnalyticityFailure,
+    ConvergenceDomain,
     DivergentStage,
     EmptyResultStrip,
     EmptyStripIntersection,
@@ -428,6 +429,12 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
             # two near 1/x, which brings the integrals near 1, clear of the
             # floor, and is divided out exactly
             scale = np.ldexp(1.0, np.clip(np.floor(-hi / math.log(2.0)), 0, 1000).astype(int))
+            # past x^(n - 1) = 2^1000, x - u alone is scaled by a power of two
+            # near 1/x, and divided out n - 1 times, so that the integrand
+            # stays in the float range wherever I_n does
+            big = (n - 1) * np.log2(x) > 1000.0
+            fold = np.ldexp(1.0, np.where(big, -np.floor(np.log2(x)), 0.0).astype(int))
+            shrink = scale * fold[point] if big.any() else scale
             plo, phi, owner = _panels(lo, hi)
 
             def gs(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -436,7 +443,7 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
                 own = scale[owner[rows], None]
                 fu = _f_values(f, u) * u * own
                 if n > 1:
-                    fu = fu * ((x[point[owner[rows]], None] - u) * own) ** (n - 1)
+                    fu = fu * ((x[point[owner[rows]], None] - u) * shrink[owner[rows], None]) ** (n - 1)
                 return fu
 
             vals, _ = _tanh_sinh(gs, plo, phi, icfg)
@@ -449,7 +456,16 @@ def apply_rule(rule: TransformRule, pair: TransformedPair) -> TransformedPair:
             np.add.at(total, point, sums[cell])
             # real and imaginary parts apart: the quotient of a complex
             # scalar by a float
-            out.ravel()[pos] = total.real / fact + 1j * (total.imag / fact)
+            re, im = total.real / fact, total.imag / fact
+            if big.any():
+                # I_n over x^(n - 1) back to I_n, which may leave the float range
+                with np.errstate(over="ignore"):
+                    for _ in range(n - 1):
+                        re[big], im[big] = re[big] / fold[big], im[big] / fold[big]
+                over = ~(np.isfinite(re) & np.isfinite(im)) & big
+                if over.any():
+                    raise ConvergenceDomain(f"Primitive({n}) at x={x[np.argmax(over)]:g} leaves the float range")
+            out.ravel()[pos] = re + 1j * im
             return out
 
         # (-1)^n / (alpha (alpha + 1)...(alpha + n - 1)): n - 1 sums,

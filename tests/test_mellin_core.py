@@ -44,10 +44,13 @@ from mellinium.applications import CORPUS
 from mellinium.mellin_core import (
     _BLOCK_POINTS,
     _CONTINUATION_POINTS,
+    DEFAULT_CONFIG,
     _gamma,
     _haar_transforms,
     _rgamma,
+    _stage_nodes,
     _tanh_sinh,
+    _ts_nodes,
 )
 
 from conftest import make_exp, make_rational
@@ -716,6 +719,32 @@ class TestConjugateFold:
         values, _ = _haar_transforms(f, [1.5 + 1j, 2.5 - 1j])
         assert values[0] == pytest.approx(complex(mp.gamma(1.5 + 1j)), rel=1e-10)
 
+    def test_coinciding_panels_are_integrated_once(self, monkeypatch):
+        # 1.5 and 2.5 have the window (-40, 40), 0.5 a left half of two
+        # panels and the same right half: seven panels, four distinct
+        f = real_exp()
+        alphas = [1.5 + 1j, 2.5 - 0.5j, 0.5 + 2j]
+        seen, evals = [], f.eval
+        monkeypatch.setattr(f, "eval", lambda x: seen.append(np.array(x)) or evals(x))
+        segments, integrals = [], mellin_core._segment_integrals
+
+        def spy(f, lo, hi, *args):
+            segments.append(list(zip(lo.tolist(), hi.tolist())))
+            return integrals(f, lo, hi, *args)
+
+        monkeypatch.setattr(mellin_core, "_segment_integrals", spy)
+        batched = self.batched(f, alphas)
+        (panels,) = segments
+        assert len(panels) == len(set(panels)) == 4
+        # after the window ends, one call per stage: the first holds each
+        # distinct panel's 257 ladder nodes once
+        nodes = _stage_nodes(0, 5)[0].size
+        assert seen[1].size == 4 * nodes
+        for x in seen[1:]:
+            blocks = x.reshape(-1, nodes if x.size % nodes == 0 else x.size)
+            assert len({b.tobytes() for b in blocks}) == len(blocks)
+        assert batched == self.singles(f, alphas)
+
     def test_conjugate_pairs_cost_the_rows_of_their_firsts(self, monkeypatch):
         rows, kernel = [], mellin_core._tanh_sinh
 
@@ -755,6 +784,76 @@ class TestTanhSinh:
             one, _ = self.peaks(centers[i : i + 1])
             v, e = _tanh_sinh(one, [-1.0], [1.0])
             assert (v[0], e[0]) == (vals[i], errs[i])
+
+    @staticmethod
+    def freezing_level(fn, cfg=DEFAULT_CONFIG):
+        """The first level from 2 on at which tanh-sinh on [-1, 1] meets cfg's tolerance, level by level."""
+        total = 0.0
+        for level in range(cfg.max_levels + 1):
+            t, w = _ts_nodes(level)
+            part = np.add.reduce(fn(t) * w) * (2.0**-level if level else 1.0)
+            last, total = total, part if level == 0 else total / 2.0 + part
+            if level >= 2 and abs(total - last) <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+                return level
+        return None
+
+    def test_stages_give_the_values_of_levels(self):
+        # rows of a / (1 + (x - c)^2 / eps) freezing at each level from 2 to 9
+        # (the first below abs_tol at once): a call too large for the first
+        # stage's ladder runs one level per stage, a one-row call levels 0-5
+        # in its first, and each row's value and estimate are the same bytes
+        # either way
+        amp = np.array([1e-13, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        eps = np.array([1.0, 1e3, 5.0, 0.3, 0.05, 0.01, 0.003, 6e-4])
+        peak = lambda x, a, e: a / (1.0 + (x - 0.1) ** 2 / e)
+        levels = [self.freezing_level(lambda x, a=a, e=e: peak(x, a, e)) for a, e in zip(amp, eps)]
+        assert levels == list(range(2, 10))
+        n = _BLOCK_POINTS // _stage_nodes(0, 5)[0].size + 1
+        a_rows, e_rows = np.resize(amp, n), np.resize(eps, n)
+        sizes = []
+
+        def g(x, r):
+            sizes.append(x.size)
+            k = x.size // r.size
+            return peak(x, np.repeat(a_rows[r], k), np.repeat(e_rows[r], k))
+
+        vals, errs = _tanh_sinh(g, np.full(n, -1.0), np.full(n, 1.0))
+        assert sizes[0] == n * _ts_nodes(0)[0].size
+        for i, (a, e) in enumerate(zip(amp, eps)):
+            sizes.clear()
+            (v,), (est,) = _tanh_sinh(lambda x, r: sizes.append(x.size) or peak(x, a, e), [-1.0], [1.0])
+            assert sizes == [257] + [_ts_nodes(k)[0].size for k in range(6, levels[i] + 1)]
+            assert pickle.dumps((v, est)) == pickle.dumps((vals[i], errs[i]))
+
+    @staticmethod
+    def poisoned(level, fn):
+        """fn with nan at the inner nodes (|t| < 1/2) of one level on [-1, 1]."""
+        t = _ts_nodes(level)[0]
+        bad = t[np.abs(t) < 0.5]
+
+        def g(x, rows):
+            return np.where(np.isin(x, bad), math.nan, fn(x))
+
+        return g
+
+    def test_nan_past_the_freezing_level_is_not_checked(self):
+        # the row freezes at level 3; the first stage evaluates level 5's
+        # nodes as well, but a level the row never reached cannot fail it
+        fn = lambda x: 1.0 / (1.0 + (x - 0.1) ** 2 / 1e3)
+        assert self.freezing_level(fn) == 3
+        clean = _tanh_sinh(lambda x, rows: fn(x), [-1.0], [1.0])
+        got = _tanh_sinh(self.poisoned(5, fn), [-1.0], [1.0])
+        assert pickle.dumps(got) == pickle.dumps(clean)
+
+    def test_nan_at_a_reached_level_raises(self):
+        fn = lambda x: 1.0 / (1.0 + (x - 0.1) ** 2 / 1e3)
+        with pytest.raises(QuadratureDivergence, match=r"integrand not finite inside \[-1, 1\]") as info:
+            _tanh_sinh(self.poisoned(2, fn), [-1.0], [1.0])
+        assert info.value.row == 0
+        # the row named is the one whose nodes are bad, not the first
+        with pytest.raises(QuadratureDivergence, match=r"inside \[-1, 1\]") as info:
+            _tanh_sinh(self.poisoned(2, fn), [2.0, -1.0], [3.0, 1.0])
+        assert info.value.row == 1
 
     def test_max_levels_exit(self):
         g, _ = self.peaks(np.zeros(1))

@@ -15,6 +15,7 @@ from scipy.special import gamma as sc_gamma
 
 from mellinium import (
     AnalyticityFailure,
+    ConvergenceDomain,
     Derivative,
     DivergentStage,
     EmptyResultStrip,
@@ -400,17 +401,29 @@ class TestBatchedQuadrature:
         # a batch with no positive x is all zeros
         assert prim(np.array([-1.0, 0.0])).tolist() == [0j, 0j]
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_primitive_is_relatively_accurate(self, n):
-        # I_1 = 1 - e^-x and I_2 = x - 1 + e^-x; I_2 ~ x^2 / 2 leaves the
-        # normal float range below x = 1e-154, so n = 2 starts at 1e-150
+        # I_1 = 1 - e^-x, I_2 = x - 1 + e^-x and I_3 = x^2 / 2 - x + 1 - e^-x;
+        # I_n ~ x^n / n! leaves the normal float range below x = 1e-154 for
+        # n = 2 and 1e-102 for n = 3, and I_3 leaves the float range past
+        # x = 1.89e154, where x^2 alone has long overflowed
         prim = apply_rule(Primitive(n), exp_pair()).function_side
-        xs = np.r_[10.0 ** np.arange(-300 if n == 1 else -150, 291, 10), np.exp(np.arange(-2.0, 70.0, 0.7))]
+        start, stop = {1: (-300, 291), 2: (-150, 291), 3: (-100, 151)}[n]
+        xs = np.r_[10.0 ** np.arange(start, stop, 10), np.exp(np.arange(-2.0, 70.0, 0.7))]
+        if n == 3:
+            xs = np.r_[xs, 1e152, 1e154, 1.5e154, 1.8e154]
         got = prim(xs)
         for x, g in zip(xs.tolist(), got.tolist()):
             with mp.workdps(700):
-                want = -mp.expm1(-x) if n == 1 else x + mp.expm1(-x)
+                x_ = mp.mpf(x)
+                want = [-mp.expm1(-x_), x_ + mp.expm1(-x_), x_**2 / 2 - x_ - mp.expm1(-x_)][n - 1]
                 assert abs(g - complex(want)) <= 1e-13 * abs(want), x
+
+    @pytest.mark.parametrize("x", [1.9e154, 1e200, 1.7e308])
+    def test_primitive_past_the_float_range_raises(self, x):
+        prim = apply_rule(Primitive(3), exp_pair()).function_side
+        with pytest.raises(ConvergenceDomain, match="Primitive\\(3\\) at x=.* leaves the float range"):
+            prim(np.array([2.0, x]))
 
     def test_primitive_shares_the_cells_below_log_x(self, monkeypatch):
         # an x in (e^6, e^60) is cut at 0, 1, 2, 4, ..., up to log x - 1:
