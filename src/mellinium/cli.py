@@ -440,33 +440,32 @@ def _do_det(ns, inputs) -> list[tuple]:
 
 
 def _per_eigenvalue(op, inputs, matrix, alpha, errs=None) -> list[tuple]:
-    """One row per eigenvalue: the operator function's value on it.
+    """One row per eigenvalue of the spectrum-form op: the diagonal of its function matrix.
 
     errs holds an error estimate per eigenvalue; without it each is 0.
     """
-    eigs, vecs = op.eigensystem()
-    values = np.diag(vecs.conj().T @ matrix @ vecs)
-    errs = np.zeros(len(eigs)) if errs is None else errs
+    errs = np.zeros(op.dimension) if errs is None else errs
     return [
         ({**inputs, "index": str(i), "eigenvalue": _g(eig)}, alpha, complex(val), err)
-        for i, (eig, val, err) in enumerate(zip(eigs, values, errs))
+        for i, (eig, val, err) in enumerate(zip(op.spectrum, np.diag(matrix), errs))
     ]
 
 
 def _do_power(ns, inputs) -> list[tuple]:
-    op = _operator(ns, inputs, winding=str(ns.winding))
+    op = OperatorSpec.from_spectrum(_operator(ns, inputs, winding=str(ns.winding)).spectrum)
     power = complex_power(op, ns.alpha, PhaseConvention(ns.winding))
     return _per_eigenvalue(op, inputs, power, ns.alpha)
 
 
 def _do_resolvent(ns, inputs) -> list[tuple]:
-    op = _operator(ns, inputs, winding=str(ns.winding), z=_g(ns.z.real) + "," + _g(ns.z.imag))
+    z = _g(ns.z.real) + "," + _g(ns.z.imag)
+    op = OperatorSpec.from_spectrum(_operator(ns, inputs, winding=str(ns.winding), z=z).spectrum)
     shifted = resolvent(op, ns.z, ns.alpha, PhaseConvention(ns.winding))
     return _per_eigenvalue(op, inputs, shifted, ns.alpha)
 
 
 def _do_log(ns, inputs) -> list[tuple]:
-    op = _operator(ns, inputs)
+    op = OperatorSpec.from_spectrum(_operator(ns, inputs).spectrum)
     log, errs = functional_log(op)
     return _per_eigenvalue(op, inputs, log, None, errs)
 

@@ -884,11 +884,8 @@ def _segment_integrals(f: MellinFunction, lo, hi, log_r, row_seg, row_alpha, cfg
         u = x.reshape(rows.size, -1)
         # rows are sorted and distinct: as many as there are means all of them
         ra = alpha_col if rows.size == alpha_col.shape[0] else alpha_col[rows]
-        if on_axis and not shared:
-            # one row per segment, all on the axis: no nodes to share
-            return _f_values(f, np.exp(u), real) * np.exp(ra * u)
-        # the active rows of a segment are a run sharing their nodes
-        first, run = _runs(row_seg[rows]) if shared else (slice(None), slice(None))
+        # the active rows of a segment are a run sharing their nodes; index () takes all rows
+        first, run = _runs(row_seg[rows]) if shared else ((), ())
         v = u[first]
         if on_axis:
             return _f_values(f, np.exp(v), real)[run] * np.exp(ra * u)

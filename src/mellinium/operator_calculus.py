@@ -36,8 +36,6 @@ from .mellin_core import (
     QuadratureConfig,
     TransformValue,
     _EPS,
-    _circle,
-    _circle_mode,
     _require_finite,
     _wrap_eval,
     forward_mellin,
@@ -218,14 +216,18 @@ def _branch_power(values: np.ndarray, alpha: complex, winding: int) -> np.ndarra
     return powered
 
 
+def _assemble(op: OperatorSpec, values: np.ndarray) -> np.ndarray:
+    """U diag(values) U+: the operator function taking value values[i] on op's eigenvalue i."""
+    _, vecs = op.eigensystem()
+    return (vecs * values) @ vecs.conj().T
+
+
 def complex_power(
     op: OperatorSpec, alpha: complex, convention: PhaseConvention | None = None
 ) -> np.ndarray:
     """op^(-alpha) through the eigensystem, on the chosen branch."""
     conv = convention or PhaseConvention()
-    eigs, vecs = op.eigensystem()
-    powered = _branch_power(eigs, alpha, conv.winding)
-    return (vecs * powered) @ vecs.conj().T
+    return _assemble(op, _branch_power(op.spectrum, alpha, conv.winding))
 
 
 def resolvent(
@@ -241,16 +243,14 @@ def resolvent(
     half-plane.
     """
     conv = convention or PhaseConvention()
-    eigs, vecs = op.eigensystem()
-    shifted = eigs - complex(z)
+    shifted = op.spectrum - complex(z)
     if np.abs(shifted).min() < 1e-12:
         raise SpectrumCollision(f"shift z={z} collides with an eigenvalue")
     if shifted.real.min() <= 0:
         raise ConvergenceDomain(
             f"shifted eigenvalue {shifted[shifted.real.argmin()]} leaves Re > 0"
         )
-    powered = _branch_power(shifted, alpha, conv.winding)
-    return (vecs * powered) @ vecs.conj().T
+    return _assemble(op, _branch_power(shifted, alpha, conv.winding))
 
 
 def spectral_zeta(
@@ -299,25 +299,14 @@ def spectral_eta(
 def functional_log(op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     """(-log(op), error estimates): the derivative of alpha -> op^(-alpha) at 0.
 
-    The estimates hold one per eigenvalue, in the order of
-    op.eigensystem(). On eigenvalue e, -log e is mode 1 of
-    e^(-alpha log e) on the circle |alpha| = rho, over rho;
-    rho = min(1, 2 / max |log e|) keeps every |alpha log e| <= 2, so 32
-    points are exact to rounding. The estimate is the aliasing estimate
-    over rho, plus 4 eps times the mean term over rho (the circle sum's
-    rounding) and 4 d eps max |log e| (the rounding of rebuilding the
+    On eigenvalue e the value is -log e. The estimates hold one per
+    eigenvalue, in the order of op.spectrum: 4 eps |log e| (the log's
+    rounding) plus 4 d eps max |log e| (the rounding of rebuilding the
     d x d matrix and reading it back).
     """
-    eigs, vecs = op.eigensystem()
-    logs = np.log(eigs)
-    top = float(np.abs(logs).max())
-    rho = 2.0 / max(2.0, top)
-    values = np.exp(-np.outer(logs, _circle(0.0, rho, 32)))
-    mode, alias = _circle_mode(values, 1)
-    mass = np.abs(values).mean(axis=1)
-    err = (alias + 4.0 * _EPS * mass) / rho + 4.0 * op.dimension * _EPS * top
-    # log e is real, so is every Taylor coefficient of e^(-alpha log e)
-    return (vecs * (mode.real / rho)) @ vecs.conj().T, err
+    logs = np.log(op.spectrum)
+    size = np.abs(logs)
+    return _assemble(op, -logs), 4.0 * _EPS * (size + op.dimension * size.max())
 
 
 def _log_det(matrix: np.ndarray) -> complex:

@@ -6,6 +6,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -264,6 +265,16 @@ class TestFunctionalLog:
             worst = max(worst, float(np.max(np.abs(got + np.log(eigs)) / est)))
             assert est.max() < 1e-8
         assert worst <= 1.0
+
+    def test_values_are_the_logs_of_the_spectrum(self):
+        # eigenvalues far outside 0.05-80 as well
+        eigs = np.concatenate([[1e-300, 1e-3, 1.0, 7.5, 1e300], np.geomspace(0.05, 80.0, 50)])
+        op = OperatorSpec.from_spectrum(eigs)
+        log, est = functional_log(op)
+        assert np.array_equal(np.diag(log), -np.log(op.spectrum))
+        with mpmath.workdps(30):
+            for e, got, bound in zip(op.spectrum, np.diag(log), est):
+                assert abs(complex(got) + mpmath.log(e)) <= bound
 
 
 class TestFunctionalDeterminant:
