@@ -246,7 +246,8 @@ def greens_function(
 
     Closed form: -2 log|dx| in n = 2, else
     pi^(1 - n/2) Gamma(n/2 - 1) |dx|^(2 - n), with its rounding as
-    estimate (0 in n = 2). The
+    estimate: in n = 2 that of the logs, their sum, and |dx|'s 1.5 eps
+    from the coordinates' differences and hypot. The
     quadrature route integrates the heat kernel e^(-pi / g) g^(-n/2) of
     unit separation against Haar measure at alpha = 1, which lies inside
     the strip <-inf, n/2> only for n >= 3 (DivergentRoute below that).
@@ -271,7 +272,8 @@ def greens_function(
     s, k = problem._separation_parts()
     tv = TransformValue(0.0, 1.0 + 0j, FundamentalStrip(-math.inf, 0.5 * n), Normalization.haar(), 0.0)
     if n == 2:
-        return replace(tv, value=-2.0 * (math.log(s) + math.log(k)))
+        err = 4.0 * _EPS * (abs(math.log(s)) + abs(math.log(k)) + 1.0)
+        return replace(tv, value=-2.0 * (math.log(s) + math.log(k)), abs_error_estimate=err)
     if quadrature:
         tv = forward_mellin(_heat_kernel_function(n, 1.0), 1.0, cfg=cfg)
         unit = float(tv.value.real)

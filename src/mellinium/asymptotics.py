@@ -138,7 +138,8 @@ def residue_asymptotics(
     Approximates f(x) near the endpoint: + sum on the zero side, - sum
     at infinity. Each residue is checked at half radius; drift beyond
     tolerance raises ResidueInstability. The transform must be analytic
-    on the circles (radius is capped by half the pole separation).
+    on the circles (radius is capped by half the pole separation). A
+    pole listed twice raises ValueError.
     """
     _check_side(side)
     if x <= 0:
@@ -146,6 +147,8 @@ def residue_asymptotics(
     poles = [complex(p) for p in poles]
     total = 0.0 + 0.0j
     for p in poles:
+        if poles.count(p) > 1:
+            raise ValueError(f"pole {p} is listed twice")
         others = [abs(p - q) for q in poles if q != p]
         rho = min(0.3, 0.4 * min(others)) if others else 0.3
         r1 = _circle_residue(transform, p, rho, x)

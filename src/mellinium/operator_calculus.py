@@ -261,16 +261,18 @@ def spectral_zeta(
 ) -> TransformValue:
     """Operator zeta, by direct summation or the heat-trace Mellin route.
 
-    The direct route sums e_i^-alpha (convergent for any alpha on a
-    finite spectrum), with estimate 0 on the whole plane. The Mellin
+    The direct route sums t_i = e_i^-alpha (convergent for any alpha on
+    a finite spectrum) on the whole plane, with its rounding as estimate:
+    eps sum |t_i| (2 |alpha log e_i| + d + 4), eps taken first. The Mellin
     route computes the Gamma-normalized transform of the heat trace on
     <0, inf), so it needs Re(alpha) > 0.
     """
     key = route.replace("-", "_").lower()
     if key == "direct":
-        value = complex(np.sum(_branch_power(op.spectrum, alpha, 0)))
+        t = _branch_power(op.spectrum, alpha, 0)
+        err = float(np.sum(np.abs(_EPS * t) * (2.0 * abs(alpha) * np.abs(np.log(op.spectrum)) + len(t) + 4.0)))
         strip = FundamentalStrip(-math.inf, math.inf)
-        return TransformValue(value, complex(alpha), strip, Normalization.gamma(), 0.0)
+        return TransformValue(complex(np.sum(t)), complex(alpha), strip, Normalization.gamma(), err)
     if key in ("heat_trace_mellin", "mellin"):
         return forward_mellin(op.heat_trace(), alpha, Normalization.gamma(), cfg=cfg)
     raise ValueError(f"unknown route {route!r}")

@@ -529,28 +529,6 @@ def _grid_values(values: Callable[[], np.ndarray]) -> np.ndarray:
         return v if np.isfinite(v).all() else np.nan_to_num(v, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-def _chunked_kernel_sum(
-    weights: np.ndarray, grid_factors: np.ndarray, kernel: Callable, xs: np.ndarray
-) -> np.ndarray:
-    """sum_j weights[j] * kernel(xs[i] * grid_factors[j]), chunked over i.
-
-    A chunk holds at most mellin_core's _BLOCK_POINTS kernel arguments
-    (at least one row), the cache-sized block of every integrand call.
-    Each row is summed by einsum, whose order does not depend on the
-    other rows of the chunk, so a point's value does not depend on the
-    points it is evaluated with, nor on the block size.
-    """
-    out = np.empty(xs.shape, dtype=complex)
-    step = max(1, _BLOCK_POINTS // max(1, len(grid_factors)))
-    flat = xs.ravel()
-    res = out.ravel()
-    for k in range(0, len(flat), step):
-        block = flat[k : k + step]
-        vals = _grid_values(lambda: kernel(block[:, None] * grid_factors[None, :]))
-        res[k : k + step] = np.einsum("ij,j->i", vals, weights)
-    return out
-
-
 def _product_transform(f: MellinFunction, h: MellinFunction, star: bool) -> Callable:
     """F(alpha) H(alpha), or F(alpha) H(1 - alpha) when star; estimate |F| e_H + |H| e_F + rounding."""
 
@@ -584,26 +562,47 @@ def _series_transform(h: MellinFunction, terms: int) -> Callable:
     return lambda alphas, cfg: _series(*_haar_transforms(h, alphas, cfg), terms)
 
 
-def _kernel_sum_eval(kernel: MellinFunction, tau: np.ndarray, weights: np.ndarray, c0: float) -> Callable:
-    """The eval x -> c0 k(x) + sum_j w_j k(x e^(-tau_j)), k the kernel.
+def _grid_function(
+    label: str, strip: FundamentalStrip, span: tuple[float, float], kernel: MellinFunction, tau: np.ndarray,
+    weights: Callable[[], np.ndarray], c0: float, transform: Callable, atom: complex = 0.0,
+) -> MellinFunction:
+    """The function x -> c0 k(x) + sum_j w_j k(x e^(-tau_j)), k the kernel, w = weights().
 
-    A grid discretization of a convolution, for its pointwise values.
-    Terms of zero weight are dropped here, once: a grid weight that
-    underflowed adds exactly 0, since non-finite kernel values are
-    zeroed before they meet the weights.
+    A grid discretization of a convolution, for its pointwise values;
+    it is transformed through the slot ``transform``, which never reads
+    the weights. weights() is called on the first pointwise read and
+    kept, and its zero terms are dropped then: a weight that underflowed
+    adds exactly 0, since non-finite kernel values are zeroed before
+    they meet the weights. A chunk of points holds at most mellin_core's
+    _BLOCK_POINTS kernel arguments (at least one point), the cache-sized
+    block of every integrand call. Each point is summed by einsum, whose
+    order does not depend on the other points of the chunk, so a value
+    depends neither on the points it is evaluated with nor on the block.
     """
-    live = weights != 0
-    weights = weights[live]
-    with np.errstate(over="ignore"):
-        factors = np.exp(-tau[live])
+
+    @lru_cache(maxsize=1)
+    def live() -> tuple[np.ndarray, np.ndarray]:
+        w = weights()
+        keep = w != 0
+        with np.errstate(over="ignore"):
+            return w[keep], np.exp(-tau[keep])
 
     def core(xs: np.ndarray) -> np.ndarray:
-        out = _chunked_kernel_sum(weights, factors, kernel.eval, xs) if weights.size else 0.0
+        w, factors = live()
+        out = np.zeros(xs.shape, dtype=complex)
+        flat, res = xs.ravel(), out.ravel()
+        step = max(1, _BLOCK_POINTS // max(1, w.size))
+        for k in range(0, flat.size if w.size else 0, step):
+            block = flat[k : k + step]
+            vals = _grid_values(lambda: kernel.eval(block[:, None] * factors[None, :]))
+            res[k : k + step] = np.einsum("ij,j->i", vals, w)
         if c0:
             out = c0 * np.asarray(kernel.eval(xs), dtype=complex) + out
         return out
 
-    return _wrap_eval(core)
+    g = MellinFunction(_wrap_eval(core), strip.a, strip.b, label, atom_weight=atom, grid_span=span)
+    g._transform = transform
+    return g
 
 
 def mult_convolve(
@@ -627,11 +626,9 @@ def mult_convolve(
             f"strips {f.strip} and {h.strip} do not intersect"
         )
     t, span = _log_grid(cfg)
-    fw = _grid_values(lambda: f.eval(np.exp(t)) * _GRID_STEP)
+    weights = lambda: _grid_values(lambda: f.eval(np.exp(t)) * _GRID_STEP)
     label = f"({f.label or 'f'} * {h.label or 'h'})"
-    conv = MellinFunction(_kernel_sum_eval(h, t, fw, 0.0), strip.a, strip.b, label, grid_span=span)
-    conv._transform = _product_transform(f, h, star=False)
-    return conv
+    return _grid_function(label, strip, span, h, t, weights, 0.0, _product_transform(f, h, star=False))
 
 
 def star_convolve(
@@ -659,11 +656,9 @@ def star_convolve(
         )
     t, span = _log_grid(cfg)
     # past t = 709 the factor e^t overflows, and the term is dropped
-    hw = _grid_values(lambda: h.eval(np.exp(t)) * np.exp(t) * _GRID_STEP)
+    weights = lambda: _grid_values(lambda: h.eval(np.exp(t)) * np.exp(t) * _GRID_STEP)
     label = f"({f.label or 'f'} ** {h.label or 'h'})"
-    conv = MellinFunction(_kernel_sum_eval(f, -t, hw, 0.0), strip.a, strip.b, label, grid_span=span)
-    conv._transform = _product_transform(f, h, star=True)
-    return conv
+    return _grid_function(label, strip, span, f, -t, weights, 0.0, _product_transform(f, h, star=True))
 
 
 def involution(f: MellinFunction) -> MellinFunction:
@@ -769,6 +764,8 @@ def convolution_exp(
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_no_atom(h, "convolution_exp")
+    if not isinstance(terms, (int, np.integer)):
+        raise SideConditionViolation(f"terms must be an integer, got {terms!r}")
     if terms < 0:
         raise SideConditionViolation("terms must be >= 0")
     a, b = h.order_at_zero, h.order_at_infinity
@@ -778,7 +775,7 @@ def convolution_exp(
 
     t, span = _log_grid(cfg)
     h_grid = _grid_values(lambda: h.eval(np.exp(t)))
-    alpha_probe = complex(FundamentalStrip(a, b).midpoint())
+    alpha_probe = complex(h.strip.midpoint())
     probe = abs(complex(h_grid @ (np.exp(alpha_probe * t) * _GRID_STEP)))
     magnitude = probe
     for k in range(2, terms):
@@ -788,8 +785,7 @@ def convolution_exp(
                 f"convolution power {k} probe transform magnitude {magnitude:.3e}"
             )
 
-    @lru_cache(maxsize=1)
-    def pointwise() -> Callable:
+    def weights() -> np.ndarray:
         n_grid = len(t)
         m = np.arange(-(n_grid - 1), n_grid, dtype=float)
         kernel = _grid_values(lambda: h.eval(np.exp(m * _GRID_STEP)))
@@ -807,12 +803,7 @@ def convolution_exp(
                 # amplifies.
                 stage = _GRID_STEP * np.convolve(stage, kernel, mode="valid")
         # with one term every combined weight is 0 and eval(x) = -h(x)
-        return _kernel_sum_eval(h, t, combined * _GRID_STEP, -1.0)
-
-    def ev(x):
-        return pointwise()(x)
+        return combined * _GRID_STEP
 
     label = f"conv-exp({terms} terms)[{h.label}]"
-    ce = MellinFunction(ev, a, b, label, atom_weight=1.0, grid_span=span)
-    ce._transform = _series_transform(h, terms)
-    return ce
+    return _grid_function(label, h.strip, span, h, t, weights, -1.0, _series_transform(h, terms), atom=1.0)

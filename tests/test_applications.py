@@ -164,6 +164,30 @@ class TestGreensFunction:
             if want >= sys.float_info.min:
                 assert error <= 1e-13 * want
 
+    @pytest.mark.parametrize(
+        "x_a, x_a_prime",
+        # |dx| = 1e-200 is 4.4e-14 off; near |dx| = 1 the value is near 0
+        # and its error is that of |dx| from the coordinates
+        [((0.0,), (1e-200,)), ((0.0, 0.0), (0.6, 0.8)), ((0.1, 0.2), (0.8, 1.1)), ((-1e308,), (1e308,))],
+    )
+    def test_two_dimensions_estimate_bounds_the_error(self, x_a, x_a_prime):
+        tv = greens_function(HeatKernelProblem(2, x_a, x_a_prime))
+        with mp.workdps(30):
+            dx = mp.sqrt(mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(x_a, x_a_prime)))
+            error = abs(mp.mpf(tv.value) + 2 * mp.log(dx))
+        assert 0 < error <= tv.abs_error_estimate <= 1e-11 * max(1.0, abs(tv.value))
+
+    def test_two_dimensions_estimate_on_random_coordinates(self):
+        rng = np.random.default_rng(30)
+        for i in range(300):
+            scale = 10.0 ** rng.uniform(-300, 300) if i % 2 else 10.0 ** rng.uniform(-0.3, 0.3)
+            d = int(rng.integers(1, 4))
+            x_a, x_a_prime = tuple(scale * rng.uniform(-1, 1, d)), tuple(scale * rng.uniform(-1, 1, d))
+            tv = greens_function(HeatKernelProblem(2, x_a, x_a_prime))
+            with mp.workdps(30):
+                dx = mp.sqrt(mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(x_a, x_a_prime)))
+                assert abs(mp.mpf(tv.value) + 2 * mp.log(dx)) <= tv.abs_error_estimate
+
     def test_coincident_points(self):
         with pytest.raises(CoincidentPoints):
             HeatKernelProblem(n=3, x_a=(1.0, 0.0, 0.0), x_a_prime=(1.0, 0.0, 0.0))

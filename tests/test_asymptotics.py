@@ -128,6 +128,16 @@ class TestResidueAsymptotics:
         with pytest.raises(ResidueInstability):
             residue_asymptotics(transform, poles=(1.0,), x=0.5)
 
+    def test_repeated_pole_rejected(self):
+        # listed twice, the residue at 0 would be added twice: 1.8 for 0.8
+        def transform(z):
+            return complex(sc_gamma(z))
+
+        with pytest.raises(ValueError, match=r"pole 0j is listed twice"):
+            residue_asymptotics(transform, poles=(0.0, 0.0, -1.0), x=0.2)
+        with pytest.raises(ValueError, match=r"pole \(-1\+0j\) is listed twice"):
+            residue_asymptotics(transform, poles=(0.0, -1.0, -1 + 0j), x=0.2)
+
     def test_positive_x_required(self):
         with pytest.raises(ValueError):
             residue_asymptotics(lambda z: 1.0 / z, poles=(0.0,), x=0.0)

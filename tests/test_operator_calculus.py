@@ -441,6 +441,36 @@ class TestSpectralZeta:
         with pytest.raises(ValueError):
             spectral_zeta(op, 2.0, route="laplace")
 
+    @staticmethod
+    def direct_error(spectrum, alpha):
+        """The direct route's value, estimate and error against mpmath at 30 digits."""
+        tv = spectral_zeta(OperatorSpec.from_spectrum(spectrum), alpha, "direct")
+        with mpmath.workdps(30):
+            want = mpmath.fsum(mpmath.power(mpmath.mpf(e), -mpmath.mpc(alpha)) for e in spectrum)
+            return tv, float(abs(mpmath.mpc(tv.value) - want)), float(abs(want))
+
+    @pytest.mark.parametrize("spectrum, alpha", [((1e-300,), 1.0), ((1e-300, 3.7, 1e5), 0.9 + 2.5j)])
+    def test_direct_estimate_bounds_the_rounding(self, spectrum, alpha):
+        # 2.4e-14 and 1.2e-13 off, relative: the exponent alpha log e rounds
+        tv, error, size = self.direct_error(spectrum, alpha)
+        assert 1e-14 * size < error <= tv.abs_error_estimate <= 1e-11 * size
+
+    def test_direct_estimate_on_random_spectra(self):
+        # eigenvalues from 1e-300 to 1e300; powers that leave the float range raise
+        rng = np.random.default_rng(30)
+        checked = 0
+        for _ in range(400):
+            spectrum = tuple(10.0 ** rng.uniform(-300, 300, int(rng.integers(1, 7))))
+            alpha = complex(rng.uniform(-1.5, 1.5), rng.uniform(-5.0, 5.0))
+            try:
+                tv, error, _ = self.direct_error(spectrum, alpha)
+            except ConvergenceDomain:
+                continue
+            assert error <= tv.abs_error_estimate
+            assert np.isfinite(tv.abs_error_estimate)
+            checked += 1
+        assert checked > 100
+
     def test_eta_variant(self):
         op = OperatorSpec.from_spectrum((1.0, 2.0, 4.0))
         alpha = 2.0

@@ -7,6 +7,7 @@ import dataclasses
 import math
 import pickle
 import random
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -41,11 +42,13 @@ from mellinium import (
     forward_mellin,
     gamma_reflection,
     involution,
+    key_identity_check,
     mult_convolve,
     parseval_pair,
     star_convolve,
 )
 
+from mellinium.applications import _heat_kernel_function
 from mellinium.mellin_core import DEFAULT_CONFIG, QuadratureConfig, _window
 from mellinium import mellin_core, strip_algebra
 from mellinium.strip_algebra import _GRID_STEP, _log_grid, _product
@@ -515,6 +518,13 @@ class TestConvolutionExp:
         with pytest.raises(SideConditionViolation):
             convolution_exp(make_exp(1.0), -1)
 
+    @pytest.mark.parametrize("terms", [2.5, 1.0, "3", None])
+    def test_non_integer_terms_rejected(self, terms):
+        with pytest.raises(SideConditionViolation, match="terms must be an integer"):
+            convolution_exp(make_exp(1.0), terms)
+        with pytest.raises(SideConditionViolation, match="terms must be an integer"):
+            key_identity_check(OperatorSpec.from_spectrum((2.0,)), 1.0, terms)
+
     @staticmethod
     def scaled_exp(c):
         """c e^-x, whose transform at the probe point is c"""
@@ -614,6 +624,63 @@ class TestGridArithmetic:
             assert abs(complex(conv.eval(x)) - want) <= 1e-14 * size
 
 
+def zero_function() -> MellinFunction:
+    """0 on (0, inf), strip <0, inf>."""
+    return MellinFunction(lambda x: np.zeros(np.shape(x)), 0.0, math.inf, label="zero")
+
+
+# grid functions without a live weight: every grid value of this heat
+# kernel underflows to 0, and every value of the zero function is 0
+NO_LIVE_WEIGHT = {
+    "mult_heat": lambda: mult_convolve(_heat_kernel_function(3, 1e10), make_exp(1.0)),
+    "star_heat": lambda: star_convolve(make_exp(1.0), _heat_kernel_function(3, 1e10)),
+    "mult_zero": lambda: mult_convolve(zero_function(), make_exp(1.0)),
+    "star_zero": lambda: star_convolve(make_exp(1.0), zero_function()),
+}
+
+
+class TestGridFunction:
+    """The one constructor behind mult_convolve, star_convolve and convolution_exp."""
+
+    @pytest.mark.parametrize("kind", ["mult", "star", "conv_exp"])
+    def test_weights_are_built_on_the_first_read(self, kind):
+        grid, _ = _log_grid(DEFAULT_CONFIG)
+        f, f_sizes = counted(make_exp(1.0))
+        h, h_sizes = counted(make_exp(2.0))
+        if kind == "conv_exp":
+            g = convolution_exp(h, 12)
+            # the DivergentStage guard reads h on the grid at construction;
+            # the stages behind the weights read it on 2 n - 1 points
+            assert h_sizes == [grid.size]
+            weight_calls = lambda: h_sizes.count(2 * grid.size - 1)
+        else:
+            g = (mult_convolve if kind == "mult" else star_convolve)(f, h)
+            assert f_sizes == h_sizes == []
+            # the factor sampled on the grid is not the kernel
+            sampled = f_sizes if kind == "mult" else h_sizes
+            weight_calls = lambda: len(sampled)
+        assert weight_calls() == 0
+        xs = np.geomspace(1e-2, 10.0, 7)
+        first = g.eval(xs)
+        assert weight_calls() == 1
+        assert pickle.dumps(g.eval(xs)) == pickle.dumps(first)
+        assert complex(g.eval(xs[3])) == first[3]
+        assert weight_calls() == 1
+
+    @pytest.mark.parametrize("name", list(NO_LIVE_WEIGHT))
+    def test_no_live_weight_keeps_the_shape(self, name):
+        g = NO_LIVE_WEIGHT[name]()
+        got = g.eval(np.array([1.0, 2.0]))
+        assert got.shape == (2,) and not got.any()
+        assert g.eval(np.ones((2, 3))).shape == (2, 3)
+        scalar = g.eval(2.0)
+        assert np.ndim(scalar) == 0 and scalar == 0
+        # the copy has no transform slot: quadrature of its values
+        copy = dataclasses.replace(g, label="copy")
+        assert copy._transform is None
+        assert forward_mellin(copy, 0.5).value == 0
+
+
 def pointwise(f: MellinFunction) -> MellinFunction:
     """f as a plain function: replace drops the transform slot, so its
     transform is a quadrature of the pointwise values."""
@@ -688,6 +755,21 @@ class TestExactTransform:
         conv = mult_convolve(make_exp(1.0), make_exp(2.0), widened((0.0, math.inf), 0.03))
         tv = forward_mellin(conv, 2.0)
         assert abs(tv.value - 0.25) <= tv.abs_error_estimate
+
+    def test_grid_wider_than_the_window_read_pointwise(self):
+        # the same +-1220 grid, read pointwise: weights past t = 745 have
+        # underflowed to 0 and the grid factors e^(-t) below t = -709
+        # overflow, and no floating-point warning is given
+        conv = mult_convolve(make_exp(1.0), make_exp(2.0), widened((0.0, math.inf), 0.03))
+        xs = np.geomspace(1e-3, 1e2, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = conv.eval(xs)
+        assert np.all(np.isfinite(got))
+        # (e^-x * e^-2x)(x) = 2 K0(2 sqrt(2 x))
+        with mp.workdps(30):
+            want = np.array([float(2 * mp.besselk(0, 2 * mp.sqrt(2 * mp.mpf(x)))) for x in xs])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     @pytest.mark.parametrize("kind", ["mult", "star"])
     def test_estimate_bounds_true_error(self, kind):
