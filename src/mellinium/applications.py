@@ -85,6 +85,7 @@ def fermi_function() -> MellinFunction:
 
 def _exp_function(beta: float) -> MellinFunction:
     """e^(-beta x) on the strip <0, inf): the exponential sum of one term."""
+    _require_finite(beta, "beta")
     if beta <= 0:
         raise ValueError("exp_decay needs beta > 0")
     return _exp_sum(np.array([beta], dtype=float), np.ones(1), f"exp-decay({beta:g})")
@@ -92,6 +93,7 @@ def _exp_function(beta: float) -> MellinFunction:
 
 def _power_log_function(eps: float, k: int) -> MellinFunction:
     """x^eps (-log x)^k on (0, 1], zero beyond; strip <-eps, inf)."""
+    _require_finite(eps, "eps")
     if k < 0:
         raise ValueError("power_log needs k >= 0")
 
@@ -108,6 +110,7 @@ def _power_log_function(eps: float, k: int) -> MellinFunction:
 
 def _heat_kernel_function(n: int, distance: float) -> MellinFunction:
     """Heat kernel e^(-pi distance^2 / g) g^(-n/2) in g; strip <-inf, n/2)."""
+    _require_finite(distance, "distance")
     if n < 1 or distance <= 0:
         raise ValueError("heat_kernel needs n >= 1 and distance > 0")
     a = math.pi * distance * distance
@@ -255,9 +258,9 @@ def greens_function(
     (substitute g = |dx|^2 u), and raise ConvergenceDomain where the
     result leaves the float range. The product is formed from binary
     exponents, so it holds where the power alone underflows or overflows
-    (n = 200 at |dx| = 100); its rounding and the unit value's join the
-    estimate. Either route reports alpha = 1, that strip and Haar
-    normalization.
+    (n = 200 at |dx| = 100); its rounding, the unit value's and |2 - n|
+    times |dx|'s 1.5 eps join the estimate. Either route reports
+    alpha = 1, that strip and Haar normalization.
     """
     n = problem.n
     key = route.replace("-", "_").lower()
@@ -296,7 +299,8 @@ def greens_function(
         value = math.inf
     if not math.isfinite(value):
         raise ConvergenceDomain(f"|dx|^{2 - n} leaves the float range at |dx| = {k * s:g}")
-    err = abs(value) * (unit_err + 4.0 * _EPS) + math.ulp(value)
+    # |dx|'s 1.5 eps, from the coordinates' differences and hypot, raised to 2 - n
+    err = abs(value) * (unit_err + 4.0 * _EPS + 1.5 * _EPS * abs(2 - n)) + math.ulp(value)
     return replace(tv, value=value, abs_error_estimate=err)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResidueInstability
-from .mellin_core import _circle, _circle_mode, _eval_vector
+from .mellin_core import _circle, _circle_mode, _eval_vector, _require_finite
 
 __all__ = [
     "AsymptoticSeries",
@@ -139,12 +139,14 @@ def residue_asymptotics(
     at infinity. Each residue is checked at half radius; drift beyond
     tolerance raises ResidueInstability. The transform must be analytic
     on the circles (radius is capped by half the pole separation). A
-    pole listed twice raises ValueError.
+    pole listed twice, a non-finite pole and a non-finite x raise
+    ValueError.
     """
     _check_side(side)
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x}")
     poles = [complex(p) for p in poles]
+    _require_finite(np.array(poles, dtype=complex), "poles")
     total = 0.0 + 0.0j
     for p in poles:
         if poles.count(p) > 1:

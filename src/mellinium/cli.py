@@ -19,6 +19,7 @@ failure (any engine error).
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -148,6 +149,8 @@ def _json_scalar(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"a record field is {v}, not finite")
         return _g(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_scalar(x) for x in v) + "]"
@@ -202,11 +205,12 @@ def _emit(records: list[dict], out: str, fmt: str | None) -> None:
 
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected re[,im], got {text!r}")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expected re[,im], got {text!r}")
+    z = complex(*map(float, parts))
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected finite re[,im], got {text!r}")
+    return z
 
 
 def _parse_norm(text: str) -> Normalization:
@@ -549,6 +553,8 @@ def _split_sweep(rest: list[str]) -> tuple[list[complex], list[str]]:
     if len(parts) != 3:
         raise ValueError(f"grid spec must be re_start:re_stop:count[,im], got {grid_spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not all(map(math.isfinite, (start, stop, im))):
+        raise ValueError(f"--alpha-grid values must be finite, got {grid_spec!r}")
     if count < 1:
         raise ValueError("grid count must be >= 1")
     return [complex(re, im) for re in np.linspace(start, stop, count)], inner

@@ -421,8 +421,9 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-# where the keyhole's rays end: the integrand must have decayed there
-_RAY_LENGTH = 40.0
+# the largest keyhole radius; the rays run from it out to the end of the
+# real-axis window (_window), far past it
+_MAX_RADIUS = 40.0
 
 
 @dataclass(frozen=True)
@@ -432,9 +433,9 @@ class HankelContourSpec:
     radius: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.radius < _RAY_LENGTH:
+        if not 0.0 < self.radius < _MAX_RADIUS:
             raise ValueError(
-                f"contour requires 0 < radius < {_RAY_LENGTH:g}, got radius={self.radius}"
+                f"contour requires 0 < radius < {_MAX_RADIUS:g}, got radius={self.radius}"
             )
 
 
@@ -713,7 +714,10 @@ def _panels(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 @lru_cache(maxsize=256)
 def _window_segments(windows: tuple[tuple[float, float], ...]):
-    """The panels of the halves [tmin, 0] and [0, tmax] of windows, each distinct panel once.
+    """The panels of the halves [t0, m] and [m, t1] of windows, each distinct panel once.
+
+    m is 0 clipped into the window, so a window on one side of 0 has an
+    empty half.
 
     Returns read-only (lo, hi, side, uses): panel s is [lo[s], hi[s]], on
     a left (side[s] 0) or right (1) half, and uses[s, w] says whether
@@ -724,9 +728,9 @@ def _window_segments(windows: tuple[tuple[float, float], ...]):
     transforms share the default window, so this is cached.
     """
     t0, t1 = np.array(windows).T
-    zero = np.zeros(t0.size)
-    # the halves interleaved: [t0, 0] and [0, t1] of each window in turn
-    lo, hi, half = _panels(np.stack((t0, zero), axis=1).ravel(), np.stack((zero, t1), axis=1).ravel())
+    mid = np.clip(0.0, t0, t1)
+    # the halves interleaved: [t0, m] and [m, t1] of each window in turn
+    lo, hi, half = _panels(np.stack((t0, mid), axis=1).ravel(), np.stack((mid, t1), axis=1).ravel())
     seen = {}
     seg = np.array([seen.setdefault(key, len(seen)) for key in zip(lo.tolist(), hi.tolist(), (half % 2).tolist())])
     firsts = np.unique(seg, return_index=True)[1]
@@ -776,12 +780,14 @@ def _eval_vector(func: Callable, x: np.ndarray) -> np.ndarray:
         return flat.reshape(arr.shape)
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    """Raise ValueError naming the first entry of ``a`` that is not finite."""
+def _require_finite(a, what: str) -> None:
+    """Raise ValueError naming the first entry of the array ``a`` that is not finite, or the scalar ``a``."""
+    a = np.asarray(a)
     bad = np.flatnonzero(~np.isfinite(a))
     if bad.size:
         at = tuple(int(k) for k in np.unravel_index(bad[0], a.shape))
-        raise ValueError(f"{what} entry {at if a.ndim > 1 else at[0]} is {a[at]}, not finite")
+        entry = "" if a.ndim == 0 else f" entry {at if a.ndim > 1 else at[0]}"
+        raise ValueError(f"{what}{entry} is {a[at]}, not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -1218,8 +1224,8 @@ def inverse_mellin(
     scan window. Returns (value, error estimate).
     """
     cfg = cfg or DEFAULT_CONFIG
-    if x <= 0:
-        raise ValueError("inversion point x must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError(f"inversion point x must be positive and finite, got {x}")
     lx = math.log(x)
 
     def g(t: np.ndarray) -> np.ndarray:
@@ -1262,6 +1268,7 @@ def hankel_mellin(
     """
     f = _require_mellin_function(f)
     alpha = complex(alpha)
+    _require_finite(alpha, "alpha")
     contour = contour or HankelContourSpec()
     norm = normalization or Normalization.gamma_contour()
     cfg = cfg or DEFAULT_CONFIG
@@ -1279,23 +1286,29 @@ def hankel_mellin(
     # The loop runs in along the positive axis from +inf to the radius r
     # above the cut, circles the origin counterclockwise, and returns to
     # +inf below the cut, where z^alpha gains e^(2 pi i alpha): the loop is
-    # (e^(2 pi i alpha) - 1) I_ray + I_arc, the ray taken in u = log x over
-    # [log r, log _RAY_LENGTH] (in x, the rounding of the nodes next to r
-    # outgrows the estimate at small r). The rays, then the arcs, of r and
-    # of the check loop of radius r / 2, each at every alpha of the ring,
-    # are the rows of one kernel call.
-    n, log_r, t_end = ring.size, np.log([contour.radius, contour.radius / 2.0]), math.log(_RAY_LENGTH)
-    vals, errs = _segment_integrals(f, np.r_[log_r, 0.0, 0.0], np.r_[t_end, t_end, 2.0 * math.pi, 2.0 * math.pi],
-                                    np.r_[math.nan, math.nan, log_r], np.arange(4).repeat(n), np.tile(ring, 4), cfg)
-    # the ray and arc parts, each (radii, alphas)
-    (i_ray, i_arc), (e_ray, e_arc) = (a.reshape(2, 2, n) for a in (vals, errs))
+    # (e^(2 pi i alpha) - 1) I_ray + I_arc, the ray taken in u = log x (in
+    # x, the rounding of the nodes next to r outgrows the estimate at small
+    # r) from log r to the right end t1 of the real-axis window (_window) at
+    # the ring's largest real part; its tail past t1 is bounded at that
+    # window's edge rate. The rays of r and of the check loop of radius r / 2
+    # are cut into panels as windows are (_window_segments): a panel both
+    # share, as past x = 1 for r < 1, is integrated once. Each panel, then
+    # each arc, at every alpha of the ring, is a row of one kernel call.
+    strip = FundamentalStrip(-math.inf, f.order_at_infinity)
+    n, log_r = ring.size, np.log([contour.radius, contour.radius / 2.0])
+    (_, t1), (_, rate) = _window(strip, float(ring.real.max()), cfg)
+    plo, phi, _, uses = _window_segments(tuple((u, t1) for u in log_r.tolist()))
+    k = plo.size
+    vals, errs = _segment_integrals(f, np.r_[plo, 0.0, 0.0], np.r_[phi, 2.0 * math.pi, 2.0 * math.pi],
+                                    np.r_[np.full(k, math.nan), log_r], np.arange(k + 2).repeat(n),
+                                    np.tile(ring, k + 2), cfg)
+    vals, errs = vals.reshape(k + 2, n), errs.reshape(k + 2, n)
+    # each radius's ray is the sum of its panels; rays and arcs are each (radii, alphas)
+    i_ray, e_ray, i_arc, e_arc = uses.T @ vals[:k], uses.T @ errs[:k], vals[k:], errs[k:]
     jump = np.exp(2j * np.pi * ring) - 1.0
     loop = jump * i_ray + i_arc
-    # the ray's integrand at its end bounds its tail, as a window's does,
-    # at the rate of f's order at infinity (1 where that is infinite)
-    _, end = _end_sizes(f, np.array([[t_end]]), ring, np.zeros(n, int))
-    rate = f.order_at_infinity - ring.real if math.isfinite(f.order_at_infinity) else np.ones(n)
-    tail = _checked_tail(np.abs(jump) * end, rate[None], ring, loop, (log_r[:, None], t_end), cfg)
+    _, end = _end_sizes(f, np.array([[t1]]), ring, np.zeros(n, int))
+    tail = _checked_tail(np.abs(jump) * end, np.array([[rate]]), ring, loop, (log_r[:, None], t1), cfg)
     # aligned with the real-axis transform, whose branch shifts arg z by -pi
     phase = np.exp(-1j * np.pi * ring)
     total, est = phase * loop, np.abs(phase) * (np.abs(jump) * e_ray + tail + e_arc)
@@ -1309,5 +1322,4 @@ def hankel_mellin(
     drift = abs(value - v2)
     if drift > max(1e-7, 50.0 * (err + e2)):
         raise ContourDependence(f"contour value moved by {drift:.3e} when the arc radius was halved")
-    strip = FundamentalStrip(-math.inf, f.order_at_infinity)
     return TransformValue(complex(value), alpha, strip, norm, float(max(err, drift)), continued)

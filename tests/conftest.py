@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from mellinium import MellinFunction
+
+# The CLI processes the tests start (the determinism runs) inherit this, so a
+# floating-point warning fails them as pyproject.toml's filters fail one here.
+os.environ.setdefault("PYTHONWARNINGS", "error::RuntimeWarning")
 
 
 def make_exp(beta: float = 1.0) -> MellinFunction:

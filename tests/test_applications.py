@@ -34,6 +34,8 @@ from mellinium import (
     zeta_value,
 )
 
+from mellinium.applications import CORPUS
+
 from oracles import alternating_eta, zeta_from_eta
 
 
@@ -188,6 +190,30 @@ class TestGreensFunction:
                 dx = mp.sqrt(mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(x_a, x_a_prime)))
                 assert abs(mp.mpf(tv.value) + 2 * mp.log(dx)) <= tv.abs_error_estimate
 
+    @pytest.mark.parametrize("route", ["closed", "quadrature"])
+    def test_estimate_on_random_coordinates(self, route):
+        # |dx|'s rounding, raised to 2 - n, is the larger part of the error
+        # at large n: the first pair was 1.50 and 1.57 times its closed
+        # route's old estimate at n = 200 and 300, and the quadrature
+        # route's old estimates missed on a third of such draws
+        rng = np.random.default_rng(31)
+        cases = [(n, (0.13236857992454126, -0.25496580154193094), (0.7284775907523773, -0.3060556031408123))
+                 for n in (200, 300)]
+        cases += [(int(rng.integers(3, 301)), tuple(rng.uniform(-1, 1, 2)), tuple(rng.uniform(-1, 1, 2)))
+                  for _ in range(400)]
+        checked = 0
+        for n, x_a, x_a_prime in cases:
+            try:
+                tv = greens_function(HeatKernelProblem(n, x_a, x_a_prime), route)
+            except ConvergenceDomain:
+                continue
+            with mp.workdps(50):
+                dx = mp.sqrt(mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(x_a, x_a_prime)))
+                want = mp.pi ** (1 - mp.mpf(n) / 2) * mp.gamma(mp.mpf(n) / 2 - 1) * dx ** (2 - n)
+                assert abs(mp.mpf(tv.value) - want) <= tv.abs_error_estimate, (n, x_a, x_a_prime)
+            checked += 1
+        assert checked > 300
+
     def test_coincident_points(self):
         with pytest.raises(CoincidentPoints):
             HeatKernelProblem(n=3, x_a=(1.0, 0.0, 0.0), x_a_prime=(1.0, 0.0, 0.0))
@@ -211,6 +237,23 @@ class TestGreensFunction:
         p = HeatKernelProblem(n=3, x_a=(0.0,), x_a_prime=(1.0,))
         with pytest.raises(ValueError, match="unknown route"):
             greens_function(p, route="borel")
+
+
+class TestCorpusBuilders:
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("exp_decay", {"beta": math.inf}, "beta is inf, not finite"),
+            ("exp_decay", {"beta": math.nan}, "beta is nan, not finite"),
+            ("power_log", {"eps": math.inf, "k": 1}, "eps is inf, not finite"),
+            ("heat_kernel", {"n": 3, "distance": math.inf}, "distance is inf, not finite"),
+            ("heat_kernel", {"n": 3, "distance": math.nan}, "distance is nan, not finite"),
+        ],
+    )
+    def test_non_finite_parameter_refused(self, name, params, message):
+        # each built a function whose transform came back 0 +- 0 or nan
+        with pytest.raises(ValueError, match=message):
+            CORPUS[name].build(**params)
 
 
 class TestZetaRoutes:

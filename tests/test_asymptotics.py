@@ -141,3 +141,13 @@ class TestResidueAsymptotics:
     def test_positive_x_required(self):
         with pytest.raises(ValueError):
             residue_asymptotics(lambda z: 1.0 / z, poles=(0.0,), x=0.0)
+
+    @pytest.mark.parametrize(
+        "poles, x, message",
+        [((0.0,), math.nan, "x must be positive and finite"), ((0.0,), math.inf, "x must be positive and finite"),
+         ((0.0, math.nan), 0.2, r"poles entry 1 is \(nan")],
+    )
+    def test_non_finite_input_refused(self, poles, x, message):
+        # a residue sum at such a point or pole is nan, not a value
+        with pytest.raises(ValueError, match=message):
+            residue_asymptotics(lambda z: 1.0 / z, poles=poles, x=x)

@@ -22,7 +22,7 @@ from mellinium import (
     forward_mellin,
     hankel_mellin,
 )
-from mellinium.cli import run
+from mellinium.cli import _json_scalar, run
 
 RECORD_KEYS = [
     "operation",
@@ -567,6 +567,39 @@ class TestExitCodes:
     def test_usage_error_message(self, capsys, argv, message):
         assert run(argv) == 1
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["det", "--spectrum", "2,3", "--alpha", "nan"], "argument --alpha: expected finite re[,im], got 'nan'"),
+            (["zeta", "--alpha", "nan", "--route", "hankel"], "argument --alpha: expected finite re[,im]"),
+            (["transform", "--fn", "exp_decay", "--alpha", "1,inf"], "argument --alpha: expected finite re[,im]"),
+            (["asymptotic", "--fn", "exp_decay", "--x", "nan"], "x must be positive and finite, got nan"),
+            (["asymptotic", "--fn", "exp_decay", "--x", "inf"], "x must be positive and finite, got inf"),
+            (["sweep", "transform", "--fn", "exp_decay", "--alpha-grid", "1:nan:2"], "--alpha-grid values must be finite"),
+            (["sweep", "transform", "--fn", "exp_decay", "--alpha-grid", "1:2:2,inf"], "--alpha-grid values must be finite"),
+            (["transform", "--fn", "exp_decay", "--beta", "inf", "--alpha", "1"], "beta is inf, not finite"),
+            (["transform", "--fn", "heat_kernel", "--distance", "inf", "--alpha", "1"], "distance is inf, not finite"),
+            (["transform", "--fn", "power_log", "--eps", "inf", "--alpha", "1"], "eps is inf, not finite"),
+            (["invert", "--fn", "exp_decay", "--x", "inf"], "x must be positive and finite, got inf"),
+        ],
+        ids=[
+            "det-alpha", "zeta-hankel-alpha", "alpha-imag", "asymptotic-x-nan", "asymptotic-x-inf", "grid-nan",
+            "grid-im-inf", "exp-beta-inf", "heat-kernel-distance-inf", "power-log-eps-inf", "invert-x-inf",
+        ],
+    )
+    def test_non_finite_input_refused(self, capsys, argv, message):
+        # each wrote a record holding nan, or 0 +- 0, and exited 0
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    @pytest.mark.parametrize("v", [math.nan, -math.inf, [1.0, math.inf]])
+    def test_record_refuses_non_finite_floats(self, v):
+        # JSON has no nan or inf: a record holding one is refused, not written
+        with pytest.raises(ValueError, match="not finite"):
+            _json_scalar({"value": v})
 
 
 class TestSweep:

@@ -526,6 +526,11 @@ class TestInverseMellin:
         with pytest.raises(ValueError):
             inverse_mellin(lambda a: 1.0 / (a + 1.0) ** 3, c=1.0, x=-1.0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_finite_x_required(self, x):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            inverse_mellin(lambda a: 1.0 / (a + 1.0) ** 3, c=1.0, x=x)
+
     def test_slow_decay_on_the_line_raises(self):
         # |1/(1 + it)| is still 1/64 at the end of the scan
         with pytest.raises(SlowContourDecay):
@@ -578,8 +583,9 @@ class TestHankelMellin:
     @pytest.mark.parametrize("alpha, points", [(0.5 + 1j, 1), (2.005, _CONTINUATION_POINTS)])
     def test_one_kernel_call_per_value(self, alpha, points, monkeypatch):
         # the contour, its half-radius check and, for a continued value,
-        # every point of its circle are rows of one kernel call: a ray
-        # and an arc per radius and alpha
+        # every point of its circle are rows of one kernel call: per alpha
+        # the rays' panels [log r, 0], [0, t1] and [log(r/2), 0], and an
+        # arc per radius
         calls = []
 
         def spy(g, lo, hi, *rest):
@@ -588,14 +594,23 @@ class TestHankelMellin:
 
         monkeypatch.setattr(mellin_core, "_tanh_sinh", spy)
         tv = hankel_mellin(bose_function(), alpha)
-        assert calls == [2 * 2 * points]
+        assert calls == [(3 + 2) * points]
         assert tv.continued == (points > 1)
         assert abs(tv.value - complex(mp.zeta(alpha))) <= tv.abs_error_estimate
 
     def test_undecayed_ray_raises(self):
-        # e^(-x/10) x^(alpha-1) is still about 0.1 at the rays' end x = 40
+        # e^(-x/10) has decayed long before the window's end x = e^40
+        tv = hankel_mellin(make_exp(0.1), 0.5 + 0.5j)
+        assert abs(tv.value - 10.0 ** (0.5 + 0.5j)) <= tv.abs_error_estimate
+        # (1 + x)^(-0.6) x^(alpha - 1), declared to decay faster than any
+        # power, is still about 2e-2 there
         with pytest.raises(QuadratureDivergence):
-            hankel_mellin(make_exp(0.1), 0.5 + 0.5j)
+            hankel_mellin(_slow_power(), 0.5 + 0.5j)
+
+    @pytest.mark.parametrize("alpha", [math.nan, complex(0.5, math.inf)])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha is .*, not finite"):
+            hankel_mellin(bose_function(), alpha)
 
     def test_contour_spec_validation(self):
         for radius in (0.0, 40.0):
@@ -623,8 +638,9 @@ class TestHankelMellin:
         rays = [z for z in seen if z.dtype == float]
         arcs = [z for z in seen if z.dtype == complex]
         assert len(rays) + len(arcs) == len(seen) and rays and arcs
-        # the rays of radius 0.5 and of the halved check contour, up to rounding
-        assert all(np.allclose(np.clip(x, 0.25, 40.0), x) for x in rays)
+        # the rays of radius 0.5 and of the halved check contour, out to the
+        # window's end, up to rounding
+        assert all(np.allclose(np.clip(x, 0.25, math.exp(40.0)), x) for x in rays)
         assert all((np.isclose(np.abs(z), 0.5) | np.isclose(np.abs(z), 0.25)).all() for z in arcs)
 
     def test_radius_check_flags_contour_dependence(self):
@@ -643,6 +659,72 @@ class TestHankelMellin:
         bad = MellinFunction(ev, 0.0, math.inf, label="nonanalytic")
         with pytest.raises(ContourDependence):
             hankel_mellin(bad, 0.5)
+
+
+    @pytest.mark.parametrize("alpha", [0.5, -0.5 + 1j, 2.005])
+    @pytest.mark.parametrize(
+        "f, rates",
+        [
+            (make_exp(0.3), (0.3,)),
+            (make_exp(0.1), (0.1,)),
+            (OperatorSpec.from_spectrum([0.3, 1.1]).heat_trace(), (0.3, 1.1)),
+            (OperatorSpec.from_spectrum([0.05, 2.0]).heat_trace(), (0.05, 2.0)),
+        ],
+        ids=lambda v: getattr(v, "label", None),
+    )
+    def test_slow_exponentials_continue(self, f, rates, alpha):
+        # rays that stopped at x = 40 left these tails undecayed; the
+        # transform is Gamma(alpha) sum_i e_i^(-alpha), and the contour
+        # normalization keeps sum_i e_i^(-alpha), left of the strip and
+        # near the multiplier pole at 2 alike
+        tv = hankel_mellin(f, alpha)
+        with mp.workdps(30):
+            want = complex(sum(mp.power(e, -alpha) for e in rates))
+        assert abs(tv.value - want) <= tv.abs_error_estimate
+
+    def test_ray_past_one_is_shared_by_both_radii(self, monkeypatch):
+        # for r < 1 the rays of r and of the check loop of radius r / 2
+        # split at x = 1, and their common part [0, t1] in log x is one
+        # row per alpha of the ring, not one per radius
+        rows = []
+
+        def spy(g, lo, hi, *rest):
+            rows.extend(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist()))
+            return _tanh_sinh(g, lo, hi, *rest)
+
+        monkeypatch.setattr(mellin_core, "_tanh_sinh", spy)
+        tv = hankel_mellin(bose_function(), 2.005)
+        assert tv.continued
+        r = math.log(0.5)
+        for span in ((r, 0.0), (r - math.log(2.0), 0.0), (0.0, 40.0), (0.0, 2.0 * math.pi)):
+            want = _CONTINUATION_POINTS * (2 if span[1] == 2.0 * math.pi else 1)
+            assert rows.count(span) == want
+        assert len(rows) == 5 * _CONTINUATION_POINTS
+
+
+def _slow_power() -> MellinFunction:
+    """(1 + x)^(-0.6) declared with order_at_infinity = inf, which it is not."""
+
+    def ev(x):
+        return (1.0 + np.asarray(x)) ** -0.6
+
+    return MellinFunction(ev, 0.0, math.inf, label="slow-power")
+
+
+class TestWindowSegments:
+    @pytest.mark.parametrize("window", [(0.5, 3.0), (-3.0, -0.5), (0.0, 3.0), (2.0, 130.0)])
+    def test_one_sided_window_is_covered(self, window):
+        # a window on one side of 0 splits at its own end: its panels
+        # cover it exactly, the other half empty
+        lo, hi, side, uses = mellin_core._window_segments((window,))
+        live = hi > lo
+        assert lo[live].min() == window[0] and hi[live].max() == window[1]
+        assert np.sum(hi[live] - lo[live]) == pytest.approx(window[1] - window[0], rel=1e-15)
+        assert uses.all() and np.all(lo[1:] == hi[:-1])
+
+    def test_straddling_window_splits_at_zero(self):
+        lo, hi, side, _ = mellin_core._window_segments(((-40.0, 40.0),))
+        assert lo.tolist() == [-40.0, 0.0] and hi.tolist() == [0.0, 40.0] and side.tolist() == [0, 1]
 
 
 def real_exp(beta: float = 1.0, atom_weight: complex = 0.0) -> MellinFunction:

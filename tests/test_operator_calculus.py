@@ -18,6 +18,7 @@ from mellinium import (
     OperatorSpec,
     PhaseConvention,
     QuadratureConfig,
+    QuadratureDivergence,
     Regulator,
     SpectrumCollision,
     ZeroDeterminant,
@@ -330,6 +331,11 @@ class TestFunctionalDeterminant:
         with pytest.raises(ValueError):
             functional_determinant(op, 1.0, regulator=Regulator(np.eye(3)))
 
+    @pytest.mark.parametrize("alpha", [math.nan, complex(1.0, math.inf)])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha is .*, not finite"):
+            functional_determinant(OperatorSpec.from_spectrum((2.0, 3.0)), alpha)
+
     def test_regulator_must_be_finite(self):
         op = OperatorSpec.from_spectrum((2.0, 3.0))
         with pytest.raises(ValueError, match=r"regulator entry \(1, 1\) is \(nan"):
@@ -421,6 +427,10 @@ class TestAnomalyPhase:
         with pytest.raises(ConvergenceDomain):
             anomaly_phase([[z]], [[z]], 0.3 + 200j)
 
+    def test_alpha_must_be_finite(self):
+        with pytest.raises(ValueError, match="alpha is .*, not finite"):
+            anomaly_phase(np.eye(2), np.eye(2), math.nan)
+
 
 class TestSpectralZeta:
     def test_direct_route_sums_powers(self):
@@ -477,6 +487,13 @@ class TestSpectralZeta:
         want = sum((-1.0) ** (k) * e**-alpha for k, e in enumerate((1.0, 2.0, 4.0)))
         got = spectral_eta(op, alpha).value
         assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("eig", [1e20, 1e10])
+    def test_eta_cross_check_scales_with_the_terms(self, eig):
+        # the transform returns 6.8e-214 for 1e-30 and 8.8e-18 for 1e-15,
+        # both below an absolute floor of 1e-8
+        with pytest.raises(QuadratureDivergence, match="eta routes disagree"):
+            spectral_eta(OperatorSpec.from_spectrum((eig,)), 1.5)
 
 
 class TestKeyIdentity:
