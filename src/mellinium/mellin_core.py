@@ -421,8 +421,8 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-# the largest keyhole radius; the rays run from it out to the end of the
-# real-axis window (_window), far past it
+# the largest keyhole radius; the rays run from the radius to the end of
+# the real-axis window (_window)
 _MAX_RADIUS = 40.0
 
 

@@ -373,7 +373,7 @@ def functional_determinant(
     for R = op this is 1 for every alpha. The winding adds alpha * 2 pi i per turn.
     Log det is finite for any nonsingular matrix; ConvergenceDomain if the value is not.
     """
-    _require_finite(complex(alpha), "alpha")
+    _require_finite(alpha, "alpha")
     conv = convention or PhaseConvention()
     exponent = 2j * math.pi * conv.winding - _log_det(op.as_matrix())
     if regulator is not None:
@@ -405,7 +405,7 @@ def anomaly_phase(
     where that product cannot be kept in range. Real positive-definite pairs give
     exactly 1. Accepts scalars or square matrices.
     """
-    _require_finite(complex(alpha), "alpha")
+    _require_finite(alpha, "alpha")
     conv = convention or PhaseConvention()
     m1 = np.atleast_2d(np.asarray(op1, dtype=complex))
     m2 = np.atleast_2d(np.asarray(op2, dtype=complex))

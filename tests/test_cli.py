@@ -590,7 +590,8 @@ class TestExitCodes:
         ],
     )
     def test_non_finite_input_refused(self, capsys, argv, message):
-        # each wrote a record holding nan, or 0 +- 0, and exited 0
+        # refused before any record is written, naming the argument; most
+        # of these wrote a record holding nan, or 0 +- 0, and exited 0
         assert run(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and message in err

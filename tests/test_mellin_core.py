@@ -660,7 +660,6 @@ class TestHankelMellin:
         with pytest.raises(ContourDependence):
             hankel_mellin(bad, 0.5)
 
-
     @pytest.mark.parametrize("alpha", [0.5, -0.5 + 1j, 2.005])
     @pytest.mark.parametrize(
         "f, rates",
@@ -673,10 +672,10 @@ class TestHankelMellin:
         ids=lambda v: getattr(v, "label", None),
     )
     def test_slow_exponentials_continue(self, f, rates, alpha):
-        # rays that stopped at x = 40 left these tails undecayed; the
-        # transform is Gamma(alpha) sum_i e_i^(-alpha), and the contour
-        # normalization keeps sum_i e_i^(-alpha), left of the strip and
-        # near the multiplier pole at 2 alike
+        # e^(-0.05 x) is still 0.14 at x = 40, far inside the window's
+        # end x = e^40. The transform is Gamma(alpha) sum_i e_i^(-alpha),
+        # and the contour normalization keeps sum_i e_i^(-alpha), left of
+        # the strip and near the multiplier pole at 2 alike
         tv = hankel_mellin(f, alpha)
         with mp.workdps(30):
             want = complex(sum(mp.power(e, -alpha) for e in rates))
@@ -716,7 +715,7 @@ class TestWindowSegments:
     def test_one_sided_window_is_covered(self, window):
         # a window on one side of 0 splits at its own end: its panels
         # cover it exactly, the other half empty
-        lo, hi, side, uses = mellin_core._window_segments((window,))
+        lo, hi, _, uses = mellin_core._window_segments((window,))
         live = hi > lo
         assert lo[live].min() == window[0] and hi[live].max() == window[1]
         assert np.sum(hi[live] - lo[live]) == pytest.approx(window[1] - window[0], rel=1e-15)
